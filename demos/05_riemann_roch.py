@@ -1,8 +1,8 @@
 """Riemann-Roch dimensions: closed formulas against the linear-algebra oracle.
 
-The oracle models L(D) with degree-N forms subject to vanishing conditions
-at P1 and P2 after an x-power shift; no formula is trusted until the oracle
-reproduces it.
+The oracle models L(D) with forms h of degree N over a covering monomial
+M = X^alpha Y^beta Z^gamma of degree N, subject to vanishing conditions at
+P1, P2 and P3; no formula is trusted until the oracle reproduces it.
 """
 
 import numpy as np
@@ -24,10 +24,11 @@ W = canonical_divisor(n)
 print(f"\ncanonical divisor {W.coeffs()}: ell = {dim_L_oracle(c16, W)} "
       f"(genus is {g})")
 
-# explicit bases: functions h / (Z^N x^alpha) with h a degree-N form
+# explicit bases: functions h / M with h a form of the same degree as M
 space = basis_L_oracle(c16, ThreePointDivisor(5, 0, 0))
+alpha, beta, gamma = space.denominator
 print(f"\nbasis of L(5*P1): dimension {space.dimension}, "
-      f"form degree {space.form_degree}, shift alpha = {space.alpha}")
+      f"denominator M = X^{alpha}Y^{beta}Z^{gamma}")
 for row in space.basis:
     terms = [f"{int(c)}*X^{e1}Y^{e2}Z^{e3}"
              for (e1, e2, e3), c in zip(space.monomials, row) if c]

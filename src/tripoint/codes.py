@@ -174,9 +174,9 @@ def evaluation_points(curve: CurveSpec, G: ThreePointDivisor,
 def build_CL(curve: CurveSpec, points: list, G: ThreePointDivisor):
     """Evaluation matrix of L(G) at the given points (rows = basis).
 
-    Points must avoid P1 and P2 (both lie on Z = 0 where every basis
-    denominator vanishes) and may include P3 only when alpha = G.c <= 0, so
-    each basis function h / (Z^N x^alpha) is defined at every point.
+    Points must avoid P1 and P2 (both lie on Z = 0) and may include P3
+    only when G.c <= 0: the basis denominator M is then a power of Z, so
+    each basis function h / M is defined at every point.
     """
     field = curve.field
     rr = basis_L_oracle(curve, G)
@@ -188,48 +188,41 @@ def build_CL(curve: CurveSpec, points: list, G: ThreePointDivisor):
             raise CodesError(f"bad evaluation point {p!r}")
         if p.coords in (p1, p2):
             raise CodesError(f"cannot evaluate at {p!r}: it lies on Z = 0")
-        if p.coords == p3 and rr.alpha > 0:
+        if p.coords == p3 and G.c > 0:
             raise CodesError("cannot evaluate at P3: basis functions may "
                              "have a pole there (G has positive P3 part)")
-        if curve.evaluate_F(p) != 0:
-            raise CodesError(f"{p!r} is not on the curve")
         coords.append(p.coords)
     m = len(coords)
-    N, alpha = rr.form_degree, rr.alpha
     if m == 0:
         return field.zeros((rr.dimension, 0)), rr
 
-    xs = field.array([c[0] for c in coords])
-    ys = field.array([c[1] for c in coords])
-    zs = field.array([c[2] for c in coords])
-    # coordinate power tables up to degree N
+    N = sum(rr.denominator)
+    # coordinate power tables, high enough for the basis forms and for F
+    top = max(N, curve.degree)
     pows = []
-    for arr in (xs, ys, zs):
-        tab = field.zeros((N + 1, m))
+    for arr in field.array(coords).T:
+        tab = field.zeros((top + 1, m))
         tab[0] = 1
-        for e in range(1, N + 1):
+        for e in range(1, top + 1):
             tab[e] = field.vmul(tab[e - 1], arr)
         pows.append(tab)
-    # monomial values at all points
-    V = field.zeros((len(rr.monomials), m))
-    for row, (e1, e2, e3) in enumerate(rr.monomials):
-        V[row] = field.vmul(field.vmul(pows[0][e1], pows[1][e2]), pows[2][e3])
-    # scale = 1 / (Z^N x^alpha) with x = X/Z; alpha < 0 contributes the
-    # numerator factor x^(-alpha) instead
-    denom = pows[2][N].copy()
+
+    def values(e):
+        return field.vmul(field.vmul(pows[0][e[0]], pows[1][e[1]]),
+                          pows[2][e[2]])
+
+    on_F = field.zeros(m)
+    for e, c in curve.F_terms.items():
+        on_F = field.vadd(on_F, field.vmul(c, values(e)))
+    off = np.nonzero(on_F)[0]
+    if off.size:
+        raise CodesError(f"{points[int(off[0])]!r} is not on the curve")
+    V = np.array([values(e) for e in rr.monomials])
+    # the denominator M is itself one of the degree-N monomials
+    denom = V[rr.monomials.index(rr.denominator)]
     if np.any(denom == 0):
         raise CodesError("zero denominator at an evaluation point")
     scale = field.vinv(denom)
-    if alpha != 0:
-        x_affine = field.vmul(xs, field.vinv(zs))
-        if alpha > 0:
-            if np.any(x_affine == 0):
-                raise CodesError("zero denominator at an evaluation point")
-            x_affine = field.vinv(x_affine)
-        f = x_affine.copy()
-        for _ in range(abs(alpha) - 1):
-            f = field.vmul(f, x_affine)
-        scale = field.vmul(scale, f)
 
     E = field.zeros((rr.dimension, m))
     for r in range(rr.dimension):

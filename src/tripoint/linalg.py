@@ -36,7 +36,7 @@ def rref(field: Field, mat: np.ndarray):
             A[[r, piv]] = A[[piv, r]]
         pc = int(A[r, col])
         if pc != 1:
-            A[r] = field.vmul(field.array(field.inv(pc)), A[r])
+            A[r] = field.vmul(field.vinv(pc), A[r])
         rows = np.nonzero(A[:, col])[0]
         rows = rows[rows != r]
         if rows.size:
@@ -113,7 +113,7 @@ class IncrementalBasis:
         p = int(nz[0])
         c = int(v[p])
         if c != 1:
-            v = field.vmul(field.array(field.inv(c)), v)
+            v = field.vmul(field.vinv(c), v)
         self.rows.append(v)
         self.pivots.append(p)
         return True

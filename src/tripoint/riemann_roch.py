@@ -3,31 +3,28 @@
 The oracle computes ell(D) for D = a*P1 + b*P2 + c*P3 without any closed
 form, by exact linear algebra over the base field:
 
-1.  Shift away the P3 coefficient.  x = X/Z has divisor
-    -n*P1 + (n-1)*P2 + P3, so D' = D - c*div(x) = a'*P1 + b'*P2 with
-    a' = a + c*n and b' = b - c*(n-1), and L(D) = x^c * L(D').
+1.  Cover D by a monomial.  X = 0 cuts the curve in n*P2 + P3, Y = 0 in
+    n*P3 + P1 and Z = 0 in n*P1 + P2, so M = X^alpha Y^beta Z^gamma has
+    zero divisor (beta + n*gamma, n*alpha + gamma, n*beta + alpha).  The
+    oracle takes the M of smallest degree N whose zero divisor dominates D,
+    ties broken by the smallest (alpha, beta, gamma).
 
-2.  Model L(D') with plane forms.  The line Z = 0 cuts the divisor
-    n*P1 + P2, so for a form h of degree N the function h/Z^N lies in L(D')
-    exactly when ord_P1(h) >= N*n - a' and ord_P2(h) >= N - b' (vanishing
-    orders along the curve branch; conditions with a nonpositive right side
-    are vacuous).  With N = max(n, ceil(a'/n), b') + 2 every function of
-    L(D') arises this way: smooth plane curves are projectively normal, so
-    sections of N*(n*P1 + P2) - D' are cut by degree-N forms once
-    N*(n+1) - deg D' exceeds 2g - 1, which this choice guarantees.
+2.  Model L(D) with forms h of degree N: h/M lies in L(D) exactly when
+    ord_Pk(h) >= ord_Pk(M) - D_k at P1, P2 and P3 (vanishing orders along
+    the curve branch).  Every f in L(D) arises this way, because f*M is a
+    section of O_C(N) and smooth plane curves are projectively normal: all
+    such sections are cut by degree-N forms.  So any covering N works, and
+    a larger one (`n_extra`) gives an independent cross-check.
 
-3.  Count.  The vanishing conditions are linear in the form coefficients:
-    each is one coefficient of the Newton expansion of h along the branch.
-    Forms divisible by the curve equation F restrict to zero and are exactly
-    the kernel of h -> h/Z^N, hence
+3.  Count.  Each vanishing condition is one coefficient of the Newton
+    expansion of h along a branch, linear in the form coefficients.  Forms
+    divisible by the curve equation F are exactly the kernel of h -> h/M:
 
         ell(D) = (#monomials - rank of conditions) - C(N-n+1, 2).
 
-Expansions are cached per curve and point as a matrix of powers of the
-solved chart coordinate w: the restriction of a monomial X^e1 Y^e2 Z^e3 in
-the chart at P1 is t^e2 * w(t)^e3, so condition rows are just shifted slices
-of cached rows of w-powers.  The cache grows geometrically on demand, which
-keeps long dimension sweeps cheap.
+In the chart at a point (series._CHART_EXPS) a monomial restricts to
+t^i * w(t)^j, so condition rows are shifted slices of cached powers of the
+solved chart coordinate w.
 """
 
 from __future__ import annotations
@@ -39,8 +36,7 @@ import numpy as np
 
 from . import linalg
 from .curves import CurveSpec
-from .fields import Field
-from .series import solve_chart
+from .series import _CHART_EXPS, POINT_IDS, conv_trunc, solve_chart
 
 __all__ = [
     "ThreePointDivisor", "RRSpace", "OracleError",
@@ -110,13 +106,13 @@ def divisor_of_y(n: int) -> ThreePointDivisor:
 class RRSpace:
     """An explicit Riemann-Roch space L(D).
 
-    Basis functions are h / (Z^form_degree * x^alpha) with h the form whose
-    coefficients (over `monomials`) are stored per basis row.
+    Basis functions are h / (X^alpha Y^beta Z^gamma) with (alpha, beta,
+    gamma) = `denominator` and h the form of degree alpha + beta + gamma
+    whose coefficients (over `monomials`) are stored per basis row.
     """
     divisor: ThreePointDivisor
     dimension: int
-    form_degree: int
-    alpha: int
+    denominator: tuple
     monomials: list
     basis: np.ndarray  # shape (dimension, len(monomials))
 
@@ -124,8 +120,7 @@ class RRSpace:
         return {
             "divisor": list(self.divisor.coeffs()),
             "dimension": self.dimension,
-            "form_degree": self.form_degree,
-            "alpha": self.alpha,
+            "denominator": list(self.denominator),
             "monomials": [list(e) for e in self.monomials],
             "basis": [[int(c) for c in row] for row in self.basis],
         }
@@ -141,79 +136,88 @@ def monomials_of_degree(N: int) -> list:
 # cached chart-power expansions
 # ---------------------------------------------------------------------------
 
-class _PowerCache:
-    """Powers of the solved chart coordinate w at one point.
+def _chart_powers(curve: CurveSpec, point_id: str, maxdeg: int, prec: int):
+    """Matrix whose row j <= maxdeg holds the first `prec` coefficients of
+    w(t)^j, w the solved chart coordinate at the point.
 
-    mat[j] holds the first `prec` coefficients of w(t)^j for j <= maxdeg.
+    Cached per curve and point; a cache that is too small grows
+    geometrically, which keeps long dimension sweeps cheap.
     """
-
-    __slots__ = ("mat", "prec", "maxdeg")
-
-    def __init__(self, field: Field, chart: dict, maxdeg: int, prec: int):
-        w = solve_chart(field, chart, prec)
+    mat = curve._cache.get(("powers", point_id))
+    if mat is None or mat.shape[0] <= maxdeg or mat.shape[1] < prec:
+        if mat is not None:
+            maxdeg = max(maxdeg, mat.shape[0] + 3)
+            prec = max(prec, (mat.shape[1] * 3) // 2)
+        field = curve.field
+        w = solve_chart(field, curve.chart_poly(point_id), prec)
         mat = field.zeros((maxdeg + 1, prec))
         mat[0, 0] = 1
-        if maxdeg >= 1:
-            mat[1] = w
-        from .series import conv_trunc
-        for j in range(2, maxdeg + 1):
+        for j in range(1, maxdeg + 1):
             mat[j] = conv_trunc(field, mat[j - 1], w, prec)
-        self.mat = mat
-        self.prec = prec
-        self.maxdeg = maxdeg
+        curve._cache[("powers", point_id)] = mat
+    return mat
 
 
-def _chart_powers(curve: CurveSpec, point_id: str, maxdeg: int, prec: int) -> _PowerCache:
-    cache = curve._cache.get(("powers", point_id))
-    if cache is None or cache.maxdeg < maxdeg or cache.prec < prec:
-        grow_deg = maxdeg if cache is None else max(maxdeg, cache.maxdeg + 4)
-        grow_prec = prec if cache is None else max(prec, (cache.prec * 3) // 2)
-        cache = _PowerCache(curve.field, curve.chart_poly(point_id),
-                            max(grow_deg, maxdeg), max(grow_prec, prec))
-        curve._cache[("powers", point_id)] = cache
-    return cache
+def _covering_exponents(n: int, D: ThreePointDivisor, z_only: bool) -> tuple:
+    """(alpha, beta, gamma) of the covering monomial of D.
 
-
-def _condition_matrix(curve: CurveSpec, N: int, tau1: int, tau2: int):
-    """Stack the P1 and P2 vanishing conditions for all degree-N monomials.
-
-    Row block one: coefficients 0..tau1-1 of the expansion of each monomial
-    at P1 (chart exponents (e2, e3)); block two likewise at P2 (chart
-    exponents (e3, e1)).  Entries come straight out of the power cache:
-    the series of t^beta * w^gamma is row gamma shifted by beta.
+    The smallest degree first, then the smallest triple; with z_only the
+    monomial is a power of Z, which does not vanish at P3 (needs D.c <= 0).
     """
-    field = curve.field
-    monos = monomials_of_degree(N)
-    tau1 = max(tau1, 0)
-    tau2 = max(tau2, 0)
-    A = field.zeros((tau1 + tau2, len(monos)))
-    specs = []
-    if tau1 > 0:
-        specs.append((0, tau1, "P1", lambda e: (e[1], e[2])))
-    if tau2 > 0:
-        specs.append((tau1, tau2, "P2", lambda e: (e[2], e[0])))
-    for row0, tau, pid, exps in specs:
-        cache = _chart_powers(curve, pid, N, tau + N)
-        for col, e in enumerate(monos):
-            beta, gamma = exps(e)
-            lo = min(beta, tau)
-            take = tau - lo
-            if take > 0:
-                A[row0 + lo: row0 + tau, col] = cache.mat[gamma, :take]
-    return A, monos
+    a, b, c = D.coeffs()
+    if z_only:
+        return 0, 0, max(0, -(-a // n), b)
+    N = -(-(max(a, 0) + max(b, 0) + max(c, 0)) // (n + 1))
+    while True:
+        for alpha in range(N + 1):
+            # P3 bounds beta below; P1, P2 and gamma >= 0 bound it above
+            beta = max(0, -(-(c - alpha) // n))
+            gamma = N - alpha - beta
+            if gamma >= 0 and beta + n * gamma >= a and n * alpha + gamma >= b:
+                return alpha, beta, gamma
+        N += 1
 
 
-def _shift_parameters(curve: CurveSpec, D: ThreePointDivisor, n_extra: int):
+def _condition_matrix(curve: CurveSpec, D: ThreePointDivisor, n_extra: int,
+                      degree_cap: int, z_only: bool = False):
+    """Covering exponents, stacked vanishing conditions and the monomials.
+
+    Block k holds coefficients 0..tau_k-1, tau_k = ord_Pk(M) - D_k, of the
+    expansion at P_k of each degree-N monomial t^i * w^j: row j of the
+    power cache shifted by i.
+    """
     n = curve.n
-    a1 = D.a + D.c * n
-    b1 = D.b - D.c * (n - 1)
-    N = max(n, -(-a1 // n), b1) + 2 + n_extra
-    return a1, b1, N
+    alpha, beta, gamma = _covering_exponents(n, D, z_only)
+    gamma += n_extra
+    N = alpha + beta + gamma
+    if N > degree_cap:
+        raise OracleError(
+            f"form degree {N} for {D!r} exceeds the cap {degree_cap}")
+    zeros = (beta + n * gamma, n * alpha + gamma, n * beta + alpha)
+    taus = [max(z - d, 0) for z, d in zip(zeros, D.coeffs())]
+    monos = monomials_of_degree(N)
+    A = curve.field.zeros((sum(taus), len(monos)))
+    row0 = 0
+    for pid, tau in zip(POINT_IDS, taus):
+        if tau == 0:
+            continue
+        powers = _chart_powers(curve, pid, N, tau)
+        exps = _CHART_EXPS[pid]
+        for col, e in enumerate(monos):
+            i, j = exps(e)
+            if i < tau:
+                A[row0 + i: row0 + tau, col] = powers[j, :tau - i]
+        row0 += tau
+    return (alpha, beta, gamma), A, monos
 
 
 def dim_L_oracle(curve: CurveSpec, D: ThreePointDivisor, *, n_extra: int = 0,
                  degree_cap: int = DEGREE_CAP, memo: bool = True) -> int:
-    """ell(D) by exact linear algebra.  See the module docstring."""
+    """ell(D) by exact linear algebra.  See the module docstring.
+
+    n_extra multiplies the covering monomial by Z^n_extra; the answer must
+    not change.
+    """
     if D.degree < 0:
         return 0
     key = D.coeffs()
@@ -221,14 +225,10 @@ def dim_L_oracle(curve: CurveSpec, D: ThreePointDivisor, *, n_extra: int = 0,
         got = curve._cache.setdefault("ell", {}).get(key)
         if got is not None:
             return got
-    a1, b1, N = _shift_parameters(curve, D, n_extra)
-    if N > degree_cap:
-        raise OracleError(
-            f"form degree {N} for {D!r} exceeds the cap {degree_cap}")
-    n = curve.n
-    A, monos = _condition_matrix(curve, N, N * n - a1, N - b1)
-    sol = len(monos) - linalg.rank(curve.field, A)
-    dim = sol - math.comb(max(N - n + 1, 0), 2)
+    exps, A, monos = _condition_matrix(curve, D, n_extra, degree_cap)
+    N = sum(exps)
+    dim = (len(monos) - linalg.rank(curve.field, A)
+           - math.comb(max(N - curve.n + 1, 0), 2))
     if dim < 0:
         raise OracleError(f"negative dimension computed for {D!r}")
     if memo and n_extra == 0:
@@ -242,18 +242,14 @@ def basis_L_oracle(curve: CurveSpec, D: ThreePointDivisor, *,
 
     The returned rows span a complement of F * (degree N-n-1 forms) inside
     the solution space of the vanishing conditions, so the corresponding
-    functions h/(Z^N x^alpha) are a basis of L(D).
+    functions h/M are a basis of L(D).  When D.c <= 0 the denominator M is
+    a power of Z, so every basis function is defined at P3.
     """
-    if D.degree < 0:
-        return RRSpace(D, 0, curve.n, 0, monomials_of_degree(curve.n),
-                       curve.field.zeros((0, len(monomials_of_degree(curve.n)))))
-    a1, b1, N = _shift_parameters(curve, D, 0)
-    if N > degree_cap:
-        raise OracleError(
-            f"form degree {N} for {D!r} exceeds the cap {degree_cap}")
-    n = curve.n
     field = curve.field
-    A, monos = _condition_matrix(curve, N, N * n - a1, N - b1)
+    exps, A, monos = _condition_matrix(curve, D, 0, degree_cap,
+                                       z_only=D.c <= 0)
+    N = sum(exps)
+    n = curve.n
     null = linalg.nullspace(field, A)
     col_of = {e: i for i, e in enumerate(monos)}
     inc = linalg.IncrementalBasis(field, len(monos))
@@ -269,8 +265,8 @@ def basis_L_oracle(curve: CurveSpec, D: ThreePointDivisor, *,
         raise OracleError("quotient basis size mismatch")
     basis = np.array(basis_rows, dtype=null.dtype) if basis_rows else \
         field.zeros((0, len(monos)))
-    return RRSpace(divisor=D, dimension=len(basis_rows), form_degree=N,
-                   alpha=D.c, monomials=monos, basis=basis)
+    return RRSpace(divisor=D, dimension=len(basis_rows), denominator=exps,
+                   monomials=monos, basis=basis)
 
 
 # ---------------------------------------------------------------------------

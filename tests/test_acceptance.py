@@ -127,9 +127,9 @@ def test_04_dimension_sweep(klein, c16, record):
     _verdict(4, "dimension formulas vs oracle, n in {3,4,5}", problems)
 
 
-def test_05_riemann_roch_identity(klein, c16):
+def test_05_riemann_roch_identity(klein, c16, record):
     problems = []
-    for curve in (klein, c16):
+    for curve in (klein, c16, record):
         g = curve.genus
         W = canonical_divisor(curve.n)
         rng = np.random.default_rng(2026)

@@ -192,6 +192,29 @@ def test_verify_clean(capsys):
     assert doc["checks"] == len(doc["rows"]) > 50
 
 
+def test_verify_suite_exception(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("tripoint.verification.gap_suite", broken)
+    code, doc, err = run_json(capsys, "verify", "--skip-oracle-sweeps",
+                              "--n-max", "3")
+    assert code == 2 and doc["passed"] is False
+    failing = [r for r in doc["rows"] if not r["passed"]]
+    assert len(failing) == 1 and failing[0]["section"] == "gaps-n3"
+    assert failing[0]["detail"].startswith("RuntimeError: boom")
+    # the suites after the broken one still ran
+    assert any(r["section"] == "riemann-roch-n3" for r in doc["rows"])
+
+
+def test_verify_record_curve(capsys):
+    code, doc, _ = run_json(capsys, "verify", "--n-max", "5")
+    assert code == 0 and doc["passed"] is True
+    assert all(r["passed"] for r in doc["rows"])
+    assert {"dims-n5", "pure-gaps-n5", "riemann-roch-n5"} <= \
+        {r["section"] for r in doc["rows"]}
+
+
 def test_csv_output(capsys):
     code, out, _ = run(capsys, "gaps", "--n", "3", "--format", "csv")
     assert code == 0

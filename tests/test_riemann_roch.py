@@ -129,6 +129,20 @@ def test_riemann_roch_identity_sample(klein):
         assert lhs == D.degree + 1 - g
 
 
+def test_riemann_roch_identity_record(record):
+    # includes divisors with a large negative P3 part, such as
+    # 13P1 + 7P2 - 20P3, and their complements K - D
+    rng = np.random.default_rng(1)
+    W = canonical_divisor(record.n)
+    g = record.genus
+    divisors = [ThreePointDivisor(13, 7, -20)] + [
+        ThreePointDivisor(*(int(v) for v in rng.integers(-2 * g, 2 * g + 1, 3)))
+        for _ in range(25)]
+    for D in divisors:
+        lhs = dim_L_oracle(record, D) - dim_L_oracle(record, W - D)
+        assert lhs == D.degree + 1 - g, D
+
+
 def test_degree_cap(klein):
     with pytest.raises(OracleError):
         dim_L_oracle(klein, ThreePointDivisor(300, 0, 0))
@@ -148,13 +162,13 @@ def test_memoization(klein):
 
 
 def _divisor_constraint_ok(curve, space):
-    """div(h) - N div(Z) - alpha div(x) + D >= 0 at the three points."""
+    """div(h) - div(M) + D >= 0 at P1, P2, P3; M the stored denominator."""
     n = curve.n
-    ordZ = (n, 1, 0)
-    ordx = (-n, n - 1, 1)
-    N, alpha = space.form_degree, space.alpha
+    N = sum(space.denominator)
     prec = max(2 * n, N * n + 2 * curve.genus + 8)
     locals_ = {p: expand_at(curve, p, prec) for p in ("P1", "P2", "P3")}
+    ordM = [order_of_form(curve, locals_[pid], {space.denominator: 1}, N)
+            for pid in ("P1", "P2", "P3")]
     for row in space.basis:
         form = {e: int(c) for e, c in zip(space.monomials, row) if c}
         assert form, "zero basis row"
@@ -162,7 +176,7 @@ def _divisor_constraint_ok(curve, space):
             o = order_of_form(curve, locals_[pid], form, N)
             if isinstance(o, OrderBound):
                 o = o.at_least
-            if o - N * ordZ[idx] - alpha * ordx[idx] < -space.divisor.coeffs()[idx]:
+            if o - ordM[idx] < -space.divisor.coeffs()[idx]:
                 return False
     return True
 
@@ -176,7 +190,8 @@ def test_basis_oracle(klein, c16):
     cases = [(klein, ThreePointDivisor(3, 1, 0)),      # canonical, dim g = 3
              (klein, ThreePointDivisor(2, 3, -1)),
              (c16, ThreePointDivisor(5, 0, 0)),        # dim 2, spans {1, x}
-             (c16, ThreePointDivisor(0, 4, 0))]        # dim 2, spans {1, y/x}
+             (c16, ThreePointDivisor(0, 4, 0)),        # dim 2, spans {1, y/x}
+             (c16, ThreePointDivisor(4, 3, 5))]        # pole at P3, dim 7
     for curve, D in cases:
         space = basis_L_oracle(curve, D)
         assert space.dimension == dim_L_oracle(curve, D)
