@@ -6,16 +6,16 @@ demand, against a linear-algebra computation of Riemann-Roch dimensions
 that shares no code with the formulas.
 """
 
-from .fields import (Field, FieldElement, FieldError, arith, embed,
-                     make_field)
+from .fields import Field, FieldElement, FieldError, embed, make_field
 from .curves import (CheckResult, CurveError, CurveSpec, ProjectivePoint,
-                     genus, rational_points_raw, validate_curve)
-from .series import (FieldSeries, OrderBound, SeriesError, expand_at,
-                     monomial_valuations)
+                     rational_points_raw)
+from .series import SeriesError, monomial_valuations
 from .riemann_roch import (OracleError, RRSpace, ThreePointDivisor,
                            basis_L_oracle, canonical_divisor, dim_L_oracle,
                            dim_mP_formula, dim_Md_Nd, dim_Sd, dim_Sd_plus_e,
-                           dim_shifted_formula, divisor_of_x, divisor_of_y)
+                           dim_shifted_formula, divisor_of_x, divisor_of_y,
+                           order_of_form)
+from .claims import FAMILIES, Claim, dimension_claims
 from .weierstrass import (GapSet, KimMapTable, PureGapRecord, gap_index,
                           gaps_closed_form, gaps_oracle, kim_image, kim_map,
                           pure_gap_count_pair, pure_gap_count_triple,
@@ -29,18 +29,19 @@ from .codes import (BudgetError, CodeReport, CodesError, CodeSpecPair,
                     low_weight_search, predict_pair_params,
                     predict_triple_params, verify_distance_floor)
 from .catalog import RECORD_LENGTHS, RECORD_ROW, REFERENCE_ROWS, builtin_curves
+from .verification import validate_curve
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Field", "FieldElement", "FieldError", "arith", "embed", "make_field",
-    "CheckResult", "CurveError", "CurveSpec", "ProjectivePoint", "genus",
-    "rational_points_raw", "validate_curve",
-    "FieldSeries", "OrderBound", "SeriesError", "expand_at",
+    "Field", "FieldElement", "FieldError", "embed", "make_field",
+    "CheckResult", "CurveError", "CurveSpec", "ProjectivePoint",
+    "rational_points_raw", "validate_curve", "SeriesError",
     "OracleError", "RRSpace", "ThreePointDivisor", "basis_L_oracle",
     "canonical_divisor", "dim_L_oracle", "dim_mP_formula", "dim_Md_Nd",
     "dim_Sd", "dim_Sd_plus_e", "dim_shifted_formula", "divisor_of_x",
-    "divisor_of_y", "monomial_valuations",
+    "divisor_of_y", "monomial_valuations", "order_of_form",
+    "FAMILIES", "Claim", "dimension_claims",
     "GapSet", "KimMapTable", "PureGapRecord", "gap_index",
     "gaps_closed_form", "gaps_oracle", "kim_image", "kim_map",
     "pure_gap_count_pair", "pure_gap_count_triple", "pure_gap_oracle",

@@ -23,19 +23,16 @@ import numpy as np
 from . import __version__
 from .catalog import (RECORD_LENGTHS, RECORD_ROW, REFERENCE_ROWS,
                       builtin_curves)
+from .claims import FAMILIES, dimension_claims
 from .codes import (BudgetError, CodesError, build_COmega, curve_search,
                     evaluation_points, hermitian_maximal_count, hurwitz_count,
                     low_weight_search, predict_pair_params,
                     predict_triple_params, verify_distance_floor)
 from .curves import CurveError, CurveSpec, rational_points_raw
 from .fields import FieldError, is_prime, make_field
-from .riemann_roch import (OracleError, SHIFT_VARIANTS, Md_divisor,
-                           Nd_divisor, Sd_divisor, ThreePointDivisor,
-                           dim_L_oracle, dim_mP_formula, dim_Md_Nd, dim_Sd,
-                           dim_Sd_plus_e, dim_shifted_formula,
-                           shifted_divisor)
+from .riemann_roch import OracleError, ThreePointDivisor, dim_L_oracle
 from .series import SeriesError
-from .verification import default_verify_report
+from .verification import VERIFY_CURVES, default_verify_report
 from .weierstrass import (CYCLIC_PAIRS, gap_index, gaps_closed_form,
                           gaps_oracle, kim_image, kim_map, pure_gap_oracle,
                           pure_gaps_pair, pure_gaps_pair_via_homma_kim,
@@ -73,7 +70,7 @@ DEFAULTS = {
     "curve": None,
     "check": False,
     "points": 2,
-    "families": "mP,shifted,MdNd,Sd,Sd+e",
+    "families": ",".join(FAMILIES),
     "design": None,
     "divisor": None,
     "length": None,
@@ -340,63 +337,21 @@ def cmd_pure_gaps(cfg: dict):
     return payload, code
 
 
-_FAMILIES = ("mP", "shifted", "MdNd", "Sd", "Sd+e")
-
-
 def cmd_dims(cfg: dict):
     n = int(_need(cfg, "n", "--n"))
     if n < 3:
         raise UsageError(f"n must be >= 3, got {n}")
     fams = tuple(part.strip() for part in str(cfg["families"]).split(",")
                  if part.strip())
-    bad = [f for f in fams if f not in _FAMILIES]
+    bad = [f for f in fams if f not in FAMILIES]
     if bad:
-        raise UsageError(f"unknown families {bad}; choose from {_FAMILIES}")
+        raise UsageError(f"unknown families {bad}; choose from {FAMILIES}")
     g = n * (n - 1) // 2
-    entries = []   # (row, divisor) so --check can replay the oracle
-    if "mP" in fams:
-        for m in range(1, 2 * g - 1):
-            want = dim_mP_formula(n, m)
-            for axis, point in enumerate(("P1", "P2", "P3")):
-                v = [0, 0, 0]
-                v[axis] = m
-                entries.append(({"family": "mP", "label": f"{m}{point}",
-                                 "dimension": want},
-                                ThreePointDivisor(*v)))
-    if "shifted" in fams:
-        for m in range(1, 2 * g - 1):
-            for variant in SHIFT_VARIANTS:
-                entries.append((
-                    {"family": "shifted", "label": f"m={m} {variant}",
-                     "dimension": dim_shifted_formula(n, m, variant)},
-                    shifted_divisor(n, m, variant)))
-    if "MdNd" in fams:
-        for i in range(1, n):
-            for j in range(1, n - i):
-                want = dim_Md_Nd(n, i, j)
-                entries.append(({"family": "MdNd", "label": f"M({i},{j})",
-                                 "dimension": want}, Md_divisor(n, i, j)))
-                entries.append(({"family": "MdNd", "label": f"N({i},{j})",
-                                 "dimension": want}, Nd_divisor(n, i, j)))
-    if "Sd" in fams:
-        for d in range(0, n + 1):
-            for i in range(0, d + 1):
-                for j in range(0, d - i + 1):
-                    k = d - i - j
-                    entries.append((
-                        {"family": "Sd", "label": f"S({i},{j},{k})",
-                         "dimension": dim_Sd(n, i, j, k)},
-                        Sd_divisor(n, i, j, k)))
-    if "Sd+e" in fams:
-        for d in range(0, n - 1):
-            e = n - 2 - d
-            for i in range(0, d + 1):
-                for j in range(0, d - i + 1):
-                    k = d - i - j
-                    entries.append((
-                        {"family": "Sd+e", "label": f"S({i},{j},{k})+{e}",
-                         "dimension": dim_Sd_plus_e(n, i, j, k, e)},
-                        Sd_divisor(n, i, j, k) + ThreePointDivisor(e, e, e)))
+    # the table keeps the S_d claims with i, j, k >= 0
+    entries = [({"family": c.family, "label": c.label,
+                 "dimension": c.dimension}, c.divisor)
+               for c in dimension_claims(n, fams)
+               if c.family != "Sd" or min(c.params) >= 0]
     rows = [row for row, _ in entries]
     payload = {"n": n, "genus": g, "families": list(fams), "rows": rows}
     code = EXIT_OK
@@ -712,8 +667,13 @@ def cmd_reproduce(cfg: dict):
 
 
 def cmd_verify(cfg: dict):
+    n_max = int(cfg["n_max"])
+    lo, hi = min(VERIFY_CURVES), max(VERIFY_CURVES)
+    if not lo <= n_max <= hi:
+        raise UsageError(f"--n-max must be in {lo}..{hi}, the n of the "
+                         f"bundled check curves, got {n_max}")
     report = default_verify_report(
-        n_max=int(cfg["n_max"]),
+        n_max=n_max,
         oracle_sweeps=not cfg["skip_oracle_sweeps"],
         inject_bug=bool(cfg["inject_bug"]))
     rows = []
@@ -769,7 +729,7 @@ def build_parser() -> _Parser:
                             "checked against the oracle")
     p.add_argument("--n", type=int)
     p.add_argument("--families",
-                   help=f"comma list from {','.join(_FAMILIES)}")
+                   help=f"comma list from {','.join(FAMILIES)}")
     p.add_argument("--check", action="store_true", default=None)
     p.add_argument("--curve")
     p.set_defaults(func=cmd_dims)

@@ -21,12 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field, FieldElement, FieldError, make_field, embed
-from . import series as _series
+from .fields import Field, FieldElement, make_field, embed
+from .series import _CHART_EXPS
 
 __all__ = [
-    "CurveError", "ProjectivePoint", "CurveSpec", "genus",
-    "validate_curve", "rational_points_raw", "CheckResult",
+    "CurveError", "ProjectivePoint", "CurveSpec", "rational_points_raw",
+    "CheckResult",
 ]
 
 
@@ -159,7 +159,7 @@ class CurveSpec:
         """Affine chart equation at a fundamental point as (t_exp, w_exp) -> code."""
         key = ("chart", point_id)
         if key not in self._cache:
-            exps = _series._CHART_EXPS[point_id]
+            exps = _CHART_EXPS[point_id]
             poly: dict = {}
             for e, c in self.F_terms.items():
                 te = exps(e)
@@ -238,10 +238,6 @@ class CurveSpec:
         field = Field.from_json(data["field"])
         g = {tuple(e): int(c) for e, c in data.get("g_coeffs", [])}
         return CurveSpec(field, int(data["n"]), g)
-
-
-def genus(spec: CurveSpec) -> int:
-    return spec.genus
 
 
 def eval_terms(field: Field, terms: dict, coords: tuple) -> int:
@@ -363,54 +359,3 @@ def _singular_sweep(field: Field, F_terms: dict, partials: list) -> list:
     if all(eval_terms(field, terms, (1, 0, 0)) == 0 for terms in polys):
         sing.append(ProjectivePoint(field, 1, 0, 0))
     return sorted(set(sing), key=ProjectivePoint.sort_key)
-
-
-# ---------------------------------------------------------------------------
-# validation
-# ---------------------------------------------------------------------------
-
-def validate_curve(spec: CurveSpec, precision: int | None = None) -> list:
-    """Structural checks at the three fundamental points.
-
-    Verifies that each Pi lies on the curve, that the gradient there is
-    nonzero, that the coordinate lines cut the curve with the tangency
-    pattern the family promises (order n along the tangent, order 1 at the
-    next point, order 0 at the third), and that the Newton expansions
-    actually satisfy the chart equations.  Returns a list of CheckResult.
-    """
-    n = spec.n
-    prec = precision or (2 * n + 4)
-    results = []
-    pts = dict(zip(_series.POINT_IDS, spec.fundamental_points()))
-    for pid, pt in pts.items():
-        results.append(CheckResult(
-            f"{pid} on curve", spec.evaluate_F(pt) == 0,
-            f"F{pt!r} = {spec.evaluate_F(pt)}"))
-    parts = spec.partials()
-    for pid, pt in pts.items():
-        grad = tuple(spec.evaluate_poly(d, pt) for d in parts.values())
-        results.append(CheckResult(
-            f"gradient nonzero at {pid}", any(grad), f"grad = {grad}"))
-    # tangent-line intersection orders; entry (line, point) -> expected order
-    lines = {"X": {(1, 0, 0): 1}, "Y": {(0, 1, 0): 1}, "Z": {(0, 0, 1): 1}}
-    expected = {
-        ("Z", "P1"): n, ("Z", "P2"): 1, ("Z", "P3"): 0,
-        ("X", "P2"): n, ("X", "P3"): 1, ("X", "P1"): 0,
-        ("Y", "P3"): n, ("Y", "P1"): 1, ("Y", "P2"): 0,
-    }
-    locals_ = {}
-    for pid in _series.POINT_IDS:
-        try:
-            locals_[pid] = _series.expand_at(spec, pid, prec)
-            results.append(CheckResult(f"chart expansion at {pid}", True,
-                                       f"precision {prec}"))
-        except _series.SeriesError as exc:
-            results.append(CheckResult(f"chart expansion at {pid}", False, str(exc)))
-    for (line, pid), want in expected.items():
-        if pid not in locals_:
-            continue
-        got = _series.order_of_form(spec, locals_[pid], lines[line], 1)
-        ok = got == want
-        results.append(CheckResult(
-            f"order of {line}=0 at {pid}", ok, f"expected {want}, got {got}"))
-    return results

@@ -61,18 +61,6 @@ def _trim(coeffs):
     return tuple(coeffs[:i])
 
 
-def _poly_mul(f, g, p):
-    if not f or not g:
-        return ()
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a == 0:
-            continue
-        for j, b in enumerate(g):
-            out[i + j] = (out[i + j] + a * b) % p
-    return _trim(out)
-
-
 def _poly_rem(f, g, p):
     """Remainder of f mod g (g nonzero), coefficients mod p."""
     f = list(f)
@@ -565,19 +553,6 @@ def make_field(p: int, k: int = 1, modulus=None) -> Field:
     else:
         modulus = tuple(int(c) % p for c in modulus)
     return _cached_field(p, k, modulus)
-
-
-def arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    """Dispatch one binary field operation by name (add/sub/mul/div)."""
-    try:
-        fn = {"add": a.__add__, "sub": a.__sub__,
-              "mul": a.__mul__, "div": a.__truediv__}[op]
-    except KeyError:
-        raise FieldError(f"unknown operation {op!r}")
-    out = fn(b)
-    if out is NotImplemented:
-        raise FieldError(f"cannot apply {op} to {a!r} and {b!r}")
-    return out
 
 
 def embed(e: FieldElement, target: Field) -> FieldElement:

@@ -24,7 +24,9 @@ form, by exact linear algebra over the base field:
 
 In the chart at a point (series._CHART_EXPS) a monomial restricts to
 t^i * w(t)^j, so condition rows are shifted slices of cached powers of the
-solved chart coordinate w.
+solved chart coordinate w (`_chart_powers`).  The same rows give the
+vanishing order of any single form (`order_of_form`), the one expansion
+path in the package.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ __all__ = [
     "dim_mP_formula", "dim_shifted_formula", "shifted_divisor",
     "dim_Md_Nd", "Md_divisor", "Nd_divisor",
     "dim_Sd", "Sd_divisor", "dim_Sd_plus_e",
-    "monomials_of_degree",
+    "monomials_of_degree", "order_of_form",
 ]
 
 DEGREE_CAP = 60
@@ -156,6 +158,32 @@ def _chart_powers(curve: CurveSpec, point_id: str, maxdeg: int, prec: int):
             mat[j] = conv_trunc(field, mat[j - 1], w, prec)
         curve._cache[("powers", point_id)] = mat
     return mat
+
+
+def order_of_form(curve: CurveSpec, point_id: str, form: dict,
+                  degree: int) -> int | None:
+    """Vanishing order at P1, P2 or P3 of a form restricted to the curve.
+
+    form maps (e1, e2, e3) -> coefficient code, each key of total degree
+    `degree`; the order is the first nonzero coefficient of
+    sum(c * t^i * w^j).  By Bezout a form not divisible by F meets the
+    curve in (n+1)*degree points, so that many coefficients decide it;
+    None means the form vanishes on the curve.
+    """
+    if point_id not in POINT_IDS:
+        raise ValueError(f"unknown point id {point_id!r}")
+    field = curve.field
+    length = (curve.n + 1) * degree + 1
+    powers = _chart_powers(curve, point_id, degree, length)
+    acc = field.zeros(length)
+    for e, c in form.items():
+        if sum(e) != degree:
+            raise ValueError(f"monomial {e} does not have degree {degree}")
+        i, j = _CHART_EXPS[point_id](e)
+        acc[i:] = field.vadd(acc[i:], field.vmul(field.array(int(c)),
+                                                 powers[j, :length - i]))
+    nz = np.flatnonzero(acc)
+    return int(nz[0]) if nz.size else None
 
 
 def _covering_exponents(n: int, D: ThreePointDivisor, z_only: bool) -> tuple:

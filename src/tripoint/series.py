@@ -1,33 +1,26 @@
-"""Truncated power/Laurent series over GF(q) and local expansions.
+"""Chart equations of the curve at its three fundamental points.
 
-A FieldSeries is sum(coef[i] * t^(val + i)) known modulo t^(val + len(coef)).
-The invariant coef[0] != 0 (or coef empty, meaning "zero to precision") makes
-valuations readable directly.  Precision bookkeeping follows the usual rules:
-products/quotients keep the minimum relative precision of the operands, sums
-the minimum absolute precision.
-
-expand_at solves the affine chart equation of a curve at one of its three
-distinguished points by Newton iteration with doubling precision.  In every
-chart the equation has the shape
+In the affine chart at each fundamental point (see _CHART_EXPS) the curve
+equation has the shape
 
     w + t^n + t*w^n + t*w*(...) = 0
 
-so dP/dw(0,0) = 1 and the iteration never needs a pivot choice.  The solved
-branch starts w = -t^n + higher order.
+so dP/dw(0,0) = 1.  solve_chart finds the branch w(t) = -t^n + higher order
+by Newton iteration with doubling precision and never needs a pivot
+choice.  Coefficient arrays are plain numpy vectors of field codes, low
+order first; conv_trunc and series_inverse are the truncated product and
+inverse on them.  Riemann-Roch and vanishing orders are built on these in
+riemann_roch.py.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .fields import Field, FieldError
+from .fields import Field
 
-__all__ = [
-    "SeriesError", "OrderBound", "FieldSeries", "LocalData",
-    "expand_at", "order_of_form", "monomial_valuations", "POINT_IDS",
-]
+__all__ = ["SeriesError", "POINT_IDS", "conv_trunc", "series_inverse",
+           "solve_chart", "monomial_valuations"]
 
 POINT_IDS = ("P1", "P2", "P3")
 
@@ -43,13 +36,7 @@ _CHART_EXPS = {
 
 
 class SeriesError(ValueError):
-    """Bad series operation (non-unit inverse, precision misuse, ...)."""
-
-
-@dataclass(frozen=True)
-class OrderBound:
-    """Marker returned when a vanishing order exceeds the known precision."""
-    at_least: int
+    """Bad series operation (non-unit inverse, unsolvable chart, ...)."""
 
 
 def conv_trunc(field: Field, a: np.ndarray, b: np.ndarray, length: int) -> np.ndarray:
@@ -83,165 +70,6 @@ def series_inverse(field: Field, a: np.ndarray, length: int) -> np.ndarray:
         t[0] = field.add(int(t[0]), two)
         x = conv_trunc(field, x, t, m)
     return x[:length]
-
-
-class FieldSeries:
-    """Laurent series with explicit valuation and absolute precision."""
-
-    __slots__ = ("field", "val", "coef")
-
-    def __init__(self, field: Field, coef, val: int = 0, prec: int | None = None):
-        arr = field.array(coef).ravel()
-        if prec is not None:
-            want = prec - val
-            if want < len(arr):
-                arr = arr[:max(want, 0)]
-            elif want > len(arr):
-                arr = np.concatenate([arr, field.zeros(want - len(arr))])
-        # normalize: leading zeros move into the valuation
-        nz = np.nonzero(arr)[0]
-        if nz.size == 0:
-            val = val + len(arr)
-            arr = field.zeros(0)
-        else:
-            lead = int(nz[0])
-            val += lead
-            arr = arr[lead:]
-        self.field = field
-        self.val = val
-        self.coef = arr
-
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def monomial(cls, field: Field, exponent: int, prec: int, code: int = 1):
-        s = cls.__new__(cls)
-        s.field = field
-        if code == 0:
-            s.val = prec
-            s.coef = field.zeros(0)
-        else:
-            s.val = exponent
-            s.coef = field.zeros(max(prec - exponent, 1))
-            s.coef[0] = code
-        return s
-
-    # -- bookkeeping -----------------------------------------------------------
-
-    @property
-    def prec(self) -> int:
-        return self.val + len(self.coef)
-
-    def valuation(self) -> int | None:
-        """Exact valuation, or None when the series is zero to precision."""
-        return None if len(self.coef) == 0 else self.val
-
-    def is_zero(self) -> bool:
-        return len(self.coef) == 0
-
-    def coeff_at(self, exponent: int) -> int:
-        if exponent >= self.prec:
-            raise SeriesError(f"coefficient of t^{exponent} beyond precision "
-                              f"{self.prec}")
-        if exponent < self.val:
-            return 0
-        return int(self.coef[exponent - self.val])
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def _check(self, other: "FieldSeries"):
-        if self.field != other.field:
-            raise FieldError("series over different fields")
-
-    def __add__(self, other: "FieldSeries") -> "FieldSeries":
-        self._check(other)
-        field = self.field
-        prec = min(self.prec, other.prec)
-        val = min(self.val, other.val, prec)
-        out = field.zeros(prec - val)
-        a, b = self, other
-        for s in (a, b):
-            lo = s.val - val
-            seg = max(min(len(s.coef), prec - s.val), 0)
-            if seg:
-                out[lo:lo + seg] = field.vadd(out[lo:lo + seg], s.coef[:seg])
-        return FieldSeries(field, out, val)
-
-    def __neg__(self) -> "FieldSeries":
-        out = FieldSeries.__new__(FieldSeries)
-        out.field = self.field
-        out.val = self.val
-        out.coef = self.field.vneg(self.coef).copy() if len(self.coef) else self.coef
-        return out
-
-    def __sub__(self, other: "FieldSeries") -> "FieldSeries":
-        return self + (-other)
-
-    def __mul__(self, other: "FieldSeries") -> "FieldSeries":
-        self._check(other)
-        field = self.field
-        if self.is_zero() or other.is_zero():
-            # product vanishes at least to the best provable precision
-            prec = min(self.prec + other.val, other.prec + self.val)
-            return FieldSeries(field, (), val=prec)
-        rel = min(len(self.coef), len(other.coef))
-        out = conv_trunc(field, self.coef, other.coef, rel)
-        return FieldSeries(field, out, self.val + other.val)
-
-    def scale(self, code: int) -> "FieldSeries":
-        if code == 0:
-            return FieldSeries(self.field, (), val=self.prec)
-        out = self.field.vmul(self.field.array(code), self.coef)
-        return FieldSeries(self.field, out, self.val)
-
-    def inverse(self) -> "FieldSeries":
-        if self.is_zero():
-            raise SeriesError("cannot invert a series that is zero to precision")
-        inv = series_inverse(self.field, self.coef, len(self.coef))
-        return FieldSeries(self.field, inv, -self.val)
-
-    def __pow__(self, e: int) -> "FieldSeries":
-        if e < 0:
-            return self.inverse() ** (-e)
-        field = self.field
-        if e == 0:
-            return FieldSeries(field, field.array([1]), 0, prec=max(self.prec, 1))
-        if self.is_zero():
-            return FieldSeries(field, (), val=self.prec * e)
-        rel = len(self.coef)
-        result = FieldSeries(field, field.array([1]), 0, prec=rel)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
-    def shift(self, m: int) -> "FieldSeries":
-        out = FieldSeries.__new__(FieldSeries)
-        out.field = self.field
-        out.val = self.val + m
-        out.coef = self.coef
-        return out
-
-    def truncate(self, prec: int) -> "FieldSeries":
-        return FieldSeries(self.field, self.coef, self.val, prec=prec)
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldSeries):
-            return NotImplemented
-        return (self.field == other.field and self.val == other.val
-                and len(self.coef) == len(other.coef)
-                and bool(np.all(self.coef == other.coef)))
-
-    def __repr__(self):
-        if self.is_zero():
-            return f"O(t^{self.prec})"
-        head = ", ".join(str(int(c)) for c in self.coef[:6])
-        tail = ", ..." if len(self.coef) > 6 else ""
-        return f"t^{self.val}*[{head}{tail}] + O(t^{self.prec})"
 
 
 # ---------------------------------------------------------------------------
@@ -290,98 +118,6 @@ def solve_chart(field: Field, chart_poly: dict, precision: int) -> np.ndarray:
     if np.any(residual):
         raise SeriesError("Newton iteration failed to kill the residual")
     return w
-
-
-@dataclass
-class LocalData:
-    """Exact local data of a curve at one distinguished point.
-
-    chart_t/chart_w are the two affine chart coordinates as series in the
-    local parameter t (chart_t is t itself); x and y are the Laurent
-    expansions of the affine functions x = X/Z, y = Y/Z.
-    """
-    point: str
-    parameter: str
-    chart_t: FieldSeries
-    chart_w: FieldSeries
-    x: FieldSeries
-    y: FieldSeries
-    precision: int
-
-
-def expand_at(curve, point_id: str, precision: int) -> LocalData:
-    """Newton expansion of the curve at P1, P2 or P3.
-
-    Requires precision >= 2n so downstream valuation reads (which go up to
-    order n plus a margin) cannot silently truncate.
-    """
-    n = curve.n
-    if point_id not in POINT_IDS:
-        raise ValueError(f"unknown point id {point_id!r}")
-    if precision < 2 * n:
-        raise SeriesError(f"precision {precision} < 2n = {2 * n}")
-    field = curve.field
-    w = solve_chart(field, curve.chart_poly(point_id), precision)
-    t_series = FieldSeries.monomial(field, 1, precision)
-    w_series = FieldSeries(field, w, 0, prec=precision)
-    if point_id == "P1":
-        # t = Y/X, w = Z/X;  x = X/Z = 1/w,  y = Y/Z = t/w
-        inv_w = w_series.inverse()
-        x_s = inv_w
-        y_s = t_series * inv_w
-        param = "t = Y/X (the tangent at P1 is Z = 0)"
-    elif point_id == "P2":
-        # t = Z/Y, w = X/Y;  x = X/Z = w/t,  y = Y/Z = 1/t
-        x_s = w_series * t_series.inverse()
-        y_s = t_series.inverse()
-        param = "t = Z/Y (the tangent at P2 is X = 0)"
-    else:
-        # t = X/Z, w = Y/Z;  x = t,  y = w
-        x_s = t_series
-        y_s = w_series
-        param = "t = X/Z (the tangent at P3 is Y = 0)"
-    return LocalData(point=point_id, parameter=param, chart_t=t_series,
-                     chart_w=w_series, x=x_s, y=y_s, precision=precision)
-
-
-def order_of_form(curve, local: LocalData, form: dict, degree: int):
-    """Vanishing order at local.point of a homogeneous form on the curve.
-
-    form maps (e1, e2, e3) -> coefficient code, every key summing to degree.
-    The order is the t-adic valuation of form/C^degree where C is the chart
-    coordinate normalized to 1 at the point; since C does not vanish there,
-    this equals the intersection order of {form = 0} with the curve branch.
-    Returns an int, or OrderBound(p) when the restriction vanishes to the
-    full working precision p.
-    """
-    field = curve.field
-    exps = _CHART_EXPS[local.point]
-    grouped: dict[int, dict[int, int]] = {}
-    for e, c in form.items():
-        if sum(e) != degree:
-            raise ValueError(f"monomial {e} does not have degree {degree}")
-        te, we = exps(e)
-        row = grouped.setdefault(we, {})
-        row[te] = field.add(row.get(te, 0), int(c))
-    if not grouped:
-        raise ValueError("empty form")
-    prec = local.precision
-    max_w = max(grouped)
-    res = None
-    w = local.chart_w
-    for j in range(max_w, -1, -1):
-        res = res * w if res is not None else FieldSeries(field, (), val=prec)
-        terms = grouped.get(j)
-        if terms:
-            arr = field.zeros(prec)
-            for texp, c in terms.items():
-                if texp < prec and c:
-                    arr[texp] = field.add(int(arr[texp]), c)
-            res = res + FieldSeries(field, arr, 0, prec=prec)
-    v = res.valuation()
-    if v is None:
-        return OrderBound(res.prec)
-    return v
 
 
 def monomial_valuations(n: int, u: int, v: int) -> tuple:

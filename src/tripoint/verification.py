@@ -12,17 +12,65 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curves import CheckResult, CurveSpec, validate_curve
+from .claims import FAMILIES, dimension_claims
+from .curves import CheckResult, CurveSpec
 from .fields import Field, FieldError, make_field
 from .riemann_roch import (ThreePointDivisor, canonical_divisor, dim_L_oracle,
-                           dim_mP_formula, dim_Md_Nd, dim_Sd, dim_Sd_plus_e,
-                           dim_shifted_formula, Md_divisor, Nd_divisor,
-                           Sd_divisor, shifted_divisor, SHIFT_VARIANTS)
-from .weierstrass import (gaps_closed_form, gaps_oracle, gap_index, kim_image,
-                          kim_map, pure_gap_count_pair, pure_gap_count_triple,
+                           order_of_form)
+from .series import POINT_IDS, SeriesError, solve_chart
+from .weierstrass import (gaps_closed_form, gaps_oracle, kim_image, kim_map,
+                          pure_gap_count_pair, pure_gap_count_triple,
                           pure_gap_oracle, pure_gaps_pair,
                           pure_gaps_pair_via_homma_kim, pure_gaps_triple,
                           semigroup_generators, CYCLIC_PAIRS)
+
+
+def validate_curve(spec: CurveSpec) -> list:
+    """Structural checks at the three fundamental points.
+
+    Verifies that each Pi lies on the curve, that the gradient there is
+    nonzero, that the chart equations have a Newton solution to precision
+    2n + 4, and that the coordinate lines cut the curve with the tangency
+    pattern the family promises (order n along the tangent, order 1 at the
+    next point, order 0 at the third).  Returns a list of CheckResult.
+    """
+    n = spec.n
+    prec = 2 * n + 4
+    results = []
+    pts = dict(zip(POINT_IDS, spec.fundamental_points()))
+    for pid, pt in pts.items():
+        results.append(CheckResult(
+            f"{pid} on curve", spec.evaluate_F(pt) == 0,
+            f"F{pt!r} = {spec.evaluate_F(pt)}"))
+    parts = spec.partials()
+    for pid, pt in pts.items():
+        grad = tuple(spec.evaluate_poly(d, pt) for d in parts.values())
+        results.append(CheckResult(
+            f"gradient nonzero at {pid}", any(grad), f"grad = {grad}"))
+    # tangent-line intersection orders; entry (line, point) -> expected order
+    lines = {"X": {(1, 0, 0): 1}, "Y": {(0, 1, 0): 1}, "Z": {(0, 0, 1): 1}}
+    expected = {
+        ("Z", "P1"): n, ("Z", "P2"): 1, ("Z", "P3"): 0,
+        ("X", "P2"): n, ("X", "P3"): 1, ("X", "P1"): 0,
+        ("Y", "P3"): n, ("Y", "P1"): 1, ("Y", "P2"): 0,
+    }
+    solved = set()
+    for pid in POINT_IDS:
+        try:
+            solve_chart(spec.field, spec.chart_poly(pid), prec)
+            solved.add(pid)
+            results.append(CheckResult(f"chart expansion at {pid}", True,
+                                       f"precision {prec}"))
+        except SeriesError as exc:
+            results.append(CheckResult(f"chart expansion at {pid}", False, str(exc)))
+    for (line, pid), want in expected.items():
+        if pid not in solved:
+            continue
+        got = order_of_form(spec, pid, lines[line], 1)
+        results.append(CheckResult(
+            f"order of {line}=0 at {pid}", got == want,
+            f"expected {want}, got {got}"))
+    return results
 
 
 def field_axiom_suite(field: Field, rng=None, triples: int = 1000) -> list:
@@ -203,54 +251,16 @@ def pure_gap_suite(curve: CurveSpec, oracle_sweep: bool = True) -> list:
 
 
 def dimension_suite(curve: CurveSpec) -> list:
-    """Every closed-form dimension family vs the oracle, full parameter range."""
+    """Every closed-form dimension claim vs the oracle, one check per family."""
     n = curve.n
-    g = curve.genus
-    out = []
-    bad = []
-    for m in range(1, 2 * g - 1):
-        want = dim_mP_formula(n, m)
-        for D in (ThreePointDivisor(m, 0, 0), ThreePointDivisor(0, m, 0),
-                  ThreePointDivisor(0, 0, m)):
-            if dim_L_oracle(curve, D) != want:
-                bad.append((m, D))
-    out.append(CheckResult(f"dim m*P sweep (n={n})", not bad, f"bad: {bad[:4]}"))
-    bad = []
-    for m in range(1, 2 * g - 1):
-        for var in SHIFT_VARIANTS:
-            if dim_L_oracle(curve, shifted_divisor(n, m, var)) \
-                    != dim_shifted_formula(n, m, var):
-                bad.append((m, var))
-    out.append(CheckResult(f"dim shifted sweep (n={n})", not bad, f"bad: {bad[:4]}"))
-    bad = []
-    for i in range(1, n):
-        for j in range(1, n - i):
-            want = dim_Md_Nd(n, i, j)
-            if dim_L_oracle(curve, Md_divisor(n, i, j)) != want:
-                bad.append(("M", i, j))
-            if dim_L_oracle(curve, Nd_divisor(n, i, j)) != want:
-                bad.append(("N", i, j))
-    out.append(CheckResult(f"dim Md/Nd sweep (n={n})", not bad, f"bad: {bad[:4]}"))
-    bad = []
-    for i in range(-2, n + 1):
-        for j in range(-2, n + 1):
-            for k in range(-2, n + 1):
-                if not -2 <= i + j + k <= n:
-                    continue
-                if dim_L_oracle(curve, Sd_divisor(n, i, j, k)) != dim_Sd(n, i, j, k):
-                    bad.append((i, j, k))
-    out.append(CheckResult(f"dim Sd sweep (n={n})", not bad, f"bad: {bad[:4]}"))
-    bad = []
-    for d in range(0, n - 1):
-        e = n - 2 - d
-        for i in range(0, d + 1):
-            for j in range(0, d - i + 1):
-                k = d - i - j
-                D = Sd_divisor(n, i, j, k) + ThreePointDivisor(e, e, e)
-                if dim_L_oracle(curve, D) != dim_Sd_plus_e(n, i, j, k, e):
-                    bad.append((i, j, k, e))
-    out.append(CheckResult(f"dim Sd+e sweep (n={n})", not bad, f"bad: {bad[:4]}"))
-    return out
+    bad = {family: [] for family in FAMILIES}
+    for claim in dimension_claims(n):
+        if dim_L_oracle(curve, claim.divisor) != claim.dimension:
+            bad[claim.family].append(claim.label)
+    titles = {"mP": "m*P", "MdNd": "Md/Nd"}
+    return [CheckResult(f"dim {titles.get(family, family)} sweep (n={n})",
+                        not bad[family], f"bad: {bad[family][:4]}")
+            for family in FAMILIES]
 
 
 def riemann_roch_suite(curve: CurveSpec, divisors: int = 50, seed: int = 0,
@@ -325,16 +335,15 @@ def suite_passed(results: list) -> bool:
     return all(r.passed for r in results)
 
 
+# the bundled curve each `verify` section runs on, by n
+VERIFY_CURVES = {3: "q8-n3", 4: "q16-n4", 5: "q49-n5-record"}
+
+
 def default_verify_report(n_max: int = 4, oracle_sweeps: bool = True,
                           inject_bug: bool = False) -> dict:
     """The standard bundle run by the CLI `verify` command."""
     from .catalog import builtin_curves
     curves = builtin_curves()
-    used = {
-        3: curves["q8-n3"],
-        4: curves["q16-n4"],
-        5: curves["q49-n5-record"],
-    }
     sections = {}
 
     def run(name, suite, *args, **kwargs):
@@ -352,10 +361,10 @@ def default_verify_report(n_max: int = 4, oracle_sweeps: bool = True,
         run("fields-injected-bug",
             lambda: field_axiom_suite(corrupted_field_fixture()))
     run("kim", kim_suite, n_max=max(n_max, 8))
-    for n in sorted(used):
+    for n, name in VERIFY_CURVES.items():
         if n > n_max:
             continue
-        curve = used[n]
+        curve = curves[name]
         tag = f"n{n}"
         run(f"curve-{tag}", curve_suite, curve)
         run(f"gaps-{tag}", gap_suite, curve)

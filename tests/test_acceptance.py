@@ -14,13 +14,11 @@ from tripoint.codes import (build_COmega, carvalho_torres_bound,
                             verify_distance_floor)
 from tripoint.curves import rational_points_raw
 from tripoint.fields import make_field
-from tripoint.riemann_roch import (Md_divisor, Nd_divisor, SHIFT_VARIANTS,
-                                   Sd_divisor, ThreePointDivisor,
-                                   canonical_divisor, dim_L_oracle, dim_Md_Nd,
-                                   dim_mP_formula, dim_Sd, dim_Sd_plus_e,
-                                   dim_shifted_formula, shifted_divisor)
-from tripoint.weierstrass import (gaps_closed_form, gaps_oracle, kim_image,
-                                  pure_gap_oracle, pure_gaps_pair,
+from tripoint.claims import dimension_claims
+from tripoint.riemann_roch import (ThreePointDivisor, canonical_divisor,
+                                   dim_L_oracle)
+from tripoint.weierstrass import (CYCLIC_PAIRS, gaps_closed_form, gaps_oracle,
+                                  kim_image, pure_gap_oracle, pure_gaps_pair,
                                   pure_gaps_pair_via_homma_kim,
                                   pure_gaps_triple)
 
@@ -50,6 +48,7 @@ def test_01_gap_sequences(klein, c16):
 
 
 def test_02_pure_gap_pairs(klein, c16):
+    # the same pair set at each cyclic pair, the transposed set reversed
     problems = []
     for curve, count in ((klein, 2), (c16, 10)):
         n, g = curve.n, curve.genus
@@ -58,11 +57,14 @@ def test_02_pure_gap_pairs(klein, c16):
             problems.append(f"count n={n}")
         if pure_gaps_pair_via_homma_kim(n) != tuples:
             problems.append(f"inversion description n={n}")
-        swept = [(a, b)
-                 for a in range(1, 2 * g) for b in range(1, 2 * g)
-                 if pure_gap_oracle(curve, (a, b))]
-        if swept != tuples:
-            problems.append(f"oracle sweep n={n}: {swept}")
+        sweeps = [(pair, tuples) for pair in CYCLIC_PAIRS]
+        sweeps.append((("P2", "P1"), sorted((b, a) for a, b in tuples)))
+        for pair, want in sweeps:
+            swept = [(a, b)
+                     for a in range(1, 2 * g) for b in range(1, 2 * g)
+                     if pure_gap_oracle(curve, (a, b), pair=pair)]
+            if swept != want:
+                problems.append(f"oracle sweep n={n} {pair}: {swept}")
     _verdict(2, "pure gap pairs, three-way set equality", problems)
 
 
@@ -88,42 +90,10 @@ def test_03_pure_gap_triples(klein, c16):
 
 
 def test_04_dimension_sweep(klein, c16, record):
-    problems = []
-    for curve in (klein, c16, record):
-        n, g = curve.n, curve.genus
-        for m in range(1, 2 * g - 1):
-            want = dim_mP_formula(n, m)
-            for axis in range(3):
-                v = [0, 0, 0]
-                v[axis] = m
-                if dim_L_oracle(curve, ThreePointDivisor(*v)) != want:
-                    problems.append(f"mP n={n} m={m} axis={axis}")
-            for variant in SHIFT_VARIANTS:
-                D = shifted_divisor(n, m, variant)
-                if dim_L_oracle(curve, D) != dim_shifted_formula(n, m, variant):
-                    problems.append(f"shifted n={n} m={m} {variant}")
-        for i in range(1, n):
-            for j in range(1, n - i):
-                want = dim_Md_Nd(n, i, j)
-                for D in (Md_divisor(n, i, j), Nd_divisor(n, i, j)):
-                    if dim_L_oracle(curve, D) != want:
-                        problems.append(f"MdNd n={n} ({i},{j})")
-        for i in range(-2, n + 3):
-            for j in range(-2, n + 3):
-                for k in range(-2, n + 3):
-                    if not -2 <= i + j + k <= n:
-                        continue
-                    got = dim_L_oracle(curve, Sd_divisor(n, i, j, k))
-                    if got != dim_Sd(n, i, j, k):
-                        problems.append(f"Sd n={n} ({i},{j},{k})")
-        for d in range(0, n - 1):
-            e = n - 2 - d
-            for i in range(0, d + 1):
-                for j in range(0, d - i + 1):
-                    k = d - i - j
-                    D = Sd_divisor(n, i, j, k) + ThreePointDivisor(e, e, e)
-                    if dim_L_oracle(curve, D) != dim_Sd_plus_e(n, i, j, k, e):
-                        problems.append(f"Sd+e n={n} ({i},{j},{k})+{e}")
+    problems = [f"{claim.family} n={curve.n} {claim.label}"
+                for curve in (klein, c16, record)
+                for claim in dimension_claims(curve.n)
+                if dim_L_oracle(curve, claim.divisor) != claim.dimension]
     _verdict(4, "dimension formulas vs oracle, n in {3,4,5}", problems)
 
 

@@ -30,6 +30,9 @@ def test_usage_errors(capsys):
     assert code == 1 and "--n" in err
     code, _, err = run(capsys, "nonsense")
     assert code == 1
+    for n_max in ("2", "6", "7"):   # outside the bundled check curves
+        code, out, err = run(capsys, "verify", "--n-max", n_max)
+        assert code == 1 and out == "" and "--n-max must be in 3..5" in err
 
 
 def test_io_error(capsys):
@@ -90,6 +93,14 @@ def test_dims_check(capsys):
     assert all(r["match"] for r in doc["rows"])
     assert any(r["family"] == "mP" and r["oracle"] is not None
                for r in doc["rows"])
+    # the unchecked table: S_d rows are the i, j, k >= 0 triples, d <= n
+    for n, count in ((3, 50), (4, 111), (5, 196)):
+        code, doc, _ = run_json(capsys, "dims", "--n", str(n))
+        assert code == 0 and len(doc["rows"]) == count
+        want = [f"S({i},{j},{d - i - j})" for d in range(n + 1)
+                for i in range(d + 1) for j in range(d - i + 1)]
+        assert [r["label"] for r in doc["rows"]
+                if r["family"] == "Sd"] == want
 
 
 def test_code_pipeline(capsys, tmp_path):

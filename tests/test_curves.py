@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from tripoint.curves import (CurveError, CurveSpec, ProjectivePoint,
-                             rational_points_raw, validate_curve)
+                             rational_points_raw)
 from tripoint.fields import embed, make_field
+from tripoint.verification import validate_curve
 
 
 def test_genus():

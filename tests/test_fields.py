@@ -3,8 +3,8 @@ import pickle
 import numpy as np
 import pytest
 
-from tripoint.fields import (Field, FieldError, arith, default_modulus,
-                             embed, is_irreducible, make_field)
+from tripoint.fields import (Field, FieldError, default_modulus, embed,
+                             is_irreducible, make_field)
 
 
 def test_construction_and_defaults():
@@ -81,21 +81,11 @@ def test_element_wrapper():
     assert (a / a) == f.one
     assert a ** 15 == f.one
     assert a.coeffs == (1, 1, 1, 0)
+    with pytest.raises(FieldError):
+        f.element(1) / f.zero
     g27 = make_field(3, 3)
     with pytest.raises(FieldError):
         a + g27.element(1)
-
-
-def test_arith_dispatch():
-    f = make_field(7)
-    assert arith(f.element(3), f.element(5), "mul").code == 1
-    assert arith(f.element(3), f.element(5), "add").code == 1
-    assert arith(f.element(3), f.element(5), "sub").code == 5
-    assert arith(f.element(3), f.element(5), "div").code == 2
-    with pytest.raises(FieldError):
-        arith(f.element(1), f.element(0), "div")
-    with pytest.raises(FieldError):
-        arith(f.element(1), f.element(1), "xor")
 
 
 def test_embed_is_ring_hom():

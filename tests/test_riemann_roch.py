@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
+from tripoint.claims import FAMILIES, dimension_claims
 from tripoint.riemann_roch import (DEGREE_CAP, Md_divisor, Nd_divisor,
                                    OracleError, SHIFT_VARIANTS, Sd_divisor,
                                    ThreePointDivisor, basis_L_oracle,
                                    canonical_divisor, dim_L_oracle, dim_Md_Nd,
                                    dim_mP_formula, dim_Sd, dim_Sd_plus_e,
                                    dim_shifted_formula, divisor_of_x,
-                                   divisor_of_y, shifted_divisor)
-from tripoint.series import OrderBound, expand_at, order_of_form
+                                   divisor_of_y, order_of_form,
+                                   shifted_divisor)
 
 P1, P2, P3 = (ThreePointDivisor(1, 0, 0), ThreePointDivisor(0, 1, 0),
               ThreePointDivisor(0, 0, 1))
@@ -64,6 +65,26 @@ def test_formula_range_checks():
         dim_Md_Nd(4, 0, 2)
     with pytest.raises(ValueError):
         dim_Sd_plus_e(4, 1, 0, 0, 0)   # d + e != n - 2
+
+
+def test_dimension_claims_ranges():
+    # each family spans the widest range any check uses
+    for n in (3, 4, 5):
+        claims = dimension_claims(n)
+        assert tuple(dict.fromkeys(c.family for c in claims)) == FAMILIES
+        g = n * (n - 1) // 2
+        mp = [c for c in claims if c.family == "mP"]
+        assert len(mp) == 3 * (2 * g - 2)
+        span = range(-2, n + 3)
+        sd = [c.params for c in claims if c.family == "Sd"]
+        assert sd == sorted(sd, key=lambda t: (sum(t), t[0], t[1]))
+        assert set(sd) == {(i, j, k) for i in span for j in span for k in span
+                           if -2 <= i + j + k <= n}
+        if n == 4:
+            assert len(sd) == 254
+        # a subset keeps FAMILIES order, whatever order it is asked in
+        assert dimension_claims(n, ("Sd+e", "mP")) == \
+            [c for c in claims if c.family in ("mP", "Sd+e")]
 
 
 def test_oracle_base_cases(klein):
@@ -163,19 +184,15 @@ def test_memoization(klein):
 
 def _divisor_constraint_ok(curve, space):
     """div(h) - div(M) + D >= 0 at P1, P2, P3; M the stored denominator."""
-    n = curve.n
     N = sum(space.denominator)
-    prec = max(2 * n, N * n + 2 * curve.genus + 8)
-    locals_ = {p: expand_at(curve, p, prec) for p in ("P1", "P2", "P3")}
-    ordM = [order_of_form(curve, locals_[pid], {space.denominator: 1}, N)
+    ordM = [order_of_form(curve, pid, {space.denominator: 1}, N)
             for pid in ("P1", "P2", "P3")]
     for row in space.basis:
         form = {e: int(c) for e, c in zip(space.monomials, row) if c}
         assert form, "zero basis row"
         for idx, pid in enumerate(("P1", "P2", "P3")):
-            o = order_of_form(curve, locals_[pid], form, N)
-            if isinstance(o, OrderBound):
-                o = o.at_least
+            o = order_of_form(curve, pid, form, N)
+            assert o is not None, "basis form vanishes on the curve"
             if o - ordM[idx] < -space.divisor.coeffs()[idx]:
                 return False
     return True
