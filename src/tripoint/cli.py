@@ -700,7 +700,7 @@ def build_parser() -> _Parser:
     common.add_argument("--seed", type=int)
     common.add_argument("--jobs", type=int)
     common.add_argument("--budget", type=int,
-                        help="max column-subset rank checks for certification")
+                        help="max column subsets C(m, w) per certification")
     common.add_argument("--config",
                         help="JSON config file; flags override its values")
 

@@ -12,24 +12,27 @@ with every integer tuple in prod [alpha_s, beta_s] a pure gap.  The designed
 G divisors for this family come from the corner parametrizations in
 predict_pair_params / predict_triple_params.
 
-verify_distance_floor turns a floor into a certificate: it checks every
-w-subset of parity-check columns for independence by batched exact
-elimination, which proves d >= w + 1 (and yields an explicit low-weight
-codeword support on failure).
+verify_distance_floor turns a floor into a certificate: it proves that
+every w-subset of parity-check columns is independent, hence d >= w + 1,
+or returns the lexicographically first dependent subset (the support of a
+low-weight codeword).  Subsets sharing a (w-2)-column prefix P are tested
+together: H is reduced modulo span(P) once, and P + {a, b} is dependent
+exactly when residual columns a and b are zero or parallel, which one sort
+of exact normalised column keys detects.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations, islice
 
 import numpy as np
 
 from . import linalg
-from .curves import CurveSpec, ProjectivePoint, eval_terms
+from .curves import CurveSpec, ProjectivePoint
 from .fields import Field
-from .riemann_roch import ThreePointDivisor, RRSpace, basis_L_oracle, dim_L_oracle
+# dim_L_oracle is unused here; benchmarks/tracing.py patches it on this module
+from .riemann_roch import ThreePointDivisor, basis_L_oracle, dim_L_oracle
 
 __all__ = [
     "CodesError", "BudgetError", "CodeSpecPair", "CodeSpecTriple", "CodeReport",
@@ -308,44 +311,144 @@ def build_COmega(curve: CurveSpec, points: list, G: ThreePointDivisor,
 # distance certification and search
 # ---------------------------------------------------------------------------
 
-def _batch_full_rank(field: Field, mats: np.ndarray) -> np.ndarray:
-    """Boolean array: does each (rows x w) matrix in the batch have rank w."""
-    M = mats.copy()
-    B, rows, w = M.shape
-    ok = np.ones(B, dtype=bool)
+def _lex_rank(subset, m: int) -> int:
+    """Position of a sorted subset in the lexicographic order of
+    itertools.combinations(range(m), len(subset))."""
+    w = len(subset)
+    rank, prev = 0, -1
+    for i, c in enumerate(subset):
+        rank += sum(math.comb(m - 1 - v, w - 1 - i)
+                    for v in range(prev + 1, c))
+        prev = c
+    return rank
+
+
+def _eliminate(T, R: np.ndarray, count: int):
+    """Residuals of R modulo each of its first `count` columns.
+
+    Column i is eliminated at its first nonzero row; that row cancels
+    itself, so every residual keeps R's shape.  Returns the (count, rows,
+    cols) stack and a mask of the columns that are zero (their residual is
+    R unchanged).
+    """
+    C = R[:, :count]
+    piv = np.argmax(C != 0, axis=0)
+    lead = C[piv, np.arange(count)]
+    factors = T.MUL[C, T.INV[lead]].T
+    res = T.sub(R[None], T.MUL[factors[:, :, None], R[piv][:, None, :]])
+    return res, lead == 0
+
+
+def _column_keys(T, S: np.ndarray) -> np.ndarray:
+    """Exact keys for the columns of each (rows, cols) matrix in a stack:
+    0 for a zero column, and equal positive keys for parallel columns.
+
+    Each whole column is scaled so its first nonzero entry is 1 and then
+    packed base q into int64 words.  A column that needs several words gets
+    its key from its rank among the distinct word tuples of the stack.
+    """
+    lead = np.take_along_axis(S, np.argmax(S != 0, axis=1)[:, None, :], 1)
+    S = T.MUL[T.INV[lead], S]
+    B, rows, cols = S.shape
+    per = 1                        # base-q digits per int64 word
+    while T.q ** (per + 1) < 1 << 63:
+        per += 1
+    place = np.power(T.q, np.arange(per), dtype=np.int64)
+    words = np.stack([np.matmul(place[:rows - lo], S[:, lo:lo + per])
+                      for lo in range(0, rows, per)], axis=-1)
+    words = words.reshape(B * cols, -1)
+    if words.shape[1] == 1:
+        return words.reshape(B, cols)
+    order = np.lexsort(words.T[::-1])
+    srt = words[order]
+    # the all-zero tuple, when present, sorts first and keeps key 0
+    prev = np.vstack([np.zeros_like(srt[:1]), srt[:-1]])
+    fresh = np.any(srt != prev, axis=1)
+    keys = np.empty(B * cols, dtype=np.int64)
+    keys[order] = np.cumsum(fresh)
+    return keys.reshape(B, cols)
+
+
+def _first_pair(keys: np.ndarray, start: int):
+    """Lexicographically first (a, b), start <= a < b, whose columns are
+    dependent: a zero key or two equal keys."""
+    for a in range(start, len(keys) - 1):
+        if keys[a] == 0:
+            return a, a + 1
+        rest = keys[a + 1:]
+        hit = np.nonzero((rest == 0) | (rest == keys[a]))[0]
+        if hit.size:
+            return a, a + 1 + int(hit[0])
+    return None
+
+
+def _first_dependent(field: Field, H: np.ndarray, w: int):
+    """Lexicographically first dependent w-subset of H's columns, or None."""
+    rows, m = H.shape
     if rows < w:
-        return np.zeros(B, dtype=bool)
-    idx = np.arange(B)
-    for col in range(w):
-        sub = M[:, col:, col]
-        nzmask = sub != 0
-        piv = np.argmax(nzmask, axis=1)
-        ok &= np.take_along_axis(nzmask, piv[:, None], axis=1)[:, 0]
-        if not ok.any():
-            return ok
-        prow = col + piv
-        tmp = M[idx, prow].copy()
-        M[idx, prow] = M[:, col]
-        M[:, col] = tmp
-        pv = M[:, col, col].copy()
-        pv[pv == 0] = 1  # failed batches: keep elimination well defined
-        M[:, col] = field.vmul(field.vinv(pv)[:, None], M[:, col])
-        if col + 1 < rows:
-            factors = M[:, col + 1:, col]
-            M[:, col + 1:] = field.vsub(
-                M[:, col + 1:],
-                field.vmul(factors[:, :, None], M[:, col][:, None, :]))
-    return ok
+        return list(range(w))
+    T = field.tables()
+    if w == 1:
+        zero = np.nonzero(~H.any(axis=0))[0]
+        return [int(zero[0])] if zero.size else None
+    if w == 2:
+        pair = _first_pair(_column_keys(T, H[None])[0], 0)
+        return list(pair) if pair else None
+
+    def walk(R, base, prefix):
+        # R holds columns base..m-1 of H modulo span(prefix); the children
+        # are prefix + [c] for the c that leave room for w - d - 1 more
+        d = len(prefix)
+        count = m - (w - d) + 1 - base
+        res, zero = _eliminate(T, R, count)
+        if d < w - 3:
+            for i in range(count):
+                if zero[i]:
+                    return prefix + list(range(base + i, base + i + w - d))
+                found = walk(res[i, :, i + 1:], base + i + 1,
+                             prefix + [base + i])
+                if found:
+                    return found
+            return None
+        # last prefix level: child i may pair only columns after it
+        keys = _column_keys(T, res)
+        j = np.arange(keys.shape[1])
+        keys = np.where(j[None, :] <= np.arange(count)[:, None], -1 - j, keys)
+        ordered = np.sort(keys, axis=1)
+        bad = (zero | (keys == 0).any(axis=1)
+               | (ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+        if not bad.any():
+            return None
+        i = int(np.argmax(bad))
+        c = base + i
+        if zero[i]:
+            return prefix + [c, c + 1, c + 2]
+        a, b = _first_pair(keys[i], i + 1)
+        return prefix + [c, base + a, base + b]
+
+    return walk(H, 0, [])
 
 
 def verify_distance_floor(field: Field, H: np.ndarray, w: int, *,
-                          budget: int = 10_000_000, chunk: int = 1 << 15):
+                          budget: int = 10_000_000):
     """Prove (exactly) that every w columns of H are independent.
 
     Success certifies minimum distance >= w + 1 for the code with parity
-    check H.  Returns (ok, witness, checked): on failure, witness is a
-    dependent column index list.  Raises BudgetError when C(m, w) exceeds
-    the budget.
+    check H.  Returns (ok, witness, checked).  On success checked is
+    C(m, w); on failure witness is the lexicographically first dependent
+    column subset and checked is its lexicographic rank + 1, the number of
+    subsets up to and including it.  Raises BudgetError when C(m, w)
+    exceeds the budget.
+
+    The subsets are not eliminated one by one.  The (w-2)-column prefixes
+    are walked depth first in lexicographic order, and each tree node
+    eliminates one pivot column from its parent's residual, so a prefix P
+    is reduced once for all of its extensions.  For an independent P with
+    residual R (H modulo span(P)), P + {a, b} is dependent exactly when
+    R[:, a] or R[:, b] is zero or the two are parallel: the elimination is
+    a linear map whose kernel is span(P).  Parallel columns share one key
+    once each column is scaled to a leading 1, so each batch of prefixes is
+    tested with one sort.
     """
     H = np.asarray(H)
     m = H.shape[1]
@@ -355,20 +458,10 @@ def verify_distance_floor(field: Field, H: np.ndarray, w: int, *,
     if total > budget:
         raise BudgetError(
             f"C({m}, {w}) = {total} subset checks exceed the budget {budget}")
-    it = combinations(range(m), w)
-    checked = 0
-    while True:
-        block = list(islice(it, chunk))
-        if not block:
-            break
-        idx = np.array(block, dtype=np.int64)
-        mats = np.ascontiguousarray(np.moveaxis(H[:, idx], 1, 0))
-        ok = _batch_full_rank(field, mats)
-        checked += len(block)
-        if not ok.all():
-            bad = int(np.nonzero(~ok)[0][0])
-            return False, list(block[bad]), checked
-    return True, None, checked
+    witness = _first_dependent(field, H, w)
+    if witness is None:
+        return True, None, total
+    return False, witness, _lex_rank(witness, m) + 1
 
 
 def low_weight_search(field: Field, gen: np.ndarray, trials: int = 200,

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -147,9 +148,13 @@ def test_q16_distance_certification(c16):
     ok, witness, checked = verify_distance_floor(c16.field, rep.parity_check, 5)
     assert ok and witness is None and checked == 435897
     # the true distance is exactly 6: some 6 columns must be dependent
-    ok6, witness6, _ = verify_distance_floor(c16.field, rep.parity_check, 6,
-                                             budget=3_000_000)
-    assert not ok6 and len(witness6) == 6
+    ok6, witness6, checked6 = verify_distance_floor(
+        c16.field, rep.parity_check, 6, budget=3_000_000)
+    assert not ok6 and witness6 == [0, 1, 3, 7, 12, 27]
+    # checked counts the subsets up to and including the witness
+    assert checked6 == 1 + next(
+        k for k, s in enumerate(itertools.combinations(range(37), 6))
+        if list(s) == witness6)
     sub = rep.parity_check[:, witness6]
     assert linalg.rank(c16.field, sub) < 6
     # and the searcher exhibits a weight-6 word, closing the gap
@@ -164,12 +169,82 @@ def test_verify_distance_floor_edges():
     H = f.array([[1, 0, 1], [0, 1, 1]])
     ok, _, _ = verify_distance_floor(f, H, 2)
     assert ok
-    ok3, witness, _ = verify_distance_floor(f, H, 3)
-    assert not ok3 and witness == [0, 1, 2]
+    ok3, witness, checked = verify_distance_floor(f, H, 3)
+    assert not ok3 and witness == [0, 1, 2] and checked == 1
     with pytest.raises(CodesError):
         verify_distance_floor(f, H, 4)
     with pytest.raises(BudgetError):
         verify_distance_floor(f, H, 2, budget=2)
+
+
+def _first_dependent_brute(field, H, w):
+    """Lex-first w-subset of columns with rank below w, and its 1-based
+    position among all w-subsets, by one rank call per subset."""
+    m = H.shape[1]
+    for k, s in enumerate(itertools.combinations(range(m), w)):
+        if linalg.rank(field, H[:, list(s)]) < w:
+            return list(s), k + 1
+    return None, math.comb(m, w)
+
+
+def _planted(field, rng, rows, m, plant):
+    H = rng.integers(0, field.q, (rows, m)).astype(np.int16)
+    a, b = sorted(rng.choice(m, 2, replace=False))
+    scale = field.array(int(rng.integers(1, field.q)))
+    if plant == "zero":
+        H[:, b] = 0
+    elif plant == "parallel":
+        H[:, b] = field.vmul(scale, H[:, a])
+    elif plant == "prefix":
+        # columns 0, 1, 2 dependent: every subset starting there fails
+        H[:, 2] = field.vadd(H[:, 0], field.vmul(scale, H[:, 1]))
+    return H
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2), (7, 1), (3, 2),
+                                  (2, 4)])
+def test_verify_distance_floor_matches_brute_force(p, k):
+    f = make_field(p, k)
+    rng = np.random.default_rng(p ** k)
+    for trial in range(16):
+        rows = int(rng.integers(1, 6))
+        m = int(rng.integers(rows + 2, 10))
+        H = _planted(f, rng, rows, m, ("none", "zero", "parallel",
+                                      "prefix")[trial % 4])
+        for w in range(1, rows + 2):
+            ok, witness, checked = verify_distance_floor(f, H, w)
+            want, want_checked = _first_dependent_brute(f, H, w)
+            assert (ok, witness, checked) == (want is None, want,
+                                              want_checked), (H, w)
+
+
+def test_verify_distance_floor_multiword_keys():
+    # 24 rows over GF(7) need two int64 words per column (22 digits fit in
+    # one); the last column repeats column 1 with the two words' parts
+    # scaled differently, so the parts are parallel one by one while the
+    # whole columns are not
+    f = make_field(7)
+    rng = np.random.default_rng(5)
+    H = rng.integers(0, 7, (24, 7)).astype(np.int16)
+    H[:, 6] = np.concatenate([f.vmul(f.array(2), H[:22, 1]),
+                              f.vmul(f.array(3), H[22:, 1])])
+    for w in (2, 3):
+        assert verify_distance_floor(f, H, w) == (True, None,
+                                                 math.comb(7, w))
+    H[:, 4] = f.vmul(f.array(5), H[:, 2])
+    assert verify_distance_floor(f, H, 2) == (False, [2, 4], 6 + 5 + 1 + 1)
+    H[:, 3] = 0
+    assert verify_distance_floor(f, H, 3)[:2] == (False, [0, 1, 3])
+
+
+def test_record_code_floor_four(record):
+    # 18 x 113 over GF(49): 49^18 > 2^63, so each column takes two key words
+    spec = predict_pair_params(5, 3, 1)
+    pts = evaluation_points(record, spec.G, length=113)
+    rep = build_COmega(record, pts, spec.G, boxes=spec.boxes)
+    assert (rep.length, rep.dimension, rep.pure_gap_bound) == (113, 95, 12)
+    assert verify_distance_floor(record.field, rep.parity_check, 4) == (
+        True, None, 6_438_740)
 
 
 def test_dimension_identity_note(klein):
