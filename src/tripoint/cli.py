@@ -309,26 +309,23 @@ def cmd_pure_gaps(cfg: dict):
     if cfg["check"]:
         curve = _load_curve(cfg, n)
         problems = []
-        if points == 2:
-            via_inversions = pure_gaps_pair_via_homma_kim(n)
-            if [r.tuple_ for r in records] != via_inversions:
-                problems.append("inversion description disagrees")
-            for rec in records:
-                if not pure_gap_oracle(curve, rec.tuple_, pair=("P1", "P2")):
-                    problems.append(f"oracle rejects {rec.tuple_}")
-                D = ThreePointDivisor(rec.tuple_[0], rec.tuple_[1], 0)
-                if dim_L_oracle(curve, D) != rec.predicted_dimension:
-                    problems.append(f"dimension mismatch at {rec.tuple_}")
-        else:
-            for rec in records:
-                if not pure_gap_oracle(curve, rec.tuple_):
-                    problems.append(f"oracle rejects {rec.tuple_}")
-                if dim_L_oracle(curve, ThreePointDivisor(*rec.tuple_)) \
-                        != rec.predicted_dimension:
-                    problems.append(f"dimension mismatch at {rec.tuple_}")
+        if points == 2 and ([r.tuple_ for r in records]
+                            != pure_gaps_pair_via_homma_kim(n)):
+            problems.append("inversion description disagrees")
+        confirmed = 0
+        for rec in records:
+            bad = []
+            if not pure_gap_oracle(curve, rec.tuple_):
+                bad.append(f"oracle rejects {rec.tuple_}")
+            # a pair (a, b) is the divisor aP1 + bP2
+            D = ThreePointDivisor(*(*rec.tuple_, 0)[:3])
+            if dim_L_oracle(curve, D) != rec.predicted_dimension:
+                bad.append(f"dimension mismatch at {rec.tuple_}")
+            confirmed += not bad
+            problems += bad
         payload["oracle_check"] = {
             "curve": curve.to_json(),
-            "confirmed": len(records) - len(problems),
+            "confirmed": confirmed,
             "problems": problems,
             "passed": not problems,
         }

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import linalg
-from .curves import CurveSpec, ProjectivePoint
+from .curves import CurveSpec, ProjectivePoint, _eval_forms
 from .fields import Field
 # dim_L_oracle is unused here; benchmarks/tracing.py patches it on this module
 from .riemann_roch import ThreePointDivisor, basis_L_oracle, dim_L_oracle
@@ -199,28 +199,12 @@ def build_CL(curve: CurveSpec, points: list, G: ThreePointDivisor):
     if m == 0:
         return field.zeros((rr.dimension, 0)), rr
 
-    N = sum(rr.denominator)
-    # coordinate power tables, high enough for the basis forms and for F
-    top = max(N, curve.degree)
-    pows = []
-    for arr in field.array(coords).T:
-        tab = field.zeros((top + 1, m))
-        tab[0] = 1
-        for e in range(1, top + 1):
-            tab[e] = field.vmul(tab[e - 1], arr)
-        pows.append(tab)
-
-    def values(e):
-        return field.vmul(field.vmul(pows[0][e[0]], pows[1][e[1]]),
-                          pows[2][e[2]])
-
-    on_F = field.zeros(m)
-    for e, c in curve.F_terms.items():
-        on_F = field.vadd(on_F, field.vmul(c, values(e)))
-    off = np.nonzero(on_F)[0]
+    forms = [curve.F_terms, *({e: 1} for e in rr.monomials)]
+    values = _eval_forms(field, forms, *field.array(coords).T)
+    off = np.nonzero(next(values))[0]
     if off.size:
         raise CodesError(f"{points[int(off[0])]!r} is not on the curve")
-    V = np.array([values(e) for e in rr.monomials])
+    V = np.array(list(values))
     # the denominator M is itself one of the degree-N monomials
     denom = V[rr.monomials.index(rr.denominator)]
     if np.any(denom == 0):

@@ -13,6 +13,12 @@ elsewhere is probed, not proved.
 
 Polynomials are dicts mapping exponent triples (e1, e2, e3) to coefficient
 codes of the base field.
+
+Rational points and singular points come from one table-driven sweep,
+`_common_zeros`, over the disjoint charts (x:y:1), (x:1:0) and (1:0:0).
+Its forms are evaluated by `_eval_forms`, which `codes.build_CL` also uses
+at the evaluation points.  `eval_terms` is the scalar evaluator, the only
+one that runs on fields above `fields.TABLE_LIMIT`.
 """
 
 from __future__ import annotations
@@ -21,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field, FieldElement, make_field, embed
+from .fields import (CODE_DTYPE, TABLE_LIMIT, Field, FieldElement, embed,
+                     make_field)
 from .series import _CHART_EXPS
 
 __all__ = [
@@ -212,15 +219,15 @@ class CurveSpec:
         partials vanish.  Empty list means no singularity was found in the
         probed range; it is not a smoothness proof.
         """
-        if self.field.q ** max_ext > (1 << 20):
+        if self.field.q ** max_ext > TABLE_LIMIT:
             raise CurveError(
-                f"refusing smoothness probe beyond q^m = 2^20 "
+                f"smoothness probe needs q^m <= TABLE_LIMIT = {TABLE_LIMIT} "
                 f"(q={self.field.q}, max_ext={max_ext})")
         bad = []
         for m in range(1, max_ext + 1):
             cur = self.extension(m)
-            parts = list(cur.partials().values())
-            sing = _singular_sweep(cur.field, cur.F_terms, parts)
+            sing = _common_zeros(cur.field,
+                                 [cur.F_terms, *cur.partials().values()])
             bad.extend((m, p) for p in sing)
         return bad
 
@@ -253,61 +260,67 @@ def eval_terms(field: Field, terms: dict, coords: tuple) -> int:
 
 
 # ---------------------------------------------------------------------------
-# vectorized sweeps
+# vectorized evaluation and the zero sweep
 # ---------------------------------------------------------------------------
 
-def _eval_grid(field: Field, terms: dict, exps, xs: np.ndarray, ys: np.ndarray):
-    """Evaluate sum(c * a^i * b^j) on the grid xs x ys.
+def _eval_forms(field: Field, forms, X, Y, Z):
+    """Yield the value of each form at broadcastable code arrays X, Y, Z.
 
-    exps maps an exponent triple to the (i, j) pair actually used in this
-    chart; coordinates not appearing are fixed to 1 by the caller.
+    A form is a dict (e1, e2, e3) -> code.  v^0 is 1, also at v = 0.
+    Coordinate powers are computed once and shared by all the forms.
     """
-    acc = field.zeros((len(xs), len(ys)))
-    xp: dict[int, np.ndarray] = {0: None}
-    yp: dict[int, np.ndarray] = {0: None}
+    coords = [field.array(v) for v in (X, Y, Z)]
+    shape = np.broadcast_shapes(*(v.shape for v in coords))
+    pows = [[field.array(1), v] for v in coords]
 
-    def power(codes, e, cache):
-        if e not in cache:
-            prev = power(codes, e - 1, cache)
-            cache[e] = codes if prev is None else field.vmul(prev, codes)
-        return cache[e]
+    def power(axis, e):
+        tab = pows[axis]
+        while len(tab) <= e:
+            tab.append(field.vmul(tab[-1], coords[axis]))
+        return tab[e]
 
-    for e, c in terms.items():
-        i, j = exps(e)
-        col = power(xs, i, xp)
-        row = power(ys, j, yp)
-        if col is None and row is None:
-            term = np.broadcast_to(field.array(c), acc.shape)
-        elif col is None:
-            term = field.vmul(field.array(c), row)[None, :]
-        elif row is None:
-            term = field.vmul(field.array(c), col)[:, None]
-        else:
-            term = field.vmul(field.vmul(field.array(c), col)[:, None],
-                              row[None, :])
-        acc = field.vadd(acc, term)
-    return acc
+    for terms in forms:
+        acc = field.zeros(shape)
+        for e, c in terms.items():
+            # smallest factors first: the product grows to full size last
+            term = field.array(c)
+            for f in sorted((power(axis, k) for axis, k in enumerate(e) if k),
+                            key=np.size):
+                term = field.vmul(term, f)
+            acc = field.vadd(acc, term)
+        yield acc
 
 
-def _chart_zero_sets(field: Field, polys: list, exps):
-    """Common-zero (a, b) pairs of the given polynomials on the full grid."""
-    q = field.q
-    codes = np.arange(q, dtype=np.int16)
-    chunk = max(1, (1 << 22) // max(q, 1))
-    out = []
-    for lo in range(0, q, chunk):
-        xs = codes[lo:lo + chunk]
-        mask = None
-        for terms in polys:
-            vals = _eval_grid(field, terms, exps, xs, codes)
-            zero = vals == 0
-            mask = zero if mask is None else (mask & zero)
+def _common_zeros(field: Field, polys: list) -> list:
+    """All projective points where every form in polys vanishes, sorted.
+
+    The charts (x:y:1), (x:1:0) and (1:0:0) are disjoint and cover P^2.
+    The grid goes in row chunks of about 2^22 cells; a chunk stops at the
+    first form that leaves no common zero.  The found points are scaled to
+    a leading 1 with the INV/MUL tables.
+    """
+    codes = np.arange(field.q, dtype=CODE_DTYPE)
+    chunk = max(1, (1 << 22) // field.q)
+    found = [field.zeros((0, 3))]
+
+    def sweep(X, Y, Z):
+        mask = True
+        for vals in _eval_forms(field, polys, X, Y, Z):
+            mask = np.logical_and(mask, vals == 0)
             if not mask.any():
-                break
-        if mask is not None and mask.any():
-            ii, jj = np.nonzero(mask)
-            out.extend((int(xs[i]), int(codes[j])) for i, j in zip(ii, jj))
-    return out
+                return
+        found.append(np.stack([np.broadcast_to(v, mask.shape)[mask]
+                               for v in (X, Y, Z)], axis=1))
+
+    for lo in range(0, field.q, chunk):
+        sweep(codes[lo:lo + chunk, None], codes[None, :], 1)
+    sweep(codes, 1, 0)
+    sweep(1, 0, 0)
+    P = np.concatenate(found)
+    lead = P[np.arange(len(P)), (P != 0).argmax(axis=1)]
+    P = field.vmul(P, field.vinv(lead)[:, None])
+    P = P[np.lexsort(P.T[::-1])]
+    return [ProjectivePoint(field, x, y, z) for x, y, z in P.tolist()]
 
 
 def rational_points_raw(field: Field, F_terms: dict) -> list:
@@ -316,46 +329,4 @@ def rational_points_raw(field: Field, F_terms: dict) -> list:
     Works for any homogeneous form (used directly for the n = 2 counting
     cross-checks that CurveSpec's n >= 3 domain excludes).
     """
-    pts = []
-    # chart Z = 1
-    for x, y in _chart_zero_sets(field, [F_terms], lambda e: (e[0], e[1])):
-        pts.append(ProjectivePoint.make(field, x, y, 1))
-    # chart Z = 0, Y = 1: line sweep in X
-    line = {e: c for e, c in F_terms.items() if e[2] == 0}
-    codes = np.arange(field.q, dtype=np.int16)
-    if line:
-        vals = _eval_grid(field, line, lambda e: (e[0], 0), codes,
-                          np.zeros(1, dtype=np.int16))
-        for x in np.nonzero(vals[:, 0] == 0)[0]:
-            pts.append(ProjectivePoint.make(field, int(x), 1, 0))
-    else:
-        pts.extend(ProjectivePoint.make(field, int(x), 1, 0) for x in codes)
-    # the single remaining point (1:0:0)
-    if eval_terms(field, F_terms, (1, 0, 0)) == 0:
-        pts.append(ProjectivePoint(field, 1, 0, 0))
-    pts.sort(key=ProjectivePoint.sort_key)
-    return pts
-
-
-def _singular_sweep(field: Field, F_terms: dict, partials: list) -> list:
-    """Points where F and all partial derivatives vanish."""
-    polys = [F_terms] + partials
-    sing = []
-    for x, y in _chart_zero_sets(field, polys, lambda e: (e[0], e[1])):
-        sing.append(ProjectivePoint.make(field, x, y, 1))
-    # chart Z = 0, Y = 1
-    lines = [{e: c for e, c in terms.items() if e[2] == 0} for terms in polys]
-    codes = np.arange(field.q, dtype=np.int16)
-    mask = np.ones(field.q, dtype=bool)
-    for terms in lines:
-        if not terms:
-            continue
-        vals = _eval_grid(field, terms, lambda e: (e[0], 0), codes,
-                          np.zeros(1, dtype=np.int16))
-        mask &= vals[:, 0] == 0
-    for x in np.nonzero(mask)[0]:
-        sing.append(ProjectivePoint.make(field, int(x), 1, 0))
-    # point (1:0:0)
-    if all(eval_terms(field, terms, (1, 0, 0)) == 0 for terms in polys):
-        sing.append(ProjectivePoint(field, 1, 0, 0))
-    return sorted(set(sing), key=ProjectivePoint.sort_key)
+    return _common_zeros(field, [F_terms])

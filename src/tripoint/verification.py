@@ -14,7 +14,7 @@ import numpy as np
 
 from .claims import FAMILIES, dimension_claims
 from .curves import CheckResult, CurveSpec
-from .fields import Field, FieldError, make_field
+from .fields import TABLE_LIMIT, Field, FieldError, embed, make_field
 from .riemann_roch import (ThreePointDivisor, canonical_divisor, dim_L_oracle,
                            order_of_form)
 from .series import POINT_IDS, SeriesError, solve_chart
@@ -316,14 +316,10 @@ def curve_suite(curve: CurveSpec, max_ext: int = 1) -> list:
         f"smoothness probe to extension degree {max_ext}", not sing,
         f"singular points: {sing[:3]}"))
     base = {p.coords for p in curve.rational_points()}
-    if curve.field.q ** 2 <= 1 << 24:
-        from .fields import embed
+    if curve.field.q ** 2 <= TABLE_LIMIT:
         big = curve.extension(2)
-        lift = set()
-        for p in curve.rational_points():
-            coords = tuple(embed(curve.field.element(c), big.field).code
-                           for c in p.coords)
-            lift.add(coords)
+        lift = {tuple(embed(curve.field.element(c), big.field).code
+                      for c in coords) for coords in base}
         ext = {p.coords for p in big.rational_points()}
         out.append(CheckResult(
             "rational points embed into the quadratic extension",

@@ -83,6 +83,18 @@ def test_pure_gaps_checked(capsys):
     assert doc["oracle_check"]["confirmed"] == 2
 
 
+def test_pure_gaps_check_counts_records(capsys, monkeypatch):
+    # each record fails both checks: confirmed counts records, not problems
+    monkeypatch.setattr("tripoint.cli.pure_gap_oracle", lambda *a, **k: False)
+    monkeypatch.setattr("tripoint.cli.dim_L_oracle", lambda *a, **k: -1)
+    code, doc, _ = run_json(capsys, "pure-gaps", "--n", "3",
+                            "--curve", "q8-n3", "--check")
+    assert code == 2 and doc["count"] == 2
+    check = doc["oracle_check"]
+    assert check["confirmed"] == 0 and check["passed"] is False
+    assert len(check["problems"]) == 4
+
+
 def test_dims_check(capsys):
     code, doc, _ = run_json(capsys, "dims", "--n", "3",
                             "--curve", "q8-n3", "--check",

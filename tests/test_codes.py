@@ -11,7 +11,7 @@ from tripoint.codes import (BudgetError, CodesError, build_CL, build_COmega,
                             hermitian_maximal_count, hurwitz_count,
                             low_weight_search, predict_pair_params,
                             predict_triple_params, verify_distance_floor)
-from tripoint.curves import CurveSpec, ProjectivePoint
+from tripoint.curves import CurveSpec, ProjectivePoint, eval_terms
 from tripoint.fields import make_field
 from tripoint.riemann_roch import ThreePointDivisor, dim_L_oracle
 from tripoint.weierstrass import pure_gaps_pair, pure_gaps_triple
@@ -123,6 +123,26 @@ def test_build_CL_validation(c16):
         build_CL(c16, [off], G)
     with pytest.raises(CodesError):
         build_CL(c16, [ProjectivePoint.make(make_field(5), 1, 1, 1)], G)
+
+
+def test_build_CL_values_match_scalar_evaluation(c16):
+    # E[r, i] = h_r(p_i) / M(p_i), with h_r and M evaluated one point at a
+    # time by eval_terms and divided with scalar Field arithmetic
+    f = c16.field
+    cases = [predict_pair_params(4, 2, 1).G,       # the q16 design (2, 1)
+             ThreePointDivisor(12, 5, -3),          # G.c < 0: P3 is used
+             ThreePointDivisor(4, 3, 5)]            # M is not a power of Z
+    for G in cases:
+        pts = evaluation_points(c16, G)
+        assert (c16.fundamental_points()[2] in pts) == (G.c <= 0)
+        E, rr = build_CL(c16, pts, G)
+        assert E.shape == (rr.dimension, len(pts))
+        M = {rr.denominator: 1}
+        for r, row in enumerate(rr.basis):
+            h = {e: int(c) for e, c in zip(rr.monomials, row) if c}
+            want = [f.div(eval_terms(f, h, p.coords),
+                          eval_terms(f, M, p.coords)) for p in pts]
+            assert [int(v) for v in E[r]] == want, (G, r)
 
 
 def test_q16_code_report(c16):

@@ -1,8 +1,11 @@
+import functools
+import itertools
+
 import numpy as np
 import pytest
 
 from tripoint.curves import (CurveError, CurveSpec, ProjectivePoint,
-                             rational_points_raw)
+                             eval_terms, rational_points_raw)
 from tripoint.fields import embed, make_field
 from tripoint.verification import validate_curve
 
@@ -108,6 +111,8 @@ def test_smoothness_probe_finds_singularity():
 def test_smoothness_probe_range_guard(c16):
     with pytest.raises(CurveError):
         c16.smoothness_probe(6)   # 16^6 = 2^24 beyond the probe cap
+    with pytest.raises(CurveError):
+        c16.smoothness_probe(4)   # 16^4 > TABLE_LIMIT: no table sweep
 
 
 def test_validate_curve_reference(klein, c16):
@@ -133,3 +138,65 @@ def test_json_roundtrip(c27):
 def test_raw_sweep_matches_curve_enumeration(klein):
     raw = rational_points_raw(klein.field, klein.F_terms)
     assert raw == klein.rational_points()
+
+
+class _MemoArith:
+    """The scalar add/mul/pow of a Field, memoised so a full scan stays cheap."""
+
+    def __init__(self, field):
+        self.add = functools.cache(field.add)
+        self.mul = functools.cache(field.mul)
+        self.pow = functools.cache(field.pow)
+
+
+_arith = functools.cache(_MemoArith)
+
+
+def _vanish(field, polys, point):
+    return all(eval_terms(_arith(field), t, point) == 0 for t in polys)
+
+
+def _scalar_zeros(field, polys):
+    """Reference sweep: every normalised point of P^2 (q^2 + q + 1 of them)
+    where all the forms vanish, tested one point at a time with eval_terms."""
+    q = field.q
+    every = ([(0, 0, 1)] + [(0, 1, z) for z in range(q)]
+             + [(1, y, z) for y in range(q) for z in range(q)])
+    return [p for p in every if _vanish(field, polys, p)]
+
+
+def _random_member(field, n, rng):
+    monos = [e for e in itertools.product(range(n - 1), repeat=3)
+             if sum(e) == n - 2]
+    return CurveSpec(field, n, {e: int(rng.integers(field.q)) for e in monos})
+
+
+def test_sweeps_match_scalar_scan():
+    rng = np.random.default_rng(2024)
+    for p, k in ((2, 2), (5, 1), (7, 1), (2, 3), (3, 2)):
+        field = make_field(p, k)
+        curves = [_random_member(field, n, rng) for n in (3, 4)]
+        if p == 2:
+            # G = X + Y + Z: singular at (1:1:1) in characteristic 2
+            curves.append(CurveSpec(field, 3, {(1, 0, 0): 1, (0, 1, 0): 1,
+                                               (0, 0, 1): 1}))
+        for curve in curves:
+            want_sing = []
+            for m in (1, 2):
+                cur = curve.extension(m)
+                zeros = _scalar_zeros(cur.field, [cur.F_terms])
+                got = rational_points_raw(cur.field, cur.F_terms)
+                assert [pt.coords for pt in got] == zeros, curve
+                parts = list(cur.partials().values())
+                want_sing += [(m, pt) for pt in zeros
+                              if _vanish(cur.field, parts, pt)]
+            got_sing = [(m, pt.coords) for m, pt in curve.smoothness_probe(2)]
+            assert got_sing == want_sing, curve
+        # forms outside the family: no Z-free term, so the whole line Z = 0
+        # is a zero; and a form that is nonzero at (1:0:0)
+        a, b = (int(v) for v in rng.integers(1, field.q, 2))
+        for form in ({(2, 0, 1): 1, (1, 1, 1): a, (0, 0, 3): b},
+                     {(3, 0, 0): 1, (0, 3, 0): a, (0, 0, 3): b,
+                      (1, 1, 1): 1}):
+            got = rational_points_raw(field, form)
+            assert [pt.coords for pt in got] == _scalar_zeros(field, [form])

@@ -1,0 +1,63 @@
+"""Source hygiene of the package, read with `ast` only: every module uses
+the names it imports, and every module-level private function or class is
+referenced somewhere in the package."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from test_benchmark_hooks import tracing
+
+_SRC = Path(__file__).resolve().parents[1] / "src" / "tripoint"
+_TREES = {path.stem: ast.parse(path.read_text(), str(path))
+          for path in sorted(_SRC.glob("*.py"))}
+
+
+def _references(node) -> list:
+    """Every name a subtree mentions: loads, attributes and imported names."""
+    out = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.append(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.append(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.append(sub.name)
+    return out
+
+
+@pytest.mark.parametrize("stem", sorted(set(_TREES) - {"__init__"}))
+def test_no_unused_imports(stem):
+    tree = _TREES[stem]
+    # the benchmark tracer patches these names on the module itself
+    patched = {dotted.split(".")[0]
+               for module, dotted, _ in tracing.PASS_PATCHES
+               if module == f"tripoint.{stem}"}
+    used = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used and name not in patched:
+                    unused.append(name)
+    assert not unused, f"{stem}.py imports but never uses {unused}"
+
+
+def test_no_unreferenced_private_definitions():
+    refs = [name for tree in _TREES.values() for name in _references(tree)]
+    orphans = []
+    for stem, tree in _TREES.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if not name.startswith("_") or name.startswith("__"):
+                continue
+            # a recursive call inside its own body does not count
+            if refs.count(name) == _references(node).count(name):
+                orphans.append(f"{stem}.{name}")
+    assert not orphans, f"never referenced: {orphans}"

@@ -1,5 +1,6 @@
+from tripoint.catalog import builtin_curves
 from tripoint.fields import make_field
-from tripoint.verification import (corrupted_field_fixture,
+from tripoint.verification import (corrupted_field_fixture, curve_suite,
                                    default_verify_report, field_axiom_suite,
                                    kim_suite)
 
@@ -32,3 +33,11 @@ def test_default_report_shape():
     assert report["checks"] == sum(len(v) for v in report["sections"].values())
     assert {"fields", "kim"} <= set(report["sections"])
     assert any(key.startswith("dims-") for key in report["sections"])
+
+
+def test_curve_suite_beyond_table_limit():
+    # 128^2 > TABLE_LIMIT: the quadratic-extension check is skipped, the
+    # rest of the suite still runs over GF(128)
+    results = curve_suite(builtin_curves()["q128-n4"])
+    assert results and all(r.passed for r in results)
+    assert not any("quadratic extension" in r.name for r in results)
