@@ -319,7 +319,7 @@ def _eliminate(T, R: np.ndarray, count: int):
     piv = np.argmax(C != 0, axis=0)
     lead = C[piv, np.arange(count)]
     factors = T.MUL[C, T.INV[lead]].T
-    res = T.sub(R[None], T.MUL[factors[:, :, None], R[piv][:, None, :]])
+    res = T.submul(R[None], factors[:, :, None], R[piv][:, None, :])
     return res, lead == 0
 
 

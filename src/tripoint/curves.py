@@ -200,15 +200,19 @@ class CurveSpec:
     def rational_points(self, ext_degree: int = 1) -> list:
         """All points over GF(q^ext_degree), sorted canonically.
 
-        The three fundamental points are always present.
+        The three fundamental points are always present.  Each degree is
+        swept once per curve object; every call returns a fresh list.
         """
-        cur = self.extension(ext_degree)
-        pts = rational_points_raw(cur.field, cur.F_terms)
-        fund = set(p.coords for p in _fundamental(cur.field))
-        got = set(p.coords for p in pts)
-        if not fund <= got:
-            raise CurveError("fundamental points missing from sweep")
-        return pts
+        key = ("points", ext_degree)
+        if key not in self._cache:
+            cur = self.extension(ext_degree)
+            pts = rational_points_raw(cur.field, cur.F_terms)
+            fund = set(p.coords for p in _fundamental(cur.field))
+            got = set(p.coords for p in pts)
+            if not fund <= got:
+                raise CurveError("fundamental points missing from sweep")
+            self._cache[key] = pts
+        return list(self._cache[key])
 
     # -- smoothness -------------------------------------------------------------
 

@@ -141,7 +141,8 @@ def _reduction_rows(p: int, k: int, modulus) -> list:
 class _Tables:
     """Dense op tables for one field.  Built lazily, at most once per Field."""
 
-    __slots__ = ("q", "char2", "MUL", "ADD", "NEG", "INV", "EXP", "LOG")
+    __slots__ = ("q", "char2", "MUL", "ADD", "NEG", "NMUL", "INV", "EXP",
+                 "LOG")
 
     def __init__(self, field: "Field"):
         q, p, k = field.q, field.p, field.k
@@ -186,6 +187,8 @@ class _Tables:
             ssum = (digits[:, None, :] + digits[None, :, :]) % p
             self.ADD = (ssum @ place).astype(CODE_DTYPE)
             self.NEG = (((p - digits) % p) @ place).astype(CODE_DTYPE)
+        # NMUL[c, b] = -(c * b); in characteristic 2 negation is the identity
+        self.NMUL = mul if self.char2 else self.NEG[mul]
 
     def add(self, a, b):
         if self.char2:
@@ -199,6 +202,14 @@ class _Tables:
 
     def mul(self, a, b):
         return self.MUL[a, b]
+
+    def submul(self, a, c, b):
+        """a - c * b elementwise (broadcasting): the row update of every
+        eliminator, two gathers in odd characteristic."""
+        t = self.NMUL[c, b]
+        if self.char2:
+            return np.bitwise_xor(a, t)
+        return self.ADD[a, t]
 
     def neg(self, a):
         if self.char2:

@@ -189,6 +189,25 @@ def test_reproduce_ladder_and_counts(capsys):
     assert ladder["got_dimension"] == 95 and ladder["got_floor"] == 12
 
 
+def test_reproduce_sweeps_each_curve_once(capsys, monkeypatch):
+    from tripoint import curves
+    swept = []
+    raw = curves.rational_points_raw
+
+    def counting(field, F_terms):
+        swept.append(field.q)
+        return raw(field, F_terms)
+
+    monkeypatch.setattr(curves, "rational_points_raw", counting)
+    code, doc, _ = run_json(capsys, "reproduce", "--rows", "record-ladder")
+    assert code == 0 and len(doc["rows"]) == 7
+    assert swept == [49]
+    swept.clear()
+    code, doc, _ = run_json(capsys, "reproduce", "--rows", "q16-n4",
+                            "--budget", "1000")
+    assert code == 0 and swept == [16]
+
+
 def test_reproduce_parallel(capsys):
     code, doc, _ = run_json(capsys, "reproduce", "--rows", "q16-n4,q27-n4",
                             "--jobs", "2", "--budget", "1000")

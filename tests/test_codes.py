@@ -303,3 +303,18 @@ def test_counting_formulas():
     assert [hurwitz_count(q) for q in (2, 3, 4)] == [24, 55, 108]
     assert hermitian_maximal_count(2) == 81
     assert hermitian_maximal_count(3) == 892
+
+
+def test_record_code_search_pinned(record):
+    # the [113, 95] record code over GF(49): a fixed seed finds a fixed word
+    spec = predict_pair_params(5, 3, 1)
+    pts = evaluation_points(record, spec.G, length=113)
+    rep = build_COmega(record, pts, spec.G, boxes=spec.boxes)
+    best_w, word = low_weight_search(record.field, rep.generator, trials=10,
+                                     seed=2021)
+    want = {10: 27, 15: 34, 34: 33, 43: 26, 51: 3, 55: 1, 57: 48, 64: 21,
+            65: 2, 69: 29, 71: 3, 78: 18, 80: 20, 84: 10, 102: 23, 103: 3}
+    assert best_w == 16
+    assert word.shape == (113,) and word.dtype == rep.generator.dtype
+    assert {int(i): int(word[i]) for i in np.nonzero(word)[0]} == want
+    assert not _fmm(record.field, rep.parity_check, word[:, None]).any()

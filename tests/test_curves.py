@@ -61,6 +61,9 @@ def test_points_sorted_and_on_curve(c16):
         assert c16.evaluate_F(p) == 0
     fund = set(c16.fundamental_points())
     assert fund <= set(pts)
+    # the sweep is memoised, but each call hands out its own list
+    pts.clear()
+    assert len(c16.rational_points()) == 39
 
 
 def test_cyclic_symmetry_for_invariant_G(klein):

@@ -96,3 +96,144 @@ def test_zero_and_empty():
     assert linalg.nullspace(f, Z).shape == (4, 4)
     E = f.zeros((0, 4))
     assert linalg.rank(f, E) == 0
+
+
+# ---------------------------------------------------------------------------
+# every eliminator against a plain scalar Gauss-Jordan
+# ---------------------------------------------------------------------------
+
+def scalar_rref(field, M):
+    """Gauss-Jordan with scalar Field arithmetic, one entry at a time."""
+    A = [[int(v) for v in row] for row in np.asarray(M)]
+    rows = len(A)
+    cols = len(A[0]) if rows else 0
+    pivots, r = [], 0
+    for col in range(cols):
+        piv = next((i for i in range(r, rows) if A[i][col]), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        s = field.inv(A[r][col])
+        A[r] = [field.mul(s, v) for v in A[r]]
+        for i in range(rows):
+            c = A[i][col]
+            if i != r and c:
+                A[i] = [field.sub(a, field.mul(c, b))
+                        for a, b in zip(A[i], A[r])]
+        pivots.append(col)
+        r += 1
+        if r == rows:
+            break
+    return field.array(A).reshape(rows, cols), pivots
+
+
+def scalar_nullspace(field, M):
+    R, pivots = scalar_rref(field, M)
+    n = R.shape[1]
+    free = [j for j in range(n) if j not in pivots]
+    basis = field.zeros((len(free), n))
+    for row, j in enumerate(free):
+        basis[row, j] = 1
+        for i, pc in enumerate(pivots):
+            basis[row, pc] = field.sub(0, int(R[i, j]))
+    return basis
+
+
+def scalar_incremental(field, rows):
+    """(kept, reduced rows, pivots) of IncrementalBasis.add, row by row."""
+    kept, basis, pivots = [], [], []
+    for row in rows:
+        v = [int(x) for x in row]
+        for b, p in zip(basis, pivots):
+            c = v[p]
+            if c:
+                v = [field.sub(a, field.mul(c, y)) for a, y in zip(v, b)]
+        nz = [i for i, x in enumerate(v) if x]
+        kept.append(bool(nz))
+        if nz:
+            s = field.inv(v[nz[0]])
+            basis.append([field.mul(s, x) for x in v])
+            pivots.append(nz[0])
+    return kept, basis, pivots
+
+
+def _test_matrices(field, rng):
+    """Tall, wide, 1 x n and n x 1; random, rank-deficient, and with
+    pivots equal to 1 and not equal to 1."""
+    q = field.q
+    out = []
+    for rows, cols in ((9, 4), (4, 9), (6, 6), (1, 7), (7, 1), (1, 1)):
+        M = random_matrix(field, rng, rows, cols)
+        out.append(M)
+        # duplicated and scaled rows, and zero columns
+        D = M.copy()
+        if rows > 2:
+            D[1] = M[0]
+            D[2] = field.vmul(field.array(int(rng.integers(1, q))), M[0])
+        if cols > 2:
+            D[:, 1] = 0
+            D[:, -1] = 0
+        out.append(D)
+        # a leading identity block: every pivot is already 1
+        E = M.copy()
+        k = min(rows, cols)
+        E[:k, :k] = np.eye(k, dtype=E.dtype)
+        out.append(E)
+        # pivots not equal to 1 (for q > 2): a scaled diagonal
+        S = field.zeros((rows, cols))
+        S[np.arange(k), np.arange(k)] = rng.integers(1, q, k)
+        S[:, k:] = M[:, k:]
+        out.append(S)
+    out.append(field.zeros((3, 5)))
+    return out
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2), (7, 1), (2, 3),
+                                  (3, 2), (3, 3), (7, 2), (3, 4)])
+def test_elimination_matches_scalar_reference(p, k):
+    f = make_field(p, k)
+    rng = np.random.default_rng(p ** k)
+    for M in _test_matrices(f, rng):
+        R0, piv0 = scalar_rref(f, M)
+        R, piv = linalg.rref(f, M)
+        assert R.dtype == R0.dtype
+        assert np.array_equal(R, R0) and piv == piv0, M
+        assert linalg.rank(f, M) == len(piv0)
+        assert linalg.rank(f, M.T) == len(piv0)
+        assert np.array_equal(linalg.row_space_basis(f, M), R0[:len(piv0)])
+        N = linalg.nullspace(f, M)
+        N0 = scalar_nullspace(f, M)
+        assert N.dtype == N0.dtype and np.array_equal(N, N0), M
+        kept0, basis0, pivots0 = scalar_incremental(f, M)
+        inc = linalg.IncrementalBasis(f, M.shape[1])
+        assert [inc.add(row) for row in M] == kept0
+        assert inc.pivots == pivots0
+        assert [list(map(int, v)) for v in inc.rows] == basis0
+        # a reduced row has zeros at every pivot column
+        v = inc.reduce(random_matrix(f, rng, 1, M.shape[1])[0])
+        assert not v[inc.pivots].any()
+
+
+@pytest.mark.parametrize("p, k", [(3, 3), (2, 4)])
+def test_eliminate_matches_scalar_residuals(p, k):
+    from tripoint.codes import _eliminate
+    f = make_field(p, k)
+    rng = np.random.default_rng(11 * p + k)
+    for rows, cols in ((5, 9), (1, 4), (6, 6)):
+        R = random_matrix(f, rng, rows, cols)
+        R[:, 1] = 0                      # a zero column keeps R unchanged
+        count = cols - 1
+        res, zero = _eliminate(f.tables(), R, count)
+        assert res.shape == (count, rows, cols)
+        for i in range(count):
+            col = [int(v) for v in R[:, i]]
+            assert zero[i] == (not any(col))
+            if zero[i]:
+                assert np.array_equal(res[i], R)
+                continue
+            piv = next(r for r, v in enumerate(col) if v)
+            for r in range(rows):
+                c = f.div(col[r], col[piv])
+                want = [f.sub(int(a), f.mul(c, int(b)))
+                        for a, b in zip(R[r], R[piv])]
+                assert list(map(int, res[i, r])) == want
