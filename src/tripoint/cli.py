@@ -372,6 +372,10 @@ def cmd_dims(cfg: dict):
 
 
 def cmd_code(cfg: dict):
+    for key in ("length", "estimate_trials"):
+        if cfg[key] is not None and int(cfg[key]) < 0:
+            flag = "--" + key.replace("_", "-")
+            raise UsageError(f"{flag} must be >= 0, got {cfg[key]}")
     curve = _load_curve(cfg)
     n = curve.n
     design = cfg["design"]

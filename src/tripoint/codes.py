@@ -19,6 +19,13 @@ low-weight codeword).  Subsets sharing a (w-2)-column prefix P are tested
 together: H is reduced modulo span(P) once, and P + {a, b} is dependent
 exactly when residual columns a and b are zero or parallel, which one sort
 of exact normalised column keys detects.
+
+low_weight_search bounds the distance from above with random information
+sets.  Each trial wants the systematic generator of one column order; it
+row-reduces the (n-k)-row parity check in the reversed order instead of the
+k-row generator.  By matroid duality the dual's first information set in
+reversed order is the complement of the code's first one in forward order,
+so both reductions give the same words.
 """
 
 from __future__ import annotations
@@ -168,6 +175,8 @@ def evaluation_points(curve: CurveSpec, G: ThreePointDivisor,
         drop.add(fund[2].coords)
     out = [p for p in pts if p.coords not in drop]
     if length is not None:
+        if length < 0:
+            raise CodesError(f"length must be >= 0, got {length}")
         if length > len(out):
             raise CodesError(f"only {len(out)} usable points, wanted {length}")
         out = out[:length]
@@ -452,25 +461,49 @@ def low_weight_search(field: Field, gen: np.ndarray, trials: int = 200,
                       seed: int = 0):
     """Random information-set search for low-weight codewords.
 
-    Returns (best_weight, best_word).  Any weight found is an upper bound
-    for the true minimum distance.  gen must be a generator matrix.
+    Returns (best_weight, best_word), or (None, None) for a zero code.  Any
+    weight found is an upper bound for the true minimum distance.  gen must
+    span the code; its rows need not be independent.
+
+    Each trial draws a column order perm and takes the rows of the
+    systematic generator R = rref(gen[:, perm]): the row with pivot i has a
+    1 at i, zeros at the other pivots, and the fewest nonzeros wins (the
+    first in perm order on a tie).  R is found from the parity check H,
+    which has n - k rows instead of k.  The pivots of R are the
+    lexicographically first information set I in perm order; with distinct
+    weights the minimum basis of a matroid is unique, and its complement is
+    the maximum basis of the dual.  So J = complement of I is the first
+    information set of the dual code in reversed perm order: the pivots of
+    S = rref(H[:, perm[::-1]]).  A codeword c with c_I = e_i satisfies
+    S c = 0, so c_J = -S[:, i] (the column of S at i), and the row of R at
+    pivot i has weight 1 + nnz(S[:, i]).  Rows are compared in perm order,
+    so the tie rule is the one of R.
     """
     gen = np.asarray(gen)
-    k, m = gen.shape
-    if k == 0:
+    m = gen.shape[1]
+    H = linalg.nullspace(field, gen)
+    if H.shape[0] == m:
         return None, None
+    NEG = field.tables().NEG
     rng = np.random.default_rng(seed)
     best_w, best_word = None, None
     for _ in range(trials):
-        perm = rng.permutation(m)
-        R = linalg.row_space_basis(field, gen[:, perm])
-        weights = (R != 0).sum(axis=1)
+        order = rng.permutation(m)[::-1]
+        S, J = linalg.rref(field, H[:, order])
+        # the information set I: the non-pivots, taken in forward perm order;
+        # H has independent rows, so every row of S has a pivot in J
+        free = np.ones(m, dtype=bool)
+        free[J] = False
+        info = np.nonzero(free)[0][::-1]
+        A = S[:, info]
+        weights = 1 + (A != 0).sum(axis=0)
         pos = int(np.argmin(weights))
         wgt = int(weights[pos])
         if best_w is None or wgt < best_w:
-            inv = np.empty(m, dtype=np.int64)
-            inv[perm] = np.arange(m)
-            best_w, best_word = wgt, R[pos][inv].copy()
+            word = field.zeros(m)
+            word[order[info[pos]]] = 1
+            word[order[J]] = NEG[A[:, pos]]
+            best_w, best_word = wgt, word
     return best_w, best_word
 
 

@@ -160,33 +160,41 @@ class _Tables:
             e = field.mul(e, gen)
         log = np.zeros(q, dtype=np.int64)
         log[exp[: q - 1]] = np.arange(q - 1)
+        self.EXP = exp.astype(CODE_DTYPE)
+        self.LOG = log
 
+        # the q x q tables are built in narrow dtypes, reducing each sum by
+        # one conditional subtract, so no q x q (x k) int64 array is formed
         mul = np.zeros((q, q), dtype=CODE_DTYPE)
         if q > 1:
-            nz = np.arange(1, q)
-            mul[1:, 1:] = exp[(log[nz][:, None] + log[nz][None, :]) % (q - 1)]
+            lg = log[1:].astype(np.int32)
+            esum = np.add.outer(lg, lg)
+            np.subtract(esum, q - 1, out=esum, where=esum >= q - 1)
+            mul[1:, 1:] = self.EXP[esum]
+            del esum
         self.MUL = mul
         inv = np.zeros(q, dtype=CODE_DTYPE)
         if q > 1:
             inv[1:] = exp[(-log[np.arange(1, q)]) % (q - 1)]
         self.INV = inv
-        self.EXP = exp.astype(CODE_DTYPE)
-        self.LOG = log
 
         if self.char2:
             self.ADD = None
             self.NEG = np.arange(q, dtype=CODE_DTYPE)
         else:
-            digits = np.zeros((q, k), dtype=np.int64)
-            codes = np.arange(q)
-            rem = codes
+            # one base-p digit at a time: digit sums stay below 2p
+            codes = np.arange(q, dtype=CODE_DTYPE)
+            self.ADD = np.zeros((q, q), dtype=CODE_DTYPE)
+            self.NEG = np.zeros(q, dtype=CODE_DTYPE)
             for j in range(k):
-                digits[:, j] = rem % p
-                rem = rem // p
-            place = p ** np.arange(k)
-            ssum = (digits[:, None, :] + digits[None, :, :]) % p
-            self.ADD = (ssum @ place).astype(CODE_DTYPE)
-            self.NEG = (((p - digits) % p) @ place).astype(CODE_DTYPE)
+                place = p ** j
+                d = codes // place % p
+                dsum = np.add.outer(d, d)
+                np.subtract(dsum, p, out=dsum, where=dsum >= p)
+                dsum *= place
+                self.ADD += dsum
+                self.NEG += (p - d) % p * place
+            del dsum
         # NMUL[c, b] = -(c * b); in characteristic 2 negation is the identity
         self.NMUL = mul if self.char2 else self.NEG[mul]
 

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +37,23 @@ def test_usage_errors(capsys):
     for n_max in ("2", "6", "7"):   # outside the bundled check curves
         code, out, err = run(capsys, "verify", "--n-max", n_max)
         assert code == 1 and out == "" and "--n-max must be in 3..5" in err
+    # negative sizes are refused, not read as slices from the end
+    for flag, value in (("--length", "-3"), ("--estimate-trials", "-5")):
+        code, out, err = run(capsys, "code", "--curve", "q16-n4",
+                             "--design", "2,1", flag, value)
+        assert code == 1 and out == "" and f"{flag} must be >= 0" in err
+
+
+def test_module_entry_point():
+    # python -m tripoint runs the CLI from a checkout, with no install
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "tripoint", "--help"],
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: tripoint")
+    assert "reproduce" in done.stdout
 
 
 def test_io_error(capsys):

@@ -107,6 +107,9 @@ def test_evaluation_points(c16):
     assert len(evaluation_points(c16, G, length=20)) == 20
     with pytest.raises(CodesError):
         evaluation_points(c16, G, length=38)
+    with pytest.raises(CodesError):
+        evaluation_points(c16, G, length=-3)
+    assert evaluation_points(c16, G, length=0) == []
 
 
 def test_build_CL_validation(c16):
@@ -318,3 +321,69 @@ def test_record_code_search_pinned(record):
     assert word.shape == (113,) and word.dtype == rep.generator.dtype
     assert {int(i): int(word[i]) for i in np.nonzero(word)[0]} == want
     assert not _fmm(record.field, rep.parity_check, word[:, None]).any()
+
+
+def _primal_search(field, gen, trials, seed):
+    """The information-set search on the generator itself: rref of every
+    column permutation of gen, lightest row first in permuted order."""
+    gen = np.asarray(gen)
+    m = gen.shape[1]
+    rng = np.random.default_rng(seed)
+    best_w, best_word = None, None
+    for _ in range(trials):
+        perm = rng.permutation(m)
+        R = linalg.row_space_basis(field, gen[:, perm])
+        weights = (R != 0).sum(axis=1)
+        pos = int(np.argmin(weights))
+        wgt = int(weights[pos])
+        if best_w is None or wgt < best_w:
+            inv = np.empty(m, dtype=np.int64)
+            inv[perm] = np.arange(m)
+            best_w, best_word = wgt, R[pos][inv].copy()
+    return best_w, best_word
+
+
+def _same_search(got, want):
+    assert got[0] == want[0]
+    assert got[1].dtype == want[1].dtype
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2), (7, 1), (2, 3),
+                                  (3, 2), (7, 2)])
+def test_low_weight_search_matches_primal_reference(p, k):
+    field = make_field(p, k)
+    rng = np.random.default_rng(10 * p + k)
+    for rows, m in ((3, 12), (9, 12), (5, 5), (1, 7), (7, 9), (14, 20)):
+        for shape in ("random", "zero columns", "rank deficient"):
+            gen = rng.integers(0, field.q, (rows, m)).astype(np.int16)
+            if shape == "zero columns":
+                gen[:, rng.choice(m, m // 3, replace=False)] = 0
+            elif shape == "rank deficient" and rows > 1:
+                # a zero row, a repeated row and a scaled row
+                gen[-1] = 0
+                gen[0] = gen[rows // 2]
+                gen[1] = field.vmul(field.array(rows % (field.q - 1) + 1),
+                                    gen[0])
+            seed = int(rng.integers(1 << 16))
+            _same_search(low_weight_search(field, gen, trials=6, seed=seed),
+                         _primal_search(field, gen, 6, seed))
+
+
+def test_low_weight_search_matches_primal_reference_record(record):
+    spec = predict_pair_params(5, 3, 1)
+    pts = evaluation_points(record, spec.G, length=113)
+    gen = build_COmega(record, pts, spec.G, boxes=spec.boxes).generator
+    for seed in (0, 7, 113):
+        _same_search(low_weight_search(record.field, gen, trials=20,
+                                       seed=seed),
+                     _primal_search(record.field, gen, 20, seed))
+
+
+def test_low_weight_search_zero_code():
+    f = make_field(2)
+    assert low_weight_search(f, f.zeros((0, 5))) == (None, None)
+    assert low_weight_search(f, f.zeros((2, 5))) == (None, None)
+    # a full-rank code has weight-1 words: the search still runs
+    w, word = low_weight_search(f, np.eye(3, dtype=np.int16), trials=3)
+    assert w == 1 and word.sum() == 1

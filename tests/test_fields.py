@@ -1,10 +1,11 @@
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from tripoint.fields import (Field, FieldError, default_modulus, embed,
-                             is_irreducible, make_field)
+from tripoint.fields import (CODE_DTYPE, Field, FieldError, default_modulus,
+                             embed, is_irreducible, make_field)
 
 
 def test_construction_and_defaults():
@@ -69,6 +70,67 @@ def test_scalar_vs_vector_agreement():
         nz = a.copy()
         nz[nz == 0] = 1
         assert all(f.vinv(nz)[i] == f.inv(int(nz[i])) for i in range(300))
+
+
+def _check_tables(f, a, b):
+    """Every table entry at the index pairs (a, b) against scalar Field
+    arithmetic, and the dtypes of every table."""
+    T = f.tables()
+    for name in ("MUL", "NMUL", "NEG", "INV", "EXP"):
+        assert getattr(T, name).dtype == CODE_DTYPE, name
+    assert T.LOG.dtype == np.int64
+    assert T.MUL.shape == T.NMUL.shape == (f.q, f.q)
+    assert T.NEG.shape == T.INV.shape == (f.q,)
+    if f.p == 2:
+        assert T.ADD is None
+    else:
+        assert T.ADD.dtype == CODE_DTYPE and T.ADD.shape == (f.q, f.q)
+    add = T.add(a, b)
+    mul, nmul = T.MUL[a, b], T.NMUL[a, b]
+    for x, y, s, m, nm in zip(a.tolist(), b.tolist(), add.tolist(),
+                              mul.tolist(), nmul.tolist()):
+        assert s == f.add(x, y)
+        assert m == f.mul(x, y)
+        assert nm == f.neg(f.mul(x, y))
+    for x in sorted(set(a.tolist())):
+        assert T.NEG[x] == f.neg(x)
+        if x:
+            assert T.INV[x] == f.inv(x)
+            assert T.EXP[T.LOG[x]] == x
+    assert T.INV[0] == 0
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
+                                  (2, 3), (3, 2), (11, 1), (2, 4), (5, 2),
+                                  (3, 3), (2, 5), (7, 2), (2, 6), (3, 4)])
+def test_tables_match_scalar_arithmetic(p, k):
+    f = make_field(p, k)
+    q = f.q
+    a, b = np.divmod(np.arange(q * q), q)
+    _check_tables(f, a, b)
+
+
+@pytest.mark.parametrize("p, k", [(3, 6), (7, 4)])
+def test_large_tables_match_scalar_arithmetic_sampled(p, k):
+    f = make_field(p, k)
+    rng = np.random.default_rng(p)
+    a = np.concatenate([[0, 1, f.q - 1], rng.integers(0, f.q, 1500)])
+    b = np.concatenate([[f.q - 1, 0, 1], rng.integers(0, f.q, 1500)])
+    _check_tables(f, a, b)
+
+
+def test_table_build_memory_is_bounded():
+    # GF(2401): the four q x q int16 tables are 11.5 MB each; a build that
+    # formed q x q x k int64 digit sums would peak above 350 MB
+    f = Field(7, 4)
+    f._find_generator()
+    tracemalloc.start()
+    try:
+        f.tables()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 150 * 2 ** 20
 
 
 def test_element_wrapper():
