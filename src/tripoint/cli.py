@@ -33,10 +33,12 @@ from .fields import FieldError, is_prime, make_field
 from .riemann_roch import OracleError, ThreePointDivisor, dim_L_oracle
 from .series import SeriesError
 from .verification import VERIFY_CURVES, default_verify_report
+# pure_gap_oracle is unused here; benchmarks/tracing.py patches it on this module
 from .weierstrass import (CYCLIC_PAIRS, gap_index, gaps_closed_form,
                           gaps_oracle, kim_image, kim_map, pure_gap_oracle,
-                          pure_gaps_pair, pure_gaps_pair_via_homma_kim,
-                          pure_gaps_triple, semigroup_generators)
+                          pure_gap_problems, pure_gaps_pair,
+                          pure_gaps_pair_via_homma_kim, pure_gaps_triple,
+                          semigroup_generators)
 
 SCHEMA_VERSION = 1
 
@@ -95,6 +97,13 @@ def _need(cfg: dict, key: str, flag: str):
     if cfg.get(key) is None:
         raise UsageError(f"{flag} is required (flag or config file)")
     return cfg[key]
+
+
+def _need_n(cfg: dict) -> int:
+    n = int(_need(cfg, "n", "--n"))
+    if n < 3:
+        raise UsageError(f"n must be >= 3, got {n}")
+    return n
 
 
 def _resolve(args: argparse.Namespace) -> dict:
@@ -242,14 +251,20 @@ def _parse_ints(text: str, flag: str, count: tuple) -> tuple:
     return vals
 
 
+def _oracle_check(payload: dict, curve: CurveSpec, passed: bool,
+                  **fields) -> int:
+    """Attach the --check block {curve, *fields, passed}; its exit code."""
+    payload["oracle_check"] = {"curve": curve.to_json(), **fields,
+                               "passed": passed}
+    return EXIT_OK if passed else EXIT_INVARIANT
+
+
 # ---------------------------------------------------------------------------
 # subcommands; each returns (payload, exit_code)
 # ---------------------------------------------------------------------------
 
 def cmd_gaps(cfg: dict):
-    n = int(_need(cfg, "n", "--n"))
-    if n < 3:
-        raise UsageError(f"n must be >= 3, got {n}")
+    n = _need_n(cfg)
     gs = gaps_closed_form(n)
     rows = []
     for a in gs.gaps:
@@ -268,30 +283,21 @@ def cmd_gaps(cfg: dict):
         },
         "rows": rows,
     }
-    code = EXIT_OK
-    if cfg["check"]:
-        curve = _load_curve(cfg, n)
-        per_point = {}
-        for point in ("P1", "P2", "P3"):
-            got = gaps_oracle(curve, point).gaps
-            per_point[point] = {"oracle": list(got), "match": got == gs.gaps}
-        passed = all(v["match"] for v in per_point.values())
-        payload["oracle_check"] = {
-            "curve": curve.to_json(),
-            "points": per_point,
-            "passed": passed,
-        }
-        print(f"closed-form = oracle: {'PASS' if passed else 'FAIL'}",
-              file=sys.stderr)
-        if not passed:
-            code = EXIT_INVARIANT
-    return payload, code
+    if not cfg["check"]:
+        return payload, EXIT_OK
+    curve = _load_curve(cfg, n)
+    per_point = {}
+    for point in ("P1", "P2", "P3"):
+        got = gaps_oracle(curve, point).gaps
+        per_point[point] = {"oracle": list(got), "match": got == gs.gaps}
+    passed = all(v["match"] for v in per_point.values())
+    print(f"closed-form = oracle: {'PASS' if passed else 'FAIL'}",
+          file=sys.stderr)
+    return payload, _oracle_check(payload, curve, passed, points=per_point)
 
 
 def cmd_pure_gaps(cfg: dict):
-    n = int(_need(cfg, "n", "--n"))
-    if n < 3:
-        raise UsageError(f"n must be >= 3, got {n}")
+    n = _need_n(cfg)
     points = int(cfg["points"])
     if points not in (2, 3):
         raise UsageError(f"--points must be 2 or 3, got {points}")
@@ -305,39 +311,22 @@ def cmd_pure_gaps(cfg: dict):
         row["predicted_dimension"] = rec.predicted_dimension
         rows.append(row)
     payload = {"n": n, "points": points, "count": len(records), "rows": rows}
-    code = EXIT_OK
-    if cfg["check"]:
-        curve = _load_curve(cfg, n)
-        problems = []
-        if points == 2 and ([r.tuple_ for r in records]
-                            != pure_gaps_pair_via_homma_kim(n)):
-            problems.append("inversion description disagrees")
-        confirmed = 0
-        for rec in records:
-            bad = []
-            if not pure_gap_oracle(curve, rec.tuple_):
-                bad.append(f"oracle rejects {rec.tuple_}")
-            # a pair (a, b) is the divisor aP1 + bP2
-            D = ThreePointDivisor(*(*rec.tuple_, 0)[:3])
-            if dim_L_oracle(curve, D) != rec.predicted_dimension:
-                bad.append(f"dimension mismatch at {rec.tuple_}")
-            confirmed += not bad
-            problems += bad
-        payload["oracle_check"] = {
-            "curve": curve.to_json(),
-            "confirmed": confirmed,
-            "problems": problems,
-            "passed": not problems,
-        }
-        if problems:
-            code = EXIT_INVARIANT
-    return payload, code
+    if not cfg["check"]:
+        return payload, EXIT_OK
+    curve = _load_curve(cfg, n)
+    problems = []
+    if points == 2 and ([r.tuple_ for r in records]
+                        != pure_gaps_pair_via_homma_kim(n)):
+        problems.append("inversion description disagrees")
+    # a pair (a, b) is the divisor aP1 + bP2
+    found = [pure_gap_problems(curve, rec) for rec in records]
+    problems += [p for bad in found for p in bad]
+    return payload, _oracle_check(payload, curve, not problems,
+                                  confirmed=found.count([]), problems=problems)
 
 
 def cmd_dims(cfg: dict):
-    n = int(_need(cfg, "n", "--n"))
-    if n < 3:
-        raise UsageError(f"n must be >= 3, got {n}")
+    n = _need_n(cfg)
     fams = tuple(part.strip() for part in str(cfg["families"]).split(",")
                  if part.strip())
     bad = [f for f in fams if f not in FAMILIES]
@@ -351,24 +340,18 @@ def cmd_dims(cfg: dict):
                if c.family != "Sd" or min(c.params) >= 0]
     rows = [row for row, _ in entries]
     payload = {"n": n, "genus": g, "families": list(fams), "rows": rows}
-    code = EXIT_OK
-    if cfg["check"]:
-        curve = _load_curve(cfg, n)
-        mismatches = []
-        for row, D in entries:
-            got = dim_L_oracle(curve, D)
-            row["oracle"] = got
-            row["match"] = got == row["dimension"]
-            if not row["match"]:
-                mismatches.append(row["label"])
-        payload["oracle_check"] = {
-            "curve": curve.to_json(),
-            "mismatches": mismatches,
-            "passed": not mismatches,
-        }
-        if mismatches:
-            code = EXIT_INVARIANT
-    return payload, code
+    if not cfg["check"]:
+        return payload, EXIT_OK
+    curve = _load_curve(cfg, n)
+    mismatches = []
+    for row, D in entries:
+        got = dim_L_oracle(curve, D)
+        row["oracle"] = got
+        row["match"] = got == row["dimension"]
+        if not row["match"]:
+            mismatches.append(row["label"])
+    return payload, _oracle_check(payload, curve, not mismatches,
+                                  mismatches=mismatches)
 
 
 def cmd_code(cfg: dict):
@@ -465,9 +448,7 @@ def _write_matrix_csv(directory: str, curve: CurveSpec, report) -> None:
 
 def cmd_search(cfg: dict):
     q = int(_need(cfg, "q", "--q"))
-    n = int(_need(cfg, "n", "--n"))
-    if n < 3:
-        raise UsageError(f"n must be >= 3, got {n}")
+    n = _need_n(cfg)
     p, k = _parse_prime_power(q)
     field = make_field(p, k)
     floor = cfg["min_points"]

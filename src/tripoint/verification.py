@@ -20,7 +20,7 @@ from .riemann_roch import (ThreePointDivisor, canonical_divisor, dim_L_oracle,
 from .series import POINT_IDS, SeriesError, solve_chart
 from .weierstrass import (gaps_closed_form, gaps_oracle, kim_image, kim_map,
                           pure_gap_count_pair, pure_gap_count_triple,
-                          pure_gap_oracle, pure_gaps_pair,
+                          pure_gap_oracle, pure_gap_problems, pure_gaps_pair,
                           pure_gaps_pair_via_homma_kim, pure_gaps_triple,
                           semigroup_generators, CYCLIC_PAIRS)
 
@@ -203,7 +203,8 @@ def kim_suite(n_max: int = 12) -> list:
 
 def pure_gap_suite(curve: CurveSpec, oracle_sweep: bool = True) -> list:
     """Pair/triple parametrizations vs counts, the inversion description,
-    and (optionally) full oracle sweeps over the gap box."""
+    and (optionally) full oracle sweeps over the gap box at every cyclic
+    pair and one reversed pair, and each record's predicted dimension."""
     n = curve.n
     g = curve.genus
     out = []
@@ -224,29 +225,34 @@ def pure_gap_suite(curve: CurveSpec, oracle_sweep: bool = True) -> list:
         f"no triple coordinate divisible by n-1 (n={n})",
         all(v % (n - 1) for r in trips for v in r.tuple_)))
     if oracle_sweep:
-        found = set()
-        for a in range(1, 2 * g):
-            for b in range(1, 2 * g):
-                if pure_gap_oracle(curve, (a, b)):
-                    found.add((a, b))
+        # the pair set is the same at each cyclic pair, transposed reversed
+        box = range(1, 2 * g)
+        detail = None
+        for pair in (*CYCLIC_PAIRS, ("P2", "P1")):
+            want = (tuples if pair in CYCLIC_PAIRS
+                    else sorted((b, a) for a, b in tuples))
+            found = [(a, b) for a in box for b in box
+                     if pure_gap_oracle(curve, (a, b), pair)]
+            if found != want:
+                detail = f"at {pair}: oracle found {len(found)}"
+                break
         out.append(CheckResult(
-            f"pair oracle sweep (n={n})", sorted(found) == tuples,
-            f"oracle found {len(found)}"))
+            f"pair oracle sweep (n={n})", detail is None,
+            detail or f"oracle found {len(found)}"))
         want = {r.tuple_ for r in trips}
         gaps = set(gaps_closed_form(n).gaps)
-        found3 = set()
-        for a in gaps:
-            for b in gaps:
-                for c in gaps:
-                    if pure_gap_oracle(curve, (a, b, c)):
-                        found3.add((a, b, c))
+        found3 = {(a, b, c) for a in gaps for b in gaps for c in gaps
+                  if pure_gap_oracle(curve, (a, b, c))}
         out.append(CheckResult(
             f"triple oracle sweep (n={n})", found3 == want,
             f"oracle found {len(found3)}"))
-        dims_ok = all(
-            dim_L_oracle(curve, ThreePointDivisor(*r.tuple_))
-            == r.predicted_dimension for r in trips)
-        out.append(CheckResult(f"triple predicted dimensions (n={n})", dims_ok))
+        bad = [p for r in trips for p in pure_gap_problems(curve, r)]
+        out.append(CheckResult(f"triple predicted dimensions (n={n})",
+                               not bad, "; ".join(bad[:3])))
+        bad = [f"at {pair}: {p}" for pair in CYCLIC_PAIRS for r in pairs
+               for p in pure_gap_problems(curve, r, pair)]
+        out.append(CheckResult(f"pair predicted dimensions (n={n})",
+                               not bad, "; ".join(bad[:3])))
     return out
 
 

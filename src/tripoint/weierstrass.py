@@ -4,7 +4,10 @@ Everything in here comes in two flavors: closed-form combinatorics in the
 parameter n alone (gaps_closed_form, kim_map, pure_gaps_pair, ...) and
 field-level oracles that recompute the same objects from Riemann-Roch
 dimensions of an actual curve (gaps_oracle, pair_membership_oracle,
-pure_gap_oracle).  The test suite pins the two flavors against each other.
+gap_pairs_oracle, pure_gap_oracle).  Every oracle is read off one flatness
+test, ell(D) = ell(D - step), and pure_gap_problems is the one per-record
+check of a pure gap against the oracle.  The test suite pins the two
+flavors against each other.
 
 Gap bookkeeping at a point P:  m is a gap iff ell(mP) = ell((m-1)P).  For
 this family the gap set at each fundamental point is
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .curves import CurveSpec
 from .riemann_roch import ThreePointDivisor, dim_L_oracle
-from .series import monomial_valuations
+from .series import POINT_IDS, monomial_valuations
 
 __all__ = [
     "GapSet", "KimMapTable", "PureGapRecord",
@@ -32,19 +35,31 @@ __all__ = [
     "kim_map", "kim_image", "gap_index",
     "pure_gaps_pair", "pure_gaps_pair_via_homma_kim", "gap_pair_count",
     "pure_gaps_triple", "pure_gap_count_pair", "pure_gap_count_triple",
-    "pair_membership_oracle", "pure_gap_oracle",
-    "CYCLIC_PAIRS",
+    "pair_membership_oracle", "gap_pairs_oracle", "pure_gap_oracle",
+    "pure_gap_problems", "CYCLIC_PAIRS",
 ]
 
 CYCLIC_PAIRS = (("P1", "P2"), ("P2", "P3"), ("P3", "P1"))
 
-_POINT_AXIS = {"P1": 0, "P2": 1, "P3": 2}
 
-
-def _axis_divisor(point: str, m: int) -> ThreePointDivisor:
+def _divisor(points, coeffs: tuple) -> ThreePointDivisor:
+    """sum coeffs[k] * points[k], where points None means the first
+    len(coeffs) of P1, P2, P3: the one map from point names to axes."""
+    points = POINT_IDS[:len(coeffs)] if points is None else tuple(points)
+    if (len(points) != len(coeffs) or len(set(points)) != len(points)
+            or not set(points) <= set(POINT_IDS)):
+        raise ValueError(f"want {len(coeffs)} distinct points from "
+                         f"{POINT_IDS}, got {points}")
     v = [0, 0, 0]
-    v[_POINT_AXIS[point]] = m
+    for point, c in zip(points, coeffs):
+        v[POINT_IDS.index(point)] = c
     return ThreePointDivisor(*v)
+
+
+def _flat(curve: CurveSpec, D: ThreePointDivisor,
+          step: ThreePointDivisor) -> bool:
+    """ell(D) == ell(D - step): the one test every oracle here reads."""
+    return dim_L_oracle(curve, D) == dim_L_oracle(curve, D - step)
 
 
 @dataclass(frozen=True)
@@ -65,7 +80,7 @@ def gaps_closed_form(n: int, point: str = "P1") -> GapSet:
     """The gap sequence at a fundamental point, by formula."""
     if n < 3:
         raise ValueError("n must be >= 3")
-    if point not in _POINT_AXIS:
+    if point not in POINT_IDS:
         raise ValueError(f"unknown point {point!r}")
     gaps = tuple((i - 1) * (n - 1) + j
                  for i in range(1, n) for j in range(i, n))
@@ -88,14 +103,9 @@ def semigroup_generators(n: int) -> tuple:
 
 def gaps_oracle(curve: CurveSpec, point: str) -> GapSet:
     """Gap sequence recomputed from oracle dimensions ell(m*P), m <= 2g-1."""
-    g = curve.genus
-    gaps = []
-    prev = 1  # ell(0) = 1
-    for m in range(1, 2 * g):
-        cur = dim_L_oracle(curve, _axis_divisor(point, m))
-        if cur == prev:
-            gaps.append(m)
-        prev = cur
+    step = _divisor((point,), (1,))
+    gaps = [m for m in range(1, 2 * curve.genus)
+            if _flat(curve, step.scaled(m), step)]
     return GapSet(n=curve.n, point=point, gaps=tuple(gaps))
 
 
@@ -147,15 +157,12 @@ def kim_map(n: int, pair: tuple) -> KimMapTable:
     if pair not in CYCLIC_PAIRS:
         raise ValueError(f"pair must be one of {CYCLIC_PAIRS}")
     rows = []
-    src_axis = _POINT_AXIS[pair[0]]
-    dst_axis = _POINT_AXIS[pair[1]]
     for a in gaps_closed_form(n).gaps:
         b = kim_image(n, a)
         u, v = _witness_monomial(pair, n, a)
         vals = monomial_valuations(n, u, v)
         pole = tuple(-min(val, 0) for val in vals)
-        expect = tuple(a if ax == src_axis else b if ax == dst_axis else 0
-                       for ax in range(3))
+        expect = _divisor(pair, (a, b)).coeffs()
         if pole != expect:
             raise AssertionError(
                 f"witness x^{u} y^{v} has pole {pole}, wanted {expect}")
@@ -194,10 +201,8 @@ def pure_gaps_pair(n: int) -> list:
     """
     out = []
     for i in range(1, n):
-        for j in range(1, n - i + 1):
+        for j in range(1, n - i):
             d = i + j
-            if d > n - 1:
-                continue
             dim = (d - 1) * (d - 2) // 2 + i
             for r in range(0, n - d):
                 for s in range(0, n - d + 1):
@@ -258,8 +263,6 @@ def pure_gaps_triple(n: int) -> list:
         for j in range(0, n - 2 - i):
             for k in range(0, n - 2 - i - j):
                 d = i + j + k
-                if d > n - 3:
-                    continue
                 dim = (d + 1) * (d + 2) // 2
                 span = n - 3 - d
                 for r in range(span + 1):
@@ -286,50 +289,40 @@ def pure_gap_count_triple(n: int) -> int:
 # oracles
 # ---------------------------------------------------------------------------
 
-def _drops(curve: CurveSpec, D: ThreePointDivisor, axes) -> bool:
-    """True iff ell drops in every listed coordinate direction at D."""
-    base = dim_L_oracle(curve, D)
-    for ax in axes:
-        v = list(D.coeffs())
-        v[ax] -= 1
-        if dim_L_oracle(curve, ThreePointDivisor(*v)) != base - 1:
-            return False
-    return True
-
-
 def pair_membership_oracle(curve: CurveSpec, pair: tuple, a: int, b: int) -> bool:
     """Is (a, b) in the two-point Weierstrass semigroup H(P, Q)?
 
     (a, b) is a member iff some function has pole divisor exactly
     a*P + b*Q, which happens iff ell drops when either coordinate drops.
     """
-    axes = (_POINT_AXIS[pair[0]], _POINT_AXIS[pair[1]])
-    v = [0, 0, 0]
-    v[axes[0]], v[axes[1]] = a, b
-    return _drops(curve, ThreePointDivisor(*v), axes)
+    D = _divisor(pair, (a, b))
+    return not any(_flat(curve, D, _divisor((p,), (1,))) for p in pair)
 
 
 def pure_gap_oracle(curve: CurveSpec, tuple_: tuple, pair: tuple | None = None) -> bool:
     """Is the pair/triple pure, i.e. does ell stay flat one step down in
     every coordinate simultaneously?
 
-    ell(sum a_i P_i) == ell(sum (a_i - 1) P_i) characterizes pure gaps.
+    ell(sum a_i P_i) == ell(sum (a_i - 1) P_i) characterizes pure gaps.  A
+    pair sits at `pair` (default (P1, P2)); a triple at (P1, P2, P3).
     """
-    if len(tuple_) == 2:
-        p = tuple(pair) if pair is not None else ("P1", "P2")
-        axes = (_POINT_AXIS[p[0]], _POINT_AXIS[p[1]])
-        v = [0, 0, 0]
-        v[axes[0]], v[axes[1]] = tuple_
-        w = list(v)
-        w[axes[0]] -= 1
-        w[axes[1]] -= 1
-    elif len(tuple_) == 3:
-        v = list(tuple_)
-        w = [x - 1 for x in v]
-    else:
+    if len(tuple_) not in (2, 3):
         raise ValueError("tuple must have length 2 or 3")
-    return (dim_L_oracle(curve, ThreePointDivisor(*v))
-            == dim_L_oracle(curve, ThreePointDivisor(*w)))
+    return _flat(curve, _divisor(pair, tuple_),
+                 _divisor(pair, (1,) * len(tuple_)))
+
+
+def pure_gap_problems(curve: CurveSpec, rec: PureGapRecord,
+                      pair: tuple | None = None) -> list:
+    """What the oracle finds wrong with one pure-gap record, [] if nothing:
+    the tuple must be pure (at `pair`, as in pure_gap_oracle) and ell of
+    its divisor must be the predicted dimension."""
+    bad = []
+    if not pure_gap_oracle(curve, rec.tuple_, pair):
+        bad.append(f"oracle rejects {rec.tuple_}")
+    if dim_L_oracle(curve, _divisor(pair, rec.tuple_)) != rec.predicted_dimension:
+        bad.append(f"dimension mismatch at {rec.tuple_}")
+    return bad
 
 
 def gap_pairs_oracle(curve: CurveSpec, pair: tuple = ("P1", "P2")) -> set:
@@ -339,10 +332,6 @@ def gap_pairs_oracle(curve: CurveSpec, pair: tuple = ("P1", "P2")) -> set:
     dimension drops are forced by Riemann-Roch once degrees leave the
     special range), so the box is exhaustive.
     """
-    g = curve.genus
-    out = set()
-    for a in range(0, 2 * g):
-        for b in range(0, 2 * g):
-            if not pair_membership_oracle(curve, pair, a, b):
-                out.add((a, b))
-    return out
+    box = range(0, 2 * curve.genus)
+    return {(a, b) for a in box for b in box
+            if not pair_membership_oracle(curve, pair, a, b)}

@@ -106,14 +106,36 @@ def test_pure_gaps_checked(capsys):
 
 def test_pure_gaps_check_counts_records(capsys, monkeypatch):
     # each record fails both checks: confirmed counts records, not problems
-    monkeypatch.setattr("tripoint.cli.pure_gap_oracle", lambda *a, **k: False)
-    monkeypatch.setattr("tripoint.cli.dim_L_oracle", lambda *a, **k: -1)
+    monkeypatch.setattr("tripoint.weierstrass.pure_gap_oracle",
+                        lambda *a, **k: False)
+    monkeypatch.setattr("tripoint.weierstrass.dim_L_oracle",
+                        lambda *a, **k: -1)
     code, doc, _ = run_json(capsys, "pure-gaps", "--n", "3",
                             "--curve", "q8-n3", "--check")
     assert code == 2 and doc["count"] == 2
     check = doc["oracle_check"]
     assert check["confirmed"] == 0 and check["passed"] is False
     assert len(check["problems"]) == 4
+
+
+def test_pure_gaps_check_oracle_work(capsys, monkeypatch):
+    # every uncached ell query builds one condition matrix; each run loads
+    # a new curve object, so its memo starts empty
+    from tripoint import riemann_roch
+    original = riemann_roch._condition_matrix
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(riemann_roch, "_condition_matrix", counted)
+    for n, points, want in ((4, 2, 18), (4, 3, 21), (5, 2, 50), (5, 3, 103)):
+        calls.clear()
+        code, doc, _ = run_json(capsys, "pure-gaps", "--n", str(n),
+                                "--points", str(points), "--check")
+        assert code == 0 and doc["oracle_check"]["passed"] is True
+        assert len(calls) == want, (n, points)
 
 
 def test_dims_check(capsys):

@@ -51,6 +51,9 @@ def test_gaps_oracle_matches(klein, c16, record):
         want = gaps_closed_form(curve.n).gaps
         for point in POINTS:
             assert gaps_oracle(curve, point).gaps == want
+    for bad in ("P4", "p1", ""):
+        with pytest.raises(ValueError):
+            gaps_oracle(klein, bad)
 
 
 def test_kim_bijection_and_cube():
@@ -125,6 +128,14 @@ def test_pure_pair_oracle_cyclic_pairs(klein):
     assert pure_gap_oracle(klein, (2, 1), ("P1", "P3"))
     assert not pure_gap_oracle(klein, (2, 2), ("P1", "P2"))
     assert not pure_gap_oracle(klein, (4, 4), ("P1", "P2"))
+    # a repeated, unknown or missing point name, or a pair given with a
+    # triple, is an error, never an answer about some other divisor
+    for tuple_, pair in (((1, 2), ("P1", "P1")), ((1, 2), ("P1", "P4")),
+                         ((1, 2), ("P1",)), ((1, 2), ("P1", "P2", "P3")),
+                         ((1, 1, 1), ("P1", "P2")), ((1,), None),
+                         ((1, 1, 1, 1), None)):
+        with pytest.raises(ValueError):
+            pure_gap_oracle(klein, tuple_, pair)
 
 
 def test_pure_pair_dimensions(klein, c16):
@@ -159,3 +170,6 @@ def test_membership_oracle(klein):
     assert pair_membership_oracle(klein, ("P1", "P2"), 3, 0)
     assert pair_membership_oracle(klein, ("P1", "P2"), 0, 0)
     assert not pair_membership_oracle(klein, ("P1", "P2"), 1, 1)
+    for pair in (("P2", "P2"), ("P1",), ("P1", "P4"), ("P1", "P2", "P3")):
+        with pytest.raises(ValueError):
+            pair_membership_oracle(klein, pair, 1, 1)
