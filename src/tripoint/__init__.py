@@ -18,15 +18,14 @@ from .riemann_roch import (OracleError, RRSpace, ThreePointDivisor,
 from .claims import FAMILIES, Claim, dimension_claims
 from .weierstrass import (GapSet, KimMapTable, PureGapRecord, gap_index,
                           gaps_closed_form, gaps_oracle, kim_image, kim_map,
-                          pure_gap_count_pair, pure_gap_count_triple,
-                          pure_gap_oracle, pure_gaps_pair,
-                          pure_gaps_pair_via_homma_kim, pure_gaps_triple,
-                          semigroup_generators)
-from .codes import (BudgetError, CodeReport, CodesError, CodeSpecPair,
-                    CodeSpecTriple, build_CL, build_COmega,
-                    carvalho_torres_bound, curve_search, evaluation_points,
-                    goppa_bound, hermitian_maximal_count, hurwitz_count,
-                    low_weight_search, predict_pair_params,
+                          pure_gap_box, pure_gap_count_pair,
+                          pure_gap_count_triple, pure_gap_oracle,
+                          pure_gaps_pair, pure_gaps_pair_via_homma_kim,
+                          pure_gaps_triple, semigroup_generators)
+from .codes import (BudgetError, CodeReport, CodesError, CodeSpec, build_CL,
+                    build_COmega, carvalho_torres_bound, curve_search,
+                    evaluation_points, goppa_bound, hermitian_maximal_count,
+                    hurwitz_count, low_weight_search, predict_pair_params,
                     predict_triple_params, verify_distance_floor)
 from .catalog import RECORD_LENGTHS, RECORD_ROW, REFERENCE_ROWS, builtin_curves
 from .verification import validate_curve
@@ -44,12 +43,12 @@ __all__ = [
     "FAMILIES", "Claim", "dimension_claims",
     "GapSet", "KimMapTable", "PureGapRecord", "gap_index",
     "gaps_closed_form", "gaps_oracle", "kim_image", "kim_map",
-    "pure_gap_count_pair", "pure_gap_count_triple", "pure_gap_oracle",
-    "pure_gaps_pair", "pure_gaps_pair_via_homma_kim", "pure_gaps_triple",
-    "semigroup_generators",
-    "BudgetError", "CodeReport", "CodesError", "CodeSpecPair",
-    "CodeSpecTriple", "build_CL", "build_COmega", "carvalho_torres_bound",
-    "curve_search", "evaluation_points", "goppa_bound",
+    "pure_gap_box", "pure_gap_count_pair", "pure_gap_count_triple",
+    "pure_gap_oracle", "pure_gaps_pair", "pure_gaps_pair_via_homma_kim",
+    "pure_gaps_triple", "semigroup_generators",
+    "BudgetError", "CodeReport", "CodesError", "CodeSpec", "build_CL",
+    "build_COmega", "carvalho_torres_bound", "curve_search",
+    "evaluation_points", "goppa_bound",
     "hermitian_maximal_count", "hurwitz_count", "low_weight_search",
     "predict_pair_params", "predict_triple_params", "verify_distance_floor",
     "RECORD_LENGTHS", "RECORD_ROW", "REFERENCE_ROWS", "builtin_curves",

@@ -29,7 +29,7 @@ from .codes import (BudgetError, CodesError, build_COmega, curve_search,
                     low_weight_search, predict_pair_params,
                     predict_triple_params, verify_distance_floor)
 from .curves import CurveError, CurveSpec, rational_points_raw
-from .fields import FieldError, is_prime, make_field
+from .fields import FieldError, _factorise, make_field
 from .riemann_roch import OracleError, ThreePointDivisor, dim_L_oracle
 from .series import SeriesError
 from .verification import VERIFY_CURVES, default_verify_report
@@ -187,20 +187,10 @@ def _envelope(cfg: dict, payload: dict) -> dict:
 def _parse_prime_power(q: int) -> tuple:
     if q < 2:
         raise UsageError(f"field order must be >= 2, got {q}")
-    p = 2
-    while q % p:
-        p += 1
-        if p * p > q:
-            p = q
-            break
-    k = 0
-    m = q
-    while m % p == 0 and m > 1:
-        m //= p
-        k += 1
-    if m != 1 or not is_prime(p):
+    factors = _factorise(q)
+    if len(factors) != 1:
         raise UsageError(f"{q} is not a prime power")
-    return p, k
+    return next(iter(factors.items()))
 
 
 def _load_curve(cfg: dict, n: int | None = None) -> CurveSpec:
@@ -396,18 +386,14 @@ def cmd_code(cfg: dict):
     certification = None
     if cfg["certify"] is not None:
         w = int(cfg["certify"])
-        try:
-            ok, witness, checked = verify_distance_floor(
-                curve.field, report.parity_check, w, budget=int(cfg["budget"]))
-            certification = {"w": w, "ok": ok, "checked": checked,
-                             "witness": witness}
-            if ok:
-                report.verified_floor = w + 1
-            else:
-                report.floor_witness = witness
-        except BudgetError as exc:
-            certification = {"w": w, "ok": None, "skipped": str(exc)}
-            notes.append("certification skipped: " + str(exc))
+        certification = _certify(curve.field, report.parity_check, w,
+                                 int(cfg["budget"]))
+        if certification["ok"]:
+            report.verified_floor = w + 1
+        elif certification["ok"] is None:
+            notes.append("certification skipped: " + certification["skipped"])
+        else:
+            report.floor_witness = certification["witness"]
     if int(cfg["estimate_trials"]) > 0:
         best_w, _ = low_weight_search(curve.field, report.generator,
                                       trials=int(cfg["estimate_trials"]),
@@ -426,10 +412,22 @@ def cmd_code(cfg: dict):
     }
     payload = {"report": report.to_json(), "certification": certification,
                "design": (None if spec is None else
-                          {k: getattr(spec, k, None)
+                          {k: getattr(spec, k)
                            for k in ("i", "j", "k", "hypotheses_met")}),
                "rows": [summary]}
     return payload, EXIT_OK
+
+
+def _certify(field, H, w: int, budget: int) -> dict:
+    """verify_distance_floor within the budget, as the report's
+    certification block: {w, ok, checked, witness}, or {w, ok: None,
+    skipped} with the refusal when C(m, w) exceeds the budget."""
+    try:
+        ok, witness, checked = verify_distance_floor(field, H, w,
+                                                     budget=budget)
+    except BudgetError as exc:
+        return {"w": w, "ok": None, "skipped": str(exc)}
+    return {"w": w, "ok": ok, "checked": checked, "witness": witness}
 
 
 def _write_matrix_csv(directory: str, curve: CurveSpec, report) -> None:
@@ -497,84 +495,38 @@ def cmd_search(cfg: dict):
 # reproduce: rebuild every bundled table row from scratch
 # ---------------------------------------------------------------------------
 
-def _reproduce_reference(row, budget: int) -> dict:
-    curve = row.curve()
-    pts = curve.rational_points()
-    spec = predict_pair_params(row.n, *row.design, m=row.expected_length)
-    D = evaluation_points(curve, spec.G)
+def _reproduce_code(row, budget: int, curve=None, length=None) -> dict:
+    """One code row: build the row's design on its curve, keeping the first
+    `length` evaluation points when given (a record-ladder row), compare
+    with the expected parameters and certify the floor within the budget."""
+    curve = row.curve() if curve is None else curve
+    spec = predict_pair_params(row.n, *row.design)
+    D = evaluation_points(curve, spec.G, length=length)
     report = build_COmega(curve, D, spec.G, boxes=spec.boxes)
-    got = {
-        "points": len(pts),
-        "length": report.length,
-        "dimension": report.dimension,
-        "floor": spec.designed_distance,
-    }
-    want = {
-        "points": row.expected_points,
-        "length": row.expected_length,
-        "dimension": row.expected_dimension,
-        "floor": row.expected_floor,
-    }
-    exact = got == want
-    certified = None
-    note = ""
-    if exact:
-        try:
-            ok, witness, checked = verify_distance_floor(
-                curve.field, report.parity_check, row.expected_floor - 1,
-                budget=budget)
-            certified = bool(ok)
-            note = f"{checked} column subsets checked"
-            if not ok:
-                note += f"; dependent columns {witness}"
-        except BudgetError as exc:
-            note = str(exc)
-    if not exact:
-        tag = "mismatch"
-    elif certified:
-        tag = "reproduced-exact"
-    elif certified is None:
-        tag = "formula-only"
-    else:
-        tag = "mismatch"   # certification disproved the floor
-    return {"row": row.name, "tag": tag, "goppa_bound": spec.goppa_distance,
+    name, want_length, want_dimension = (row.name, row.expected_length,
+                                         row.expected_dimension)
+    if length is not None:
+        name, want_length = f"{row.name}-m{length}", length
+        want_dimension = length - (spec.G.degree + 1 - curve.genus)
+    got = {"points": len(curve.rational_points()), "length": report.length,
+           "dimension": report.dimension, "floor": spec.designed_distance}
+    want = {"points": row.expected_points, "length": want_length,
+            "dimension": want_dimension, "floor": row.expected_floor}
+    tag, note = "mismatch", ""
+    if got == want:
+        cert = _certify(curve.field, report.parity_check,
+                        row.expected_floor - 1, budget)
+        if cert["ok"] is None:
+            tag, note = "formula-only", cert["skipped"]
+        else:
+            note = f"{cert['checked']} column subsets checked"
+            if cert["ok"]:
+                tag = "reproduced-exact"
+            else:   # certification disproved the floor
+                note += f"; dependent columns {cert['witness']}"
+    return {"row": name, "tag": tag, "goppa_bound": spec.goppa_distance,
             "note": note, **{f"got_{k}": v for k, v in got.items()},
             **{f"want_{k}": v for k, v in want.items()}}
-
-
-def _reproduce_reference_by_name(name: str, budget: int) -> dict:
-    for row in REFERENCE_ROWS:
-        if row.name == name:
-            return _reproduce_reference(row, budget)
-    raise KeyError(name)
-
-
-def _reproduce_ladder(budget: int) -> list:
-    row = RECORD_ROW
-    curve = row.curve()
-    pts = curve.rational_points()
-    out = []
-    points_ok = len(pts) == row.expected_points
-    spec = predict_pair_params(row.n, *row.design)
-    for length in RECORD_LENGTHS:
-        D = evaluation_points(curve, spec.G, length=length)
-        report = build_COmega(curve, D, spec.G, boxes=spec.boxes)
-        want_dim = length - (spec.G.degree + 1 - curve.genus)
-        exact = (points_ok and report.dimension == want_dim
-                 and spec.designed_distance == row.expected_floor)
-        out.append({
-            "row": f"{row.name}-m{length}",
-            "tag": "formula-only" if exact else "mismatch",
-            "goppa_bound": spec.goppa_distance,
-            "note": "distance floor from the pure-gap box; "
-                    "certification beyond subset budget",
-            "got_points": len(pts), "want_points": row.expected_points,
-            "got_length": report.length, "want_length": length,
-            "got_dimension": report.dimension, "want_dimension": want_dim,
-            "got_floor": spec.designed_distance,
-            "want_floor": row.expected_floor,
-        })
-    return out
 
 
 def _reproduce_counts() -> list:
@@ -627,19 +579,19 @@ def cmd_reproduce(cfg: dict):
         if unknown:
             raise UsageError(f"unknown rows {sorted(unknown)}; "
                              f"choose from {sorted(known)}")
-    ref_names = [row.name for row in REFERENCE_ROWS
-                 if wanted is None or row.name in wanted]
-    rows = []
-    if jobs > 1 and len(ref_names) > 1:
+    refs = [row for row in REFERENCE_ROWS
+            if wanted is None or row.name in wanted]
+    if jobs > 1 and len(refs) > 1:
         import concurrent.futures as cf
         with cf.ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows.extend(pool.map(_reproduce_reference_by_name, ref_names,
-                                 [budget] * len(ref_names)))
+            rows = list(pool.map(_reproduce_code, refs,
+                                 [budget] * len(refs)))
     else:
-        for name in ref_names:
-            rows.append(_reproduce_reference_by_name(name, budget))
+        rows = [_reproduce_code(row, budget) for row in refs]
     if wanted is None or "record-ladder" in wanted:
-        rows.extend(_reproduce_ladder(budget))
+        curve = RECORD_ROW.curve()
+        rows += [_reproduce_code(RECORD_ROW, budget, curve, length)
+                 for length in RECORD_LENGTHS]
     if wanted is None or "counts" in wanted:
         rows.extend(_reproduce_counts())
     mismatches = [row["row"] for row in rows if row["tag"] == "mismatch"]

@@ -9,8 +9,9 @@ interest is its dual C_Omega(D, G).  Designed minimum distance:
 
 where G is framed by a box of pure gap tuples: G = sum (alpha_s + beta_s - 1) P_s
 with every integer tuple in prod [alpha_s, beta_s] a pure gap.  The designed
-G divisors for this family come from the corner parametrizations in
-predict_pair_params / predict_triple_params.
+G divisors for this family read their boxes from
+tripoint.weierstrass.pure_gap_box, through predict_pair_params /
+predict_triple_params.
 
 verify_distance_floor turns a floor into a certificate: it proves that
 every w-subset of parity-check columns is independent, hence d >= w + 1,
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from itertools import product
 
 import numpy as np
 
@@ -40,9 +42,10 @@ from .curves import CurveSpec, ProjectivePoint, _eval_forms
 from .fields import Field
 # dim_L_oracle is unused here; benchmarks/tracing.py patches it on this module
 from .riemann_roch import ThreePointDivisor, basis_L_oracle, dim_L_oracle
+from .weierstrass import pure_gap_box
 
 __all__ = [
-    "CodesError", "BudgetError", "CodeSpecPair", "CodeSpecTriple", "CodeReport",
+    "CodesError", "BudgetError", "CodeSpec", "CodeReport",
     "build_CL", "build_COmega", "predict_pair_params", "predict_triple_params",
     "carvalho_torres_bound", "goppa_bound", "verify_distance_floor",
     "low_weight_search", "curve_search", "hurwitz_count",
@@ -77,33 +80,35 @@ def carvalho_torres_bound(deg_G: int, genus: int, boxes) -> int:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CodeSpecPair:
-    """Two-point design: G supported on P1, P2 framed by a pure-gap box."""
+class CodeSpec:
+    """A design: G framed by the pure-gap box of a pair (i, j), on P1 and
+    P2 with k None, or of a triple (i, j, k), on all fundamental points."""
     n: int
     i: int
     j: int
+    k: int | None
     G: ThreePointDivisor
-    boxes: tuple            # ((alpha1, beta1), (alpha2, beta2))
+    boxes: tuple            # ((alpha_s, beta_s), ...) per point
     designed_distance: int  # pure-gap floor
     goppa_distance: int
     hypotheses_met: bool
 
 
-@dataclass(frozen=True)
-class CodeSpecTriple:
-    """Three-point design: G supported on all fundamental points."""
-    n: int
-    i: int
-    j: int
-    k: int
-    G: ThreePointDivisor
-    boxes: tuple
-    designed_distance: int
-    goppa_distance: int
-    hypotheses_met: bool
+def _design(n: int, params: tuple, hypotheses) -> CodeSpec:
+    """G = sum (alpha_s + beta_s - 1) P_s over pure_gap_box(n, params), its
+    two floors, and hypotheses(G)."""
+    boxes = pure_gap_box(n, params)
+    G = ThreePointDivisor(*(lo + hi - 1 for lo, hi in boxes))
+    genus = n * (n - 1) // 2
+    i, j, k = (*params, None)[:3]
+    return CodeSpec(
+        n=n, i=i, j=j, k=k, G=G, boxes=boxes,
+        designed_distance=carvalho_torres_bound(G.degree, genus, boxes),
+        goppa_distance=goppa_bound(G.degree, genus),
+        hypotheses_met=hypotheses(G))
 
 
-def predict_pair_params(n: int, i: int, j: int, m: int | None = None) -> CodeSpecPair:
+def predict_pair_params(n: int, i: int, j: int, m: int | None = None) -> CodeSpec:
     """Corner box (alpha, beta) pairs and the induced G, bounds.
 
         alpha = ((i-1)n + 1, (j-1)n + i)    beta = (in - i - j, jn - j)
@@ -114,23 +119,12 @@ def predict_pair_params(n: int, i: int, j: int, m: int | None = None) -> CodeSpe
     """
     if i < 1 or j < 1 or i + j > n - 1:
         raise CodesError(f"need i, j >= 1 with i + j <= n - 1, got {(i, j)}")
-    a1, a2 = (i - 1) * n + 1, (j - 1) * n + i
-    b1, b2 = i * n - i - j, j * n - j
-    if b1 < a1 or b2 < a2:
-        raise CodesError(f"degenerate box for (n, i, j) = {(n, i, j)}")
-    G = ThreePointDivisor(a1 + b1 - 1, a2 + b2 - 1, 0)
-    genus = n * (n - 1) // 2
-    hyp = 2 * (i + j) >= n + 2 and (m is None or m >= 2 * n * n - 4 * n - 2)
-    return CodeSpecPair(
-        n=n, i=i, j=j, G=G, boxes=((a1, b1), (a2, b2)),
-        designed_distance=carvalho_torres_bound(G.degree, genus,
-                                                ((a1, b1), (a2, b2))),
-        goppa_distance=goppa_bound(G.degree, genus),
-        hypotheses_met=hyp)
+    return _design(n, (i, j), lambda G: 2 * (i + j) >= n + 2
+                   and (m is None or m >= 2 * n * n - 4 * n - 2))
 
 
 def predict_triple_params(n: int, i: int, j: int, k: int,
-                          m: int | None = None) -> CodeSpecTriple:
+                          m: int | None = None) -> CodeSpec:
     """Corner boxes for the three-point design.
 
         n_s = (kn + j + 1, in + k + 1, jn + i + 1),  p_s = n_s + (n - d - 3)
@@ -142,18 +136,8 @@ def predict_triple_params(n: int, i: int, j: int, k: int,
     d = i + j + k
     if min(i, j, k) < 0 or d > n - 3:
         raise CodesError(f"need i, j, k >= 0 with i+j+k <= n - 3, got {(i, j, k)}")
-    lows = (k * n + j + 1, i * n + k + 1, j * n + i + 1)
-    gap = n - d - 3
-    highs = tuple(v + gap for v in lows)
-    G = ThreePointDivisor(*(lo + hi - 1 for lo, hi in zip(lows, highs)))
-    genus = n * (n - 1) // 2
-    hyp = (2 * n - 1) * d > (n - 2) ** 2 and (m is None or m > G.degree)
-    return CodeSpecTriple(
-        n=n, i=i, j=j, k=k, G=G, boxes=tuple(zip(lows, highs)),
-        designed_distance=carvalho_torres_bound(G.degree, genus,
-                                                tuple(zip(lows, highs))),
-        goppa_distance=goppa_bound(G.degree, genus),
-        hypotheses_met=hyp)
+    return _design(n, (i, j, k), lambda G: (2 * n - 1) * d > (n - 2) ** 2
+                   and (m is None or m > G.degree))
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +244,8 @@ class CodeReport:
             "verified_floor": self.verified_floor,
             "floor_witness": self.floor_witness,
             "weight_upper": self.weight_upper,
-            "parity_check": [[int(v) for v in row] for row in self.parity_check],
-            "generator": [[int(v) for v in row] for row in self.generator],
+            "parity_check": self.parity_check.tolist(),
+            "generator": self.generator.tolist(),
             "notes": list(self.notes),
         }
 
@@ -508,28 +492,21 @@ def low_weight_search(field: Field, gen: np.ndarray, trials: int = 200,
 
 
 def curve_search(field: Field, n: int, *, predicate=None, probe_ext: int = 1,
-                 sample: int | None = None, seed: int = 0,
-                 exhaustive_limit: int = 4096):
+                 sample: int | None = None, seed: int = 0):
     """Iterate members of the family over `field`, counting points.
 
     Yields dicts {curve, points, singular}.  When the G-coefficient space
-    q^(#monomials) is at most exhaustive_limit the sweep is exhaustive (and
+    q^(#monomials) is at most 4096 the sweep is exhaustive (and
     deterministic); otherwise `sample` random coefficient draws are made
     with the given seed.  predicate filters on the point count.
     """
     monos = [(e1, e2, n - 2 - e1 - e2)
              for e1 in range(n - 1) for e2 in range(n - 1 - e1)]
     space = field.q ** len(monos)
-    if space <= exhaustive_limit:
-        def draws():
-            for code in range(space):
-                digits = []
-                c = code
-                for _ in monos:
-                    digits.append(c % field.q)
-                    c //= field.q
-                yield digits
-        source = draws()
+    if space <= 4096:
+        # base-q digits of 0, 1, ..., space - 1, least significant first
+        source = (digits[::-1] for digits in
+                  product(range(field.q), repeat=len(monos)))
     else:
         if sample is None:
             raise CodesError(

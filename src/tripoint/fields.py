@@ -34,20 +34,23 @@ class FieldError(ValueError):
     """Invalid field construction, bad element, or mismatched operands."""
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality check (n is tiny here)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
+def _factorise(n: int) -> dict:
+    """{prime: exponent} of n >= 1 by trial division (n is tiny here)."""
+    out = {}
+    f = 2
     while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+        while n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
+        f += 1
+    if n > 1:
+        out[n] = 1
+    return out
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic trial-division primality check."""
+    return n >= 2 and _factorise(n) == {n: 1}
 
 
 # ---------------------------------------------------------------------------
@@ -380,17 +383,7 @@ class Field:
         if m <= 1:
             self._generator = 1
             return 1
-        factors = []
-        mm = m
-        f = 2
-        while f * f <= mm:
-            if mm % f == 0:
-                factors.append(f)
-                while mm % f == 0:
-                    mm //= f
-            f += 1
-        if mm > 1:
-            factors.append(mm)
+        factors = _factorise(m)
         for cand in range(2, self.q):
             if all(self.pow(cand, m // ell) != 1 for ell in factors):
                 self._generator = cand

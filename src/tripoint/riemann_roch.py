@@ -124,7 +124,7 @@ class RRSpace:
             "dimension": self.dimension,
             "denominator": list(self.denominator),
             "monomials": [list(e) for e in self.monomials],
-            "basis": [[int(c) for c in row] for row in self.basis],
+            "basis": self.basis.tolist(),
         }
 
 

@@ -9,6 +9,10 @@ test, ell(D) = ell(D - step), and pure_gap_problems is the one per-record
 check of a pure gap against the oracle.  The test suite pins the two
 flavors against each other.
 
+The boxes of pure gaps are stated once, in pure_gap_box: pure_gaps_pair
+and pure_gaps_triple enumerate them and the designs of tripoint.codes read
+them.
+
 Gap bookkeeping at a point P:  m is a gap iff ell(mP) = ell((m-1)P).  For
 this family the gap set at each fundamental point is
 
@@ -24,6 +28,7 @@ pairs (P1,P2), (P2,P3), (P3,P1), acting on index pairs as
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import product
 
 from .curves import CurveSpec
 from .riemann_roch import ThreePointDivisor, dim_L_oracle
@@ -34,7 +39,8 @@ __all__ = [
     "gaps_closed_form", "semigroup_generators", "gaps_oracle",
     "kim_map", "kim_image", "gap_index",
     "pure_gaps_pair", "pure_gaps_pair_via_homma_kim", "gap_pair_count",
-    "pure_gaps_triple", "pure_gap_count_pair", "pure_gap_count_triple",
+    "pure_gaps_triple", "pure_gap_box", "pure_gap_count_pair",
+    "pure_gap_count_triple",
     "pair_membership_oracle", "gap_pairs_oracle", "pure_gap_oracle",
     "pure_gap_problems", "CYCLIC_PAIRS",
 ]
@@ -186,12 +192,46 @@ class PureGapRecord:
                 "predicted_dimension": self.predicted_dimension}
 
 
+def pure_gap_box(n: int, params: tuple) -> tuple:
+    """The box of pure gaps of a pair (i, j) or a triple (i, j, k):
+    ((lo, hi), ...) per point, every integer tuple of the box a pure gap.
+
+        pair, i, j >= 1, d = i + j <= n - 1:
+            ((i-1)n + 1, in - i - j) and ((j-1)n + i, jn - j)
+        triple, i, j, k >= 0, d = i + j + k <= n - 3:
+            lo = (kn + j + 1, in + k + 1, jn + i + 1), hi = lo + n - 3 - d
+    """
+    if len(params) == 2:
+        i, j = params
+        return (((i - 1) * n + 1, i * n - i - j), ((j - 1) * n + i, j * n - j))
+    if len(params) == 3:
+        i, j, k = params
+        span = n - 3 - (i + j + k)
+        return tuple((lo, lo + span)
+                     for lo in (k * n + j + 1, i * n + k + 1, j * n + i + 1))
+    raise ValueError(f"want (i, j) or (i, j, k), got {params}")
+
+
+def _box_records(n: int, params: dict, dimension: int) -> list:
+    """One record per tuple of the box of params = {i, j[, k]}, with the
+    offsets from the low corner as r, s[, t]."""
+    box = pure_gap_box(n, tuple(params.values()))
+    d = sum(params.values())
+    offsets = product(*(range(hi - lo + 1) for lo, hi in box))
+    return [PureGapRecord(tuple_=tuple(lo + o for (lo, _), o in zip(box, off)),
+                          params={**params, "d": d,
+                                  **dict(zip("rst", off))},
+                          predicted_dimension=dimension)
+            for off in offsets]
+
+
 def pure_gaps_pair(n: int) -> list:
     """All pure gap pairs at any two distinct fundamental points.
 
     The same integer set works for each cyclic ordered pair (P1,P2),
-    (P2,P3), (P3,P1); a reversed pair sees the transposed set.  Here
-    i, j >= 1, d = i + j <= n - 1 and:
+    (P2,P3), (P3,P1); a reversed pair sees the transposed set.  It is the
+    union of the boxes pure_gap_box(n, (i, j)) over i, j >= 1 with
+    d = i + j <= n - 1:
 
         a = (i-1)n + r + 1      0 <= r <= n - 1 - d
         b = (j-1)n + i + s      0 <= s <= n - d
@@ -203,15 +243,8 @@ def pure_gaps_pair(n: int) -> list:
     for i in range(1, n):
         for j in range(1, n - i):
             d = i + j
-            dim = (d - 1) * (d - 2) // 2 + i
-            for r in range(0, n - d):
-                for s in range(0, n - d + 1):
-                    a = (i - 1) * n + r + 1
-                    b = (j - 1) * n + i + s
-                    out.append(PureGapRecord(
-                        tuple_=(a, b),
-                        params={"i": i, "j": j, "d": d, "r": r, "s": s},
-                        predicted_dimension=dim))
+            out += _box_records(n, {"i": i, "j": j},
+                                (d - 1) * (d - 2) // 2 + i)
     out.sort(key=lambda rec: rec.tuple_)
     return out
 
@@ -250,8 +283,8 @@ def pure_gaps_pair_via_homma_kim(n: int) -> list:
 def pure_gaps_triple(n: int) -> list:
     """All pure gap triples at (P1, P2, P3).
 
-    Parametrized by i, j, k >= 0 with d = i + j + k <= n - 3 and offsets
-    r, s, t in [0, n-3-d]:
+    The union of the boxes pure_gap_box(n, (i, j, k)) over i, j, k >= 0
+    with d = i + j + k <= n - 3, with offsets r, s, t in [0, n-3-d]:
 
         (kn + j + r + 1, in + k + s + 1, jn + i + t + 1)
 
@@ -263,19 +296,8 @@ def pure_gaps_triple(n: int) -> list:
         for j in range(0, n - 2 - i):
             for k in range(0, n - 2 - i - j):
                 d = i + j + k
-                dim = (d + 1) * (d + 2) // 2
-                span = n - 3 - d
-                for r in range(span + 1):
-                    for s in range(span + 1):
-                        for t in range(span + 1):
-                            trip = (k * n + j + r + 1,
-                                    i * n + k + s + 1,
-                                    j * n + i + t + 1)
-                            out.append(PureGapRecord(
-                                tuple_=trip,
-                                params={"i": i, "j": j, "k": k, "d": d,
-                                        "r": r, "s": s, "t": t},
-                                predicted_dimension=dim))
+                out += _box_records(n, {"i": i, "j": j, "k": k},
+                                    (d + 1) * (d + 2) // 2)
     out.sort(key=lambda rec: rec.tuple_)
     return out
 

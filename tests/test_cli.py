@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -42,6 +43,10 @@ def test_usage_errors(capsys):
         code, out, err = run(capsys, "code", "--curve", "q16-n4",
                              "--design", "2,1", flag, value)
         assert code == 1 and out == "" and f"{flag} must be >= 0" in err
+    for q, why in (("6", "6 is not a prime power"),
+                   ("1", "field order must be >= 2, got 1")):
+        code, out, err = run(capsys, "search", "--q", q, "--n", "3")
+        assert code == 1 and out == "" and why in err
 
 
 def test_module_entry_point():
@@ -230,6 +235,16 @@ def test_reproduce_ladder_and_counts(capsys):
     assert counts["hermitian-q2"]["got_points"] == 81
     ladder = counts["q49-n5-record-m113"]
     assert ladder["got_dimension"] == 95 and ladder["got_floor"] == 12
+    # ladder rows are certified within --budget like the reference rows;
+    # their w = 11 floors are far beyond it
+    code, doc, _ = run_json(capsys, "reproduce", "--rows", "record-ladder",
+                            "--budget", "1000")
+    assert code == 0 and len(doc["rows"]) == 7
+    for row in doc["rows"]:
+        m = row["got_length"]
+        assert row["tag"] == "formula-only"
+        assert row["note"] == (f"C({m}, 11) = {math.comb(m, 11)} subset "
+                               f"checks exceed the budget 1000")
 
 
 def test_reproduce_sweeps_each_curve_once(capsys, monkeypatch):

@@ -1,8 +1,10 @@
-"""Source hygiene of the package, read with `ast` only: every module uses
-the names it imports, and every module-level private function or class is
-referenced somewhere in the package."""
+"""Source hygiene of the package, read with `ast`: every module uses the
+names it imports, every module-level private function or class is
+referenced somewhere in the package, and every name a module exports in
+`__all__` exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -61,3 +63,14 @@ def test_no_unreferenced_private_definitions():
             if refs.count(name) == _references(node).count(name):
                 orphans.append(f"{stem}.{name}")
     assert not orphans, f"never referenced: {orphans}"
+
+
+def test_exported_names_resolve():
+    missing = []
+    for stem in sorted(_TREES):
+        module = importlib.import_module(
+            "tripoint" if stem == "__init__" else f"tripoint.{stem}")
+        missing += [f"{module.__name__}.{name}"
+                    for name in getattr(module, "__all__", ())
+                    if not hasattr(module, name)]
+    assert not missing, f"exported but undefined: {missing}"
