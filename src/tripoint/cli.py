@@ -59,6 +59,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _count(text: str) -> int:
+    """A non-negative integer, written out (10000000) or in exponent form
+    (1e7, read as a float); anything else is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        try:
+            value = float(text)
+        except ValueError:
+            value = float("nan")
+        value = int(value) if value.is_integer() else -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer such as 10000000 or 1e7, "
+            f"got {text!r}")
+    return value
+
+
 # Real defaults live here, not in argparse: every option parses to None when
 # absent so that config-file values can slot in underneath explicit flags.
 DEFAULTS = {
@@ -633,8 +651,9 @@ def build_parser() -> _Parser:
     common.add_argument("--format", choices=("json", "csv"))
     common.add_argument("--seed", type=int)
     common.add_argument("--jobs", type=int)
-    common.add_argument("--budget", type=int,
-                        help="max column subsets C(m, w) per certification")
+    common.add_argument("--budget", type=_count,
+                        help="max column subsets C(m, w) per certification, "
+                             "an integer such as 10000000 or 1e7")
     common.add_argument("--config",
                         help="JSON config file; flags override its values")
 

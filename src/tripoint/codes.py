@@ -26,7 +26,11 @@ sets.  Each trial wants the systematic generator of one column order; it
 row-reduces the (n-k)-row parity check in the reversed order instead of the
 k-row generator.  By matroid duality the dual's first information set in
 reversed order is the complement of the code's first one in forward order,
-so both reductions give the same words.
+so both reductions give the same words.  The trials are reduced together,
+in chunks of a bounded number of cells, each chunk by one stacked rref.
+A tie inside a trial goes to the first column in its order, and a tie
+between trials to the first trial, so the words do not depend on the
+chunking.
 """
 
 from __future__ import annotations
@@ -441,13 +445,18 @@ def verify_distance_floor(field: Field, H: np.ndarray, w: int, *,
     return False, witness, _lex_rank(witness, m) + 1
 
 
+# cells of one stack of parity-check trials reduced by one rref: about 128
+# trials of the 18 x 113 record check, a few MB of gather indices
+_CHUNK_CELLS = 1 << 18
+
+
 def low_weight_search(field: Field, gen: np.ndarray, trials: int = 200,
                       seed: int = 0):
     """Random information-set search for low-weight codewords.
 
-    Returns (best_weight, best_word), or (None, None) for a zero code.  Any
-    weight found is an upper bound for the true minimum distance.  gen must
-    span the code; its rows need not be independent.
+    Returns (best_weight, best_word), or (None, None) for a zero code or
+    no trials.  Any weight found is an upper bound for the true minimum
+    distance.  gen must span the code; its rows need not be independent.
 
     Each trial draws a column order perm and takes the rows of the
     systematic generator R = rref(gen[:, perm]): the row with pivot i has a
@@ -461,7 +470,14 @@ def low_weight_search(field: Field, gen: np.ndarray, trials: int = 200,
     S = rref(H[:, perm[::-1]]).  A codeword c with c_I = e_i satisfies
     S c = 0, so c_J = -S[:, i] (the column of S at i), and the row of R at
     pivot i has weight 1 + nnz(S[:, i]).  Rows are compared in perm order,
-    so the tie rule is the one of R.
+    so the tie rule is the one of R: inside a trial the highest column of
+    S wins, which is the first in perm order.
+
+    The permutations are drawn one trial after another, and the trials are
+    reduced in chunks of about _CHUNK_CELLS cells, one stacked rref per
+    chunk, so memory stays bounded for any number of trials.  Across
+    trials the first one with a strictly smaller weight wins, and only the
+    winner's word is built.
     """
     gen = np.asarray(gen)
     m = gen.shape[1]
@@ -470,24 +486,25 @@ def low_weight_search(field: Field, gen: np.ndarray, trials: int = 200,
         return None, None
     NEG = field.tables().NEG
     rng = np.random.default_rng(seed)
+    chunk = max(1, _CHUNK_CELLS // max(1, H.size))
     best_w, best_word = None, None
-    for _ in range(trials):
-        order = rng.permutation(m)[::-1]
-        S, J = linalg.rref(field, H[:, order])
-        # the information set I: the non-pivots, taken in forward perm order;
-        # H has independent rows, so every row of S has a pivot in J
-        free = np.ones(m, dtype=bool)
-        free[J] = False
-        info = np.nonzero(free)[0][::-1]
-        A = S[:, info]
-        weights = 1 + (A != 0).sum(axis=0)
-        pos = int(np.argmin(weights))
-        wgt = int(weights[pos])
-        if best_w is None or wgt < best_w:
+    for start in range(0, trials, chunk):
+        orders = np.array([rng.permutation(m)[::-1]
+                           for _ in range(min(chunk, trials - start))])
+        S, P = linalg.rref(field, H[:, orders].swapaxes(0, 1))
+        # H has independent rows, so every row of S has a pivot and the
+        # non-pivots are the information set; reversed, the first minimum
+        # of each trial is its highest column
+        weights = np.where(P, m + 1, 1 + (S != 0).sum(axis=1))[:, ::-1]
+        pos = m - 1 - weights.argmin(axis=1)
+        wgts = weights.min(axis=1)
+        b = int(wgts.argmin())
+        if best_w is None or wgts[b] < best_w:
+            order, col, J = orders[b], pos[b], P[b].nonzero()[0]
             word = field.zeros(m)
-            word[order[info[pos]]] = 1
-            word[order[J]] = NEG[A[:, pos]]
-            best_w, best_word = wgt, word
+            word[order[col]] = 1
+            word[order[J]] = NEG[S[b, :J.size, col]]
+            best_w, best_word = int(wgts[b]), word
     return best_w, best_word
 
 

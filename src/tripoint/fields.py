@@ -216,11 +216,16 @@ class _Tables:
 
     def submul(self, a, c, b):
         """a - c * b elementwise (broadcasting): the row update of every
-        eliminator, two gathers in odd characteristic."""
-        t = self.NMUL[c, b]
+        eliminator, two gathers in odd characteristic.
+
+        Each gather reads a flat view of its q x q table at the intp index
+        x*q + y: one take of a 1-D array instead of broadcast 2-D fancy
+        indexing, and no overflow where x*q exceeds the code dtype."""
+        q = self.q
+        t = self.NMUL.ravel().take(np.multiply(c, q, dtype=np.intp) + b)
         if self.char2:
             return np.bitwise_xor(a, t)
-        return self.ADD[a, t]
+        return self.ADD.ravel().take(np.multiply(a, q, dtype=np.intp) + t)
 
     def neg(self, a):
         if self.char2:

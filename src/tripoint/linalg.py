@@ -1,11 +1,18 @@
 """Dense exact linear algebra over GF(q) on matrices of integer codes.
 
-All routines take the Field first and a 2-D numpy array of codes.  Row
-reduction is table-driven: each pivot step updates one block of rows, from
-the pivot column onwards, with the fused a - c*b update of the field's
-tables (submul), so cost is dominated by numpy fancy indexing rather than
-Python loops.  rref reduces above and below each pivot; rank only
-eliminates below it.
+All routines take the Field first and a 2-D numpy array of codes; rref
+also takes a (B, m, n) stack of matrices.  Row reduction is table-driven:
+each pivot step updates one block of rows, from the pivot column onwards,
+with the fused a - c*b update of the field's tables (submul), whose two
+gathers read flat views of the q x q tables, so cost is dominated by numpy
+gathers rather than Python loops.  rref reduces above and below each
+pivot; rank only eliminates below it.
+
+rref reduces a stack in lockstep with one pivot loop: at each column,
+every matrix that has a nonzero at or below its own rank takes its first
+such row as pivot, and the whole stack block from that column on gets one
+submul.  The reduced form is unique, so each matrix of a stack reduces
+exactly as it would alone; a 2-D matrix is a stack of one.
 """
 
 from __future__ import annotations
@@ -16,40 +23,56 @@ from .fields import Field
 
 
 def rref(field: Field, mat: np.ndarray):
-    """Reduced row echelon form.
+    """Reduced row echelon form of a matrix, or of every matrix in a stack.
 
-    Returns (R, pivots) where pivots lists the pivot column of each nonzero
-    row of R in order.  rank == len(pivots).
+    A 2-D matrix gives (R, pivots), where pivots lists the pivot column of
+    each nonzero row of R in order; rank == len(pivots).  A (B, m, n) stack
+    gives (R, P): the stack of reduced forms and a (B, n) boolean mask of
+    each matrix's pivot columns.  A 2-D matrix is reduced as a stack of one.
     """
     A = field.array(mat).copy()
-    if A.ndim != 2:
-        raise ValueError("expected a 2-D matrix")
+    if A.ndim not in (2, 3):
+        raise ValueError("expected a 2-D matrix or a 3-D stack of them")
+    single = A.ndim == 2
+    if single:
+        A = A[None]
     T = field.tables()
-    m, n = A.shape
-    pivots = []
-    r = 0
-    for col in range(n):
-        if r == m:
+    B, m, n = A.shape
+    P = np.zeros((B, n), dtype=bool)
+    rank = np.zeros(B, dtype=np.intp)
+    rows = np.arange(m)
+    for col in range(n if A.size else 0):
+        # each matrix's first nonzero row at or below its own rank;
+        # columns before col are zero there and stay untouched
+        cand = A[:, :, col] != 0
+        cand &= rows >= rank[:, None]
+        has = cand.any(axis=1)
+        if has.all():
+            sel = slice(None)            # every matrix pivots: plain slices
+        else:
+            sel = np.flatnonzero(has)
+            if sel.size == 0:
+                continue
+        r, piv = rank[sel], cand.argmax(axis=1)[sel]
+        blk = A[sel, :, col:]
+        k = np.arange(r.size)
+        top, low = blk[k, r], blk[k, piv]
+        blk[k, piv] = top
+        low = T.MUL[T.INV[low[:, :1]], low]
+        blk[k, r] = low
+        # every other row, as one block: a zero factor leaves a row as is
+        factors = blk[:, :, 0].copy()
+        factors[k, r] = 0
+        if factors.any():
+            blk = T.submul(blk, factors[:, :, None], low[:, None, :])
+        A[sel, :, col:] = blk
+        P[sel, col] = True
+        rank[sel] += 1
+        if rank.min() == m:
             break
-        nz = A[:, col].nonzero()[0]
-        k = nz.searchsorted(r)
-        if k == nz.size:
-            continue
-        # columns before col are zero in rows r.. and stay untouched
-        piv = int(nz[k])
-        if piv != r:
-            A[[r, piv], col:] = A[[piv, r], col:]
-        pc = int(A[r, col])
-        if pc != 1:
-            A[r, col:] = T.MUL[T.INV[pc], A[r, col:]]
-        if nz.size > 1:
-            # every other row, as one block: a zero factor leaves a row as is
-            factors = A[:, col].copy()
-            factors[r] = 0
-            A[:, col:] = T.submul(A[:, col:], factors[:, None], A[r, col:])
-        pivots.append(col)
-        r += 1
-    return A, pivots
+    if single:
+        return A[0], np.flatnonzero(P[0]).tolist()
+    return A, P
 
 
 def rank(field: Field, mat: np.ndarray) -> int:

@@ -47,6 +47,13 @@ def test_usage_errors(capsys):
                    ("1", "field order must be >= 2, got 1")):
         code, out, err = run(capsys, "search", "--q", q, "--n", "3")
         assert code == 1 and out == "" and why in err
+    # --budget is a non-negative integer, written out or in exponent form
+    for value in ("1.5", "2.5e-1", "-1", "-1e3", "1e-3", "1e400", "nan",
+                  "ten", ""):
+        code, out, err = run(capsys, "code", "--curve", "q16-n4",
+                             "--design", "2,1", f"--budget={value}")
+        assert code == 1 and out == ""
+        assert "argument --budget: expected a non-negative integer" in err
 
 
 def test_module_entry_point():
@@ -210,6 +217,24 @@ def test_code_budget_note(capsys):
     assert doc["certification"]["ok"] is None
     assert "budget" in doc["certification"]["skipped"]
     assert doc["report"]["verified_floor"] is None
+
+
+def test_budget_exponent_form(capsys):
+    # 1e3 is the budget 1000: the same refusal as the written-out value
+    docs = []
+    for value in ("1000", "1e3", "1.0E3"):
+        code, doc, _ = run_json(capsys, "code", "--curve", "q16-n4",
+                                "--design", "2,1", "--certify", "5",
+                                "--budget", value)
+        assert code == 0 and doc["config"]["budget"] == 1000
+        doc.pop("generated_at")
+        docs.append(doc)
+    assert docs[0] == docs[1] == docs[2]
+    assert "exceed the budget 1000" in docs[0]["certification"]["skipped"]
+    code, doc, _ = run_json(capsys, "reproduce", "--rows", "q16-n4",
+                            "--budget", "5e5")
+    assert code == 0 and doc["config"]["budget"] == 500000
+    assert doc["rows"][0]["tag"] == "reproduced-exact"
 
 
 def test_reproduce_row(capsys):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tripoint import linalg
+from tripoint import codes, linalg
 from tripoint.codes import (BudgetError, CodesError, build_CL, build_COmega,
                             carvalho_torres_bound, curve_search,
                             evaluation_points, goppa_bound,
@@ -387,3 +387,51 @@ def test_low_weight_search_zero_code():
     # a full-rank code has weight-1 words: the search still runs
     w, word = low_weight_search(f, np.eye(3, dtype=np.int16), trials=3)
     assert w == 1 and word.sum() == 1
+
+
+def test_low_weight_search_across_chunks(record, monkeypatch):
+    spec = predict_pair_params(5, 3, 1)
+    pts = evaluation_points(record, spec.G, length=113)
+    gen = build_COmega(record, pts, spec.G, boxes=spec.boxes).generator
+    H = linalg.nullspace(record.field, gen)
+    # three trials per stacked rref: 20 trials end in a short chunk
+    monkeypatch.setattr(codes, "_CHUNK_CELLS", 3 * H.size)
+    for seed in (0, 7, 113):
+        _same_search(low_weight_search(record.field, gen, trials=20,
+                                       seed=seed),
+                     _primal_search(record.field, gen, 20, seed))
+
+
+@pytest.mark.parametrize("trials_per_chunk", [1, 2, 5])
+def test_low_weight_search_ties_across_chunks(trials_per_chunk, monkeypatch):
+    f = make_field(7)
+    # one word up to scaling, of weight 6: every trial ties, and each trial
+    # scales it to 1 at its first column in perm order, so the word tells
+    # which trial won; the first one must
+    gen = f.array([[1, 2, 3, 4, 5, 6]])
+    first = low_weight_search(f, gen, trials=1, seed=4)
+    # random codes: ties inside a trial and between trials
+    rng = np.random.default_rng(9)
+    gens = [f.array(rng.integers(0, 3, (rows, 9))) for rows in (2, 4, 7)]
+    want = [_primal_search(f, g, 11, 5) for g in gens]
+    cells = linalg.nullspace(f, gen).size
+    monkeypatch.setattr(codes, "_CHUNK_CELLS", trials_per_chunk * cells)
+    got = low_weight_search(f, gen, trials=7, seed=4)
+    assert got[0] == 6
+    _same_search(got, first)
+    _same_search(got, _primal_search(f, gen, 7, 4))
+    for g, w in zip(gens, want):
+        H = linalg.nullspace(f, g)
+        monkeypatch.setattr(codes, "_CHUNK_CELLS", trials_per_chunk * H.size)
+        _same_search(low_weight_search(f, g, trials=11, seed=5), w)
+
+
+def test_low_weight_search_full_rank_and_no_trials(monkeypatch):
+    f = make_field(3)
+    gen = np.eye(4, dtype=np.int16)
+    # H has 0 rows and 0 cells: one trial per chunk, no division by zero
+    monkeypatch.setattr(codes, "_CHUNK_CELLS", 1)
+    _same_search(low_weight_search(f, gen, trials=5, seed=2),
+                 _primal_search(f, gen, 5, 2))
+    assert low_weight_search(f, f.array([[1, 2, 0]]), trials=0) == (None,
+                                                                     None)

@@ -208,3 +208,38 @@ def test_from_int_reduction():
     f = make_field(7, 2)
     assert f.from_int(10) == 3
     assert f.from_int(-1) == 6
+
+
+@pytest.mark.parametrize("p, k", [(2, 4), (7, 2), (3, 7), (2, 12)])
+def test_submul_matches_table_lookup(p, k):
+    # q = 3^7 and 2^12 (TABLE_LIMIT): c*q and a*q overflow the int16 codes,
+    # so the flat indices must be formed in intp
+    f = make_field(p, k)
+    T = f.tables()
+    q = f.q
+    rng = np.random.default_rng(q)
+
+    def codes(*shape):
+        x = rng.integers(0, q, shape)
+        x.flat[:2] = q - 1, 0                  # the largest code, and zero
+        return x.astype(CODE_DTYPE)
+
+    def lookup(a, c, b):                       # the 2-D table lookup
+        t = T.MUL[c, b] if T.char2 else T.NEG[T.MUL[c, b]]
+        return np.bitwise_xor(a, t) if T.char2 else T.ADD[a, t]
+
+    cases = (
+        (codes(7), CODE_DTYPE(q - 1), codes(7)),          # scalar c
+        (codes(4, 7), codes(4, 1), codes(7)),             # column c
+        (codes(3, 4, 7), codes(3, 4, 1), codes(3, 1, 7)),  # 3-D stack
+        (codes(1, 4, 7), codes(3, 4, 1), codes(3, 1, 7)),  # broadcast a
+    )
+    for a, c, b in cases:
+        want = lookup(a, c, b)
+        got = T.submul(a, c, b)
+        assert got.dtype == CODE_DTYPE and got.shape == want.shape
+        assert np.array_equal(got, want)
+        # and entry by entry against scalar arithmetic
+        for x, y, z, g in zip(*(np.broadcast_to(v, want.shape).ravel()
+                                 for v in (a, c, b, got))):
+            assert int(g) == f.sub(int(x), f.mul(int(y), int(z)))

@@ -237,3 +237,40 @@ def test_eliminate_matches_scalar_residuals(p, k):
                 want = [f.sub(int(a), f.mul(c, int(b)))
                         for a, b in zip(R[r], R[piv])]
                 assert list(map(int, res[i, r])) == want
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (7, 1), (2, 4), (3, 3), (7, 2)])
+def test_stacked_rref_matches_each_matrix(p, k):
+    f = make_field(p, k)
+    rng = np.random.default_rng(5 * p + k)
+    for B, rows, cols in ((6, 4, 9), (5, 9, 4), (4, 6, 6), (3, 1, 7),
+                          (1, 5, 8), (4, 0, 6), (0, 3, 5), (3, 3, 0)):
+        stack = f.array(rng.integers(0, f.q, (B, rows, cols)))
+        mixed = B > 3 and rows > 1 and cols > 3
+        if mixed:
+            stack[0] = 0                          # a zero matrix
+            stack[1][:, ::2] = 0                  # zero columns
+            stack[2][1] = stack[2][0]             # rank-deficient rows
+            stack[2][-1] = 0
+            stack[3][:, :cols // 2] = 0           # pivots late
+        R, P = linalg.rref(f, stack)
+        assert R.shape == stack.shape and R.dtype == stack.dtype
+        assert P.shape == (B, cols) and P.dtype == bool
+        if mixed:
+            # some columns pivot in some matrices only: the partial branch
+            assert (P.any(axis=0) & ~P.all(axis=0)).any()
+        for b in range(B):
+            R0, piv0 = scalar_rref(f, stack[b])
+            R0 = R0.reshape(rows, cols)           # also with 0 rows
+            R1, piv1 = linalg.rref(f, stack[b])
+            assert type(piv1) is list
+            assert all(type(c) is int for c in piv1)
+            assert piv1 == piv0 == np.flatnonzero(P[b]).tolist()
+            assert np.array_equal(R1, R0) and np.array_equal(R[b], R0)
+
+
+def test_rref_rejects_other_ranks():
+    f = make_field(3)
+    for shape in ((4,), (2, 2, 2, 2)):
+        with pytest.raises(ValueError):
+            linalg.rref(f, f.zeros(shape))
