@@ -45,7 +45,8 @@ from . import linalg
 from .curves import CurveSpec, ProjectivePoint, _eval_forms
 from .fields import Field
 # dim_L_oracle is unused here; benchmarks/tracing.py patches it on this module
-from .riemann_roch import ThreePointDivisor, basis_L_oracle, dim_L_oracle
+from .riemann_roch import (ThreePointDivisor, _expansions, basis_L_oracle,
+                           dim_L_oracle)
 from .weierstrass import pure_gap_box
 
 __all__ = [
@@ -175,13 +176,13 @@ def build_CL(curve: CurveSpec, points: list, G: ThreePointDivisor):
     """Evaluation matrix of L(G) at the given points (rows = basis).
 
     Points must avoid P1 and P2 (both lie on Z = 0) and may include P3
-    only when G.c <= 0: the basis denominator M is then a power of Z, so
-    each basis function h / M is defined at every point.
+    only when G.c <= 0, so that each basis function h / M is defined at
+    every point.  At P3 a monomial's value is the coefficient of t^ord(M),
+    ord_P3(M) = n*beta + alpha, in its chart expansion there.
     """
     field = curve.field
     rr = basis_L_oracle(curve, G)
-    fund = curve.fundamental_points()
-    p1, p2, p3 = (p.coords for p in fund)
+    p1, p2, p3 = (p.coords for p in curve.fundamental_points())
     coords = []
     for p in points:
         if not isinstance(p, ProjectivePoint) or p.field != field:
@@ -193,15 +194,17 @@ def build_CL(curve: CurveSpec, points: list, G: ThreePointDivisor):
                              "have a pole there (G has positive P3 part)")
         coords.append(p.coords)
     m = len(coords)
-    if m == 0:
-        return field.zeros((rr.dimension, 0)), rr
-
     forms = [curve.F_terms, *({e: 1} for e in rr.monomials)]
-    values = _eval_forms(field, forms, *field.array(coords).T)
+    values = _eval_forms(field, forms, *field.array(coords).reshape(m, 3).T)
     off = np.nonzero(next(values))[0]
     if off.size:
         raise CodesError(f"{points[int(off[0])]!r} is not on the curve")
     V = np.array(list(values))
+    if p3 in coords:
+        alpha, beta, _ = rr.denominator
+        V[:, [c == p3 for c in coords]] = _expansions(
+            curve, "P3", sum(rr.denominator), rr.monomials,
+            curve.n * beta + alpha + 1)[-1:].T
     # the denominator M is itself one of the degree-N monomials
     denom = V[rr.monomials.index(rr.denominator)]
     if np.any(denom == 0):

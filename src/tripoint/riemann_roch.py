@@ -23,10 +23,11 @@ form, by exact linear algebra over the base field:
         ell(D) = (#monomials - rank of conditions) - C(N-n+1, 2).
 
 In the chart at a point (series._CHART_EXPS) a monomial restricts to
-t^i * w(t)^j, so condition rows are shifted slices of cached powers of the
-solved chart coordinate w (`_chart_powers`).  The same rows give the
-vanishing order of any single form (`order_of_form`), the one expansion
-path in the package.
+t^i * w(t)^j, a shifted row of cached powers of the solved chart coordinate
+w (`_chart_powers`).  `_expansions` is the one expansion path: condition
+rows, the order of a single form (`order_of_form`), and h/M at P3 when
+D.c <= 0: the coefficient of t^ord(M), ord_P3(M) = n*beta + alpha, in h's
+expansion over that in M's (`codes.build_CL`).
 """
 
 from __future__ import annotations
@@ -160,6 +161,21 @@ def _chart_powers(curve: CurveSpec, point_id: str, maxdeg: int, prec: int):
     return mat
 
 
+def _expansions(curve: CurveSpec, point_id: str, N: int, monos: list,
+                length: int) -> np.ndarray:
+    """Coefficients 0..length-1 of the expansion at the point of each
+    degree-N monomial, one column per monomial: the monomial restricts to
+    t^i * w^j, which is row j of the power cache shifted down by i."""
+    out = curve.field.zeros((length, len(monos)))
+    if not length:      # a fresh power cache needs at least one coefficient
+        return out
+    powers = _chart_powers(curve, point_id, N, length)
+    for col, (i, j) in enumerate(map(_CHART_EXPS[point_id], monos)):
+        if i < length:
+            out[i:, col] = powers[j, :length - i]
+    return out
+
+
 def order_of_form(curve: CurveSpec, point_id: str, form: dict,
                   degree: int) -> int | None:
     """Vanishing order at P1, P2 or P3 of a form restricted to the curve.
@@ -172,29 +188,23 @@ def order_of_form(curve: CurveSpec, point_id: str, form: dict,
     """
     if point_id not in POINT_IDS:
         raise ValueError(f"unknown point id {point_id!r}")
-    field = curve.field
-    length = (curve.n + 1) * degree + 1
-    powers = _chart_powers(curve, point_id, degree, length)
-    acc = field.zeros(length)
-    for e, c in form.items():
+    for e in form:
         if sum(e) != degree:
             raise ValueError(f"monomial {e} does not have degree {degree}")
-        i, j = _CHART_EXPS[point_id](e)
-        acc[i:] = field.vadd(acc[i:], field.vmul(field.array(int(c)),
-                                                 powers[j, :length - i]))
+    field = curve.field
+    length = (curve.n + 1) * degree + 1
+    rows = _expansions(curve, point_id, degree, list(form), length)
+    acc = field.zeros(length)
+    for col, c in enumerate(form.values()):
+        acc = field.vadd(acc, field.vmul(field.array(int(c)), rows[:, col]))
     nz = np.flatnonzero(acc)
     return int(nz[0]) if nz.size else None
 
 
-def _covering_exponents(n: int, D: ThreePointDivisor, z_only: bool) -> tuple:
-    """(alpha, beta, gamma) of the covering monomial of D.
-
-    The smallest degree first, then the smallest triple; with z_only the
-    monomial is a power of Z, which does not vanish at P3 (needs D.c <= 0).
-    """
+def _covering_exponents(n: int, D: ThreePointDivisor) -> tuple:
+    """(alpha, beta, gamma) of the covering monomial of D: the smallest
+    degree first, then the smallest triple."""
     a, b, c = D.coeffs()
-    if z_only:
-        return 0, 0, max(0, -(-a // n), b)
     N = -(-(max(a, 0) + max(b, 0) + max(c, 0)) // (n + 1))
     while True:
         for alpha in range(N + 1):
@@ -207,35 +217,23 @@ def _covering_exponents(n: int, D: ThreePointDivisor, z_only: bool) -> tuple:
 
 
 def _condition_matrix(curve: CurveSpec, D: ThreePointDivisor, n_extra: int,
-                      degree_cap: int, z_only: bool = False):
+                      degree_cap: int):
     """Covering exponents, stacked vanishing conditions and the monomials.
 
     Block k holds coefficients 0..tau_k-1, tau_k = ord_Pk(M) - D_k, of the
-    expansion at P_k of each degree-N monomial t^i * w^j: row j of the
-    power cache shifted by i.
+    expansion at P_k of each degree-N monomial (`_expansions`).
     """
     n = curve.n
-    alpha, beta, gamma = _covering_exponents(n, D, z_only)
+    alpha, beta, gamma = _covering_exponents(n, D)
     gamma += n_extra
     N = alpha + beta + gamma
     if N > degree_cap:
         raise OracleError(
             f"form degree {N} for {D!r} exceeds the cap {degree_cap}")
     zeros = (beta + n * gamma, n * alpha + gamma, n * beta + alpha)
-    taus = [max(z - d, 0) for z, d in zip(zeros, D.coeffs())]
     monos = monomials_of_degree(N)
-    A = curve.field.zeros((sum(taus), len(monos)))
-    row0 = 0
-    for pid, tau in zip(POINT_IDS, taus):
-        if tau == 0:
-            continue
-        powers = _chart_powers(curve, pid, N, tau)
-        exps = _CHART_EXPS[pid]
-        for col, e in enumerate(monos):
-            i, j = exps(e)
-            if i < tau:
-                A[row0 + i: row0 + tau, col] = powers[j, :tau - i]
-        row0 += tau
+    A = np.concatenate([_expansions(curve, pid, N, monos, max(z - d, 0))
+                        for pid, z, d in zip(POINT_IDS, zeros, D.coeffs())])
     return (alpha, beta, gamma), A, monos
 
 
@@ -270,12 +268,11 @@ def basis_L_oracle(curve: CurveSpec, D: ThreePointDivisor, *,
 
     The returned rows span a complement of F * (degree N-n-1 forms) inside
     the solution space of the vanishing conditions, so the corresponding
-    functions h/M are a basis of L(D).  When D.c <= 0 the denominator M is
-    a power of Z, so every basis function is defined at P3.
+    functions h/M are a basis of L(D).  M is the covering monomial that
+    dim_L_oracle uses for the same D.
     """
     field = curve.field
-    exps, A, monos = _condition_matrix(curve, D, 0, degree_cap,
-                                       z_only=D.c <= 0)
+    exps, A, monos = _condition_matrix(curve, D, 0, degree_cap)
     N = sum(exps)
     n = curve.n
     null = linalg.nullspace(field, A)
@@ -291,8 +288,7 @@ def basis_L_oracle(curve: CurveSpec, D: ThreePointDivisor, *,
     expect = len(null) - math.comb(max(N - n + 1, 0), 2)
     if len(basis_rows) != expect:
         raise OracleError("quotient basis size mismatch")
-    basis = np.array(basis_rows, dtype=null.dtype) if basis_rows else \
-        field.zeros((0, len(monos)))
+    basis = np.array(basis_rows, dtype=null.dtype).reshape(-1, len(monos))
     return RRSpace(divisor=D, dimension=len(basis_rows), denominator=exps,
                    monomials=monos, basis=basis)
 

@@ -1,10 +1,14 @@
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
+from test_riemann_roch import _divisor_constraint_ok
 
 from tripoint import codes, linalg
+from tripoint.cli import main
 from tripoint.codes import (BudgetError, CodesError, build_CL, build_COmega,
                             carvalho_torres_bound, curve_search,
                             evaluation_points, goppa_bound,
@@ -13,7 +17,8 @@ from tripoint.codes import (BudgetError, CodesError, build_CL, build_COmega,
                             predict_triple_params, verify_distance_floor)
 from tripoint.curves import CurveSpec, ProjectivePoint, eval_terms
 from tripoint.fields import make_field
-from tripoint.riemann_roch import ThreePointDivisor, dim_L_oracle
+from tripoint.riemann_roch import (ThreePointDivisor, basis_L_oracle,
+                                   dim_L_oracle, order_of_form)
 from tripoint.weierstrass import pure_gaps_pair, pure_gaps_triple
 
 
@@ -130,22 +135,108 @@ def test_build_CL_validation(c16):
 
 def test_build_CL_values_match_scalar_evaluation(c16):
     # E[r, i] = h_r(p_i) / M(p_i), with h_r and M evaluated one point at a
-    # time by eval_terms and divided with scalar Field arithmetic
+    # time by eval_terms and divided with scalar Field arithmetic.  At P3
+    # both vanish when M has an X or a Y; there the value c is the one
+    # with ord_P3(h_r - c*M) > ord_P3(M)
     f = c16.field
+    p3 = c16.fundamental_points()[2]
     cases = [predict_pair_params(4, 2, 1).G,       # the q16 design (2, 1)
+             predict_pair_params(4, 1, 2).G,       # (1, 2): M = X^2 Z^2
              ThreePointDivisor(12, 5, -3),          # G.c < 0: P3 is used
              ThreePointDivisor(4, 3, 5)]            # M is not a power of Z
     for G in cases:
         pts = evaluation_points(c16, G)
-        assert (c16.fundamental_points()[2] in pts) == (G.c <= 0)
+        assert (p3 in pts) == (G.c <= 0)
         E, rr = build_CL(c16, pts, G)
         assert E.shape == (rr.dimension, len(pts))
+        N = sum(rr.denominator)
         M = {rr.denominator: 1}
+        ord_M = order_of_form(c16, "P3", M, N)
         for r, row in enumerate(rr.basis):
             h = {e: int(c) for e, c in zip(rr.monomials, row) if c}
-            want = [f.div(eval_terms(f, h, p.coords),
-                          eval_terms(f, M, p.coords)) for p in pts]
-            assert [int(v) for v in E[r]] == want, (G, r)
+            for p, got in zip(pts, E[r]):
+                if p != p3:
+                    assert int(got) == f.div(eval_terms(f, h, p.coords),
+                                             eval_terms(f, M, p.coords))
+                    continue
+                rest = dict(h)
+                rest[rr.denominator] = f.sub(h.get(rr.denominator, 0),
+                                             int(got))
+                o = order_of_form(c16, "P3", rest, N)
+                assert o is None or o > ord_M, (G, r)
+
+
+# SHA-256 of json.dumps(parity_check.tolist()) for pair designs whose
+# covering monomial of G is not a power of Z; recorded when basis_L_oracle
+# still covered G.c <= 0 by Z^gamma, so the row space must not have moved
+_PINNED_PARITY = {
+    ("q16-n4", (1, 1)): ((1, 37), "a545a71ae741a7f9e12fd73852921d7a"
+                                  "eca4112c7cedea458c490d2c0f656b42"),
+    ("q16-n4", (1, 2)): ((6, 37), "7c448962b8f92aa18d46f187742a58bf"
+                                  "1a74a87a9391222851da3f4927fd2e80"),
+    ("q8-n5", (1, 3)): ((14, 22), "1bd25bf5083cb5bddc05947e9c929a76"
+                                  "1e8a0b66d0f2230889a7056ae3e97bcd"),
+    ("q8-n5", (2, 2)): ((16, 22), "821c53a4a0423a6956b6d5b4ce3a7fb1"
+                                  "d9f1957cc08c7f53dcb6442c258f826b"),
+}
+
+
+def test_parity_check_pinned_where_cover_has_x_or_y(c16):
+    curves = {"q16-n4": c16, "q8-n5": CurveSpec(make_field(2, 3), 5)}
+    for (name, design), (shape, digest) in _PINNED_PARITY.items():
+        curve = curves[name]
+        spec = predict_pair_params(curve.n, *design)
+        H = build_COmega(curve, evaluation_points(curve, spec.G),
+                         spec.G).parity_check
+        got = hashlib.sha256(json.dumps(H.tolist()).encode()).hexdigest()
+        assert (H.shape, got) == (shape, digest), (name, design)
+
+
+def _box_designs(n):
+    pairs = [(i, j) for i in range(1, n) for j in range(1, n - i)]
+    triples = [(i, j, k) for i in range(n - 2) for j in range(n - 2 - i)
+               for k in range(n - 2 - i - j)]
+    return ([predict_pair_params(n, *d) for d in pairs]
+            + [predict_triple_params(n, *d) for d in triples])
+
+
+@pytest.mark.parametrize("name, n", [("q8-n3", 3), ("q16-n4", 4),
+                                     ("q27-n4", 4)])
+def test_every_box_design_builds(name, n, klein, c16, c27):
+    # hypotheses met or not: the dual code exists and H G^T = 0
+    curve = {"q8-n3": klein, "q16-n4": c16, "q27-n4": c27}[name]
+    specs = _box_designs(n)
+    assert len(specs) == {3: 2, 4: 7}[n]
+    for spec in specs:
+        pts = evaluation_points(curve, spec.G)
+        rep = build_COmega(curve, pts, spec.G, boxes=spec.boxes)
+        assert rep.parity_check.shape[1] == len(pts) == rep.length
+        assert rep.generator.shape == (rep.dimension, rep.length)
+        assert not _fmm(curve.field, rep.parity_check,
+                        np.ascontiguousarray(rep.generator.T)).any(), spec
+
+
+@pytest.mark.parametrize("design, cover", [((1, 5), (9, 0, 1)),
+                                           ((1, 6), (10, 0, 2)),
+                                           ((2, 5), (8, 0, 4))])
+def test_n8_designs_build(design, cover, tmp_path, capsys):
+    # a pure power of Z would cover these G with forms of degree 67-82,
+    # beyond DEGREE_CAP; the smallest cover has degree 10 or 12
+    curve = CurveSpec(make_field(2, 3), 8)
+    spec = predict_pair_params(8, *design)
+    space = basis_L_oracle(curve, spec.G)
+    assert space.dimension == dim_L_oracle(curve, spec.G)
+    assert space.denominator == cover
+    assert _divisor_constraint_ok(curve, space)
+    rep = build_COmega(curve, evaluation_points(curve, spec.G), spec.G)
+    assert not _fmm(curve.field, rep.parity_check,
+                    np.ascontiguousarray(rep.generator.T)).any()
+    path = tmp_path / "q8-n8.json"
+    path.write_text(json.dumps(curve.to_json()))
+    assert main(["code", "--curve", str(path),
+                 "--design", ",".join(map(str, design))]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["length"] == \
+        rep.length
 
 
 def test_q16_code_report(c16):
