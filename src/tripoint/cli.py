@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from itertools import islice
 
 import numpy as np
 
@@ -76,6 +77,8 @@ def _count(text: str) -> int:
             f"got {text!r}")
     return value
 
+
+FORMATS = ("json", "csv")
 
 # Real defaults live here, not in argparse: every option parses to None when
 # absent so that config-file values can slot in underneath explicit flags.
@@ -139,6 +142,17 @@ def _resolve(args: argparse.Namespace) -> dict:
         unknown = set(conf) - set(DEFAULTS)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        # config values get the checks their flags get
+        if conf.get("format") not in (None, *FORMATS):
+            raise UsageError(f"config file {args.config}: format must be "
+                             f"one of {FORMATS}, got {conf['format']!r}")
+        for key in ("budget", "limit"):
+            if conf.get(key) is not None:
+                try:
+                    conf[key] = _count(str(conf[key]))
+                except argparse.ArgumentTypeError as exc:
+                    raise UsageError(f"config file {args.config}: "
+                                     f"{key}: {exc}")
     cfg = {"command": args.command}
     for key, ns_val in vars(args).items():
         if key in ("command", "func"):
@@ -469,7 +483,6 @@ def cmd_search(cfg: dict):
     field = make_field(p, k)
     floor = cfg["min_points"]
     predicate = None if floor is None else (lambda c: c >= int(floor))
-    limit = None if cfg["limit"] is None else int(cfg["limit"])
     sample = None if cfg["sample"] is None else int(cfg["sample"])
     seed = int(cfg["seed"])
     header = _envelope(cfg, {"note": "JSON-lines follow, one per match"})
@@ -480,12 +493,11 @@ def cmd_search(cfg: dict):
     try:
         if cfg["format"] != "csv":
             sink.write(json.dumps(header, default=_jsonable) + "\n")
-        found = 0
-        for hit in curve_search(field, n, predicate=predicate,
-                                probe_ext=int(cfg["probe_ext"]),
-                                sample=sample, seed=seed):
-            if hit["singular"] and not cfg["keep_singular"]:
-                continue
+        hits = (hit for hit in curve_search(field, n, predicate=predicate,
+                                            probe_ext=int(cfg["probe_ext"]),
+                                            sample=sample, seed=seed)
+                if cfg["keep_singular"] or not hit["singular"])
+        for hit in islice(hits, cfg["limit"]):
             record = {
                 "spec": hit["curve"].to_json(),
                 "points": len(hit["points"]),
@@ -498,9 +510,6 @@ def cmd_search(cfg: dict):
                 rows.append(record)
             else:
                 sink.write(json.dumps(record, default=_jsonable) + "\n")
-            found += 1
-            if limit is not None and found >= limit:
-                break
         if cfg["format"] == "csv":
             sink.write(_csv_text(rows))
     finally:
@@ -552,16 +561,11 @@ def _reproduce_counts() -> list:
     for q in (2, 3, 4):
         formula = hurwitz_count(q)
         n = q + 1
-        enumerated = None
-        if q ** 3 <= 1 << 12:
-            ext = make_field(*_parse_prime_power(q ** 3))
-            curve = CurveSpec(ext, n)
-            enumerated = len(curve.rational_points())
-        exact = enumerated == formula if enumerated is not None else None
+        ext = make_field(*_parse_prime_power(q ** 3))
+        enumerated = len(CurveSpec(ext, n).rational_points())
         out.append({
             "row": f"hurwitz-q{q}",
-            "tag": ("formula-only" if enumerated is None
-                    else "reproduced-exact" if exact else "mismatch"),
+            "tag": "reproduced-exact" if enumerated == formula else "mismatch",
             "note": f"n = {n} member over GF({q ** 3})",
             "got_points": enumerated, "want_points": formula,
         })
@@ -648,7 +652,7 @@ def cmd_verify(cfg: dict):
 def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the report here instead of stdout")
-    common.add_argument("--format", choices=("json", "csv"))
+    common.add_argument("--format", choices=FORMATS)
     common.add_argument("--seed", type=int)
     common.add_argument("--jobs", type=int)
     common.add_argument("--budget", type=_count,
@@ -712,7 +716,8 @@ def build_parser() -> _Parser:
     p.add_argument("--sample", type=int,
                    help="random draws when the space is too big to exhaust")
     p.add_argument("--probe-ext", type=int)
-    p.add_argument("--limit", type=int, help="stop after this many matches")
+    p.add_argument("--limit", type=_count,
+                   help="stop after this many matches")
     p.add_argument("--keep-singular", action="store_true", default=None)
     p.set_defaults(func=cmd_search)
 

@@ -177,8 +177,9 @@ def build_CL(curve: CurveSpec, points: list, G: ThreePointDivisor):
 
     Points must avoid P1 and P2 (both lie on Z = 0) and may include P3
     only when G.c <= 0, so that each basis function h / M is defined at
-    every point.  At P3 a monomial's value is the coefficient of t^ord(M),
-    ord_P3(M) = n*beta + alpha, in its chart expansion there.
+    every point.  The standard monomials and M are evaluated as forms, and
+    E = basis * V / M.  At P3 a monomial's value is the coefficient of
+    t^ord(M), ord_P3(M) = n*beta + alpha, in its chart expansion there.
     """
     field = curve.field
     rr = basis_L_oracle(curve, G)
@@ -194,7 +195,9 @@ def build_CL(curve: CurveSpec, points: list, G: ThreePointDivisor):
                              "have a pole there (G has positive P3 part)")
         coords.append(p.coords)
     m = len(coords)
-    forms = [curve.F_terms, *({e: 1} for e in rr.monomials)]
+    # the denominator M may be non-standard, so it is one more form
+    monos = [*rr.monomials, rr.denominator]
+    forms = [curve.F_terms, *({e: 1} for e in monos)]
     values = _eval_forms(field, forms, *field.array(coords).reshape(m, 3).T)
     off = np.nonzero(next(values))[0]
     if off.size:
@@ -203,23 +206,17 @@ def build_CL(curve: CurveSpec, points: list, G: ThreePointDivisor):
     if p3 in coords:
         alpha, beta, _ = rr.denominator
         V[:, [c == p3 for c in coords]] = _expansions(
-            curve, "P3", sum(rr.denominator), rr.monomials,
+            curve, "P3", sum(rr.denominator), monos,
             curve.n * beta + alpha + 1)[-1:].T
-    # the denominator M is itself one of the degree-N monomials
-    denom = V[rr.monomials.index(rr.denominator)]
+    denom = V[-1]
     if np.any(denom == 0):
         raise CodesError("zero denominator at an evaluation point")
-    scale = field.vinv(denom)
 
+    T = field.tables()
     E = field.zeros((rr.dimension, m))
-    for r in range(rr.dimension):
-        acc = field.zeros(m)
-        brow = rr.basis[r]
-        for col in np.nonzero(brow)[0]:
-            acc = field.vadd(acc, field.vmul(field.array(int(brow[col])),
-                                             V[col]))
-        E[r] = field.vmul(acc, scale)
-    return E, rr
+    for col, row in enumerate(V[:-1]):
+        E = T.submul(E, T.NEG[rr.basis[:, col, None]], row)
+    return field.vmul(E, field.vinv(denom)), rr
 
 
 @dataclass

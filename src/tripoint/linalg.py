@@ -129,42 +129,3 @@ def nullspace(field: Field, mat: np.ndarray) -> np.ndarray:
     basis[:, pivots] = field.tables().NEG[R[:len(pivots), free]].T
     return basis
 
-
-class IncrementalBasis:
-    """Maintains an RREF of accepted rows; used to lift quotient bases.
-
-    add(row) returns True when the row enlarged the span (and was kept).
-    """
-
-    def __init__(self, field: Field, width: int):
-        self.field = field
-        self.width = width
-        self.rows = []      # reduced rows
-        self.pivots = []    # pivot column per reduced row
-
-    def reduce(self, row: np.ndarray) -> np.ndarray:
-        T = self.field.tables()
-        v = self.field.array(row).copy()
-        for r, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c:
-                v = T.submul(v, c, r)
-        return v
-
-    def add(self, row: np.ndarray) -> bool:
-        field = self.field
-        v = self.reduce(row)
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            return False
-        p = int(nz[0])
-        c = int(v[p])
-        if c != 1:
-            v = field.vmul(field.vinv(c), v)
-        self.rows.append(v)
-        self.pivots.append(p)
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)

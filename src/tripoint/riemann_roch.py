@@ -16,11 +16,17 @@ form, by exact linear algebra over the base field:
     such sections are cut by degree-N forms.  So any covering N works, and
     a larger one (`n_extra`) gives an independent cross-check.
 
-3.  Count.  Each vanishing condition is one coefficient of the Newton
-    expansion of h along a branch, linear in the form coefficients.  Forms
-    divisible by the curve equation F are exactly the kernel of h -> h/M:
+3.  Count modulo F.  F's leading monomial in lex order (X > Y > Z) is
+    X^n Z with coefficient 1, so {F} is a Groebner basis and the degree-N
+    monomials not divisible by X^n Z (the standard monomials) are a basis
+    of the degree-N forms modulo F (Macaulay's basis theorem).  Forms are
+    written over the standard monomials only.  Each vanishing condition is
+    one coefficient of the Newton expansion of h along a branch, linear in
+    the form coefficients, so
 
-        ell(D) = (#monomials - rank of conditions) - C(N-n+1, 2).
+        ell(D) = #standard monomials - rank of conditions,
+
+    and the null space of the conditions is a basis of L(D).
 
 In the chart at a point (series._CHART_EXPS) a monomial restricts to
 t^i * w(t)^j, a shifted row of cached powers of the solved chart coordinate
@@ -32,7 +38,6 @@ expansion over that in M's (`codes.build_CL`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,7 +116,8 @@ class RRSpace:
 
     Basis functions are h / (X^alpha Y^beta Z^gamma) with (alpha, beta,
     gamma) = `denominator` and h the form of degree alpha + beta + gamma
-    whose coefficients (over `monomials`) are stored per basis row.
+    whose coefficients (over `monomials`, the standard monomials of that
+    degree: none divisible by X^n Z) are stored per basis row.
     """
     divisor: ThreePointDivisor
     dimension: int
@@ -194,9 +200,10 @@ def order_of_form(curve: CurveSpec, point_id: str, form: dict,
     field = curve.field
     length = (curve.n + 1) * degree + 1
     rows = _expansions(curve, point_id, degree, list(form), length)
+    T = field.tables()
     acc = field.zeros(length)
     for col, c in enumerate(form.values()):
-        acc = field.vadd(acc, field.vmul(field.array(int(c)), rows[:, col]))
+        acc = T.submul(acc, T.NEG[int(c)], rows[:, col])
     nz = np.flatnonzero(acc)
     return int(nz[0]) if nz.size else None
 
@@ -218,10 +225,11 @@ def _covering_exponents(n: int, D: ThreePointDivisor) -> tuple:
 
 def _condition_matrix(curve: CurveSpec, D: ThreePointDivisor, n_extra: int,
                       degree_cap: int):
-    """Covering exponents, stacked vanishing conditions and the monomials.
+    """Covering exponents, stacked vanishing conditions and the standard
+    monomials of degree N (those not divisible by X^n Z).
 
     Block k holds coefficients 0..tau_k-1, tau_k = ord_Pk(M) - D_k, of the
-    expansion at P_k of each degree-N monomial (`_expansions`).
+    expansion at P_k of each standard monomial (`_expansions`).
     """
     n = curve.n
     alpha, beta, gamma = _covering_exponents(n, D)
@@ -231,7 +239,7 @@ def _condition_matrix(curve: CurveSpec, D: ThreePointDivisor, n_extra: int,
         raise OracleError(
             f"form degree {N} for {D!r} exceeds the cap {degree_cap}")
     zeros = (beta + n * gamma, n * alpha + gamma, n * beta + alpha)
-    monos = monomials_of_degree(N)
+    monos = [e for e in monomials_of_degree(N) if e[0] < n or e[2] == 0]
     A = np.concatenate([_expansions(curve, pid, N, monos, max(z - d, 0))
                         for pid, z, d in zip(POINT_IDS, zeros, D.coeffs())])
     return (alpha, beta, gamma), A, monos
@@ -251,12 +259,8 @@ def dim_L_oracle(curve: CurveSpec, D: ThreePointDivisor, *, n_extra: int = 0,
         got = curve._cache.setdefault("ell", {}).get(key)
         if got is not None:
             return got
-    exps, A, monos = _condition_matrix(curve, D, n_extra, degree_cap)
-    N = sum(exps)
-    dim = (len(monos) - linalg.rank(curve.field, A)
-           - math.comb(max(N - curve.n + 1, 0), 2))
-    if dim < 0:
-        raise OracleError(f"negative dimension computed for {D!r}")
+    _, A, monos = _condition_matrix(curve, D, n_extra, degree_cap)
+    dim = len(monos) - linalg.rank(curve.field, A)
     if memo and n_extra == 0:
         curve._cache["ell"][key] = dim
     return dim
@@ -264,32 +268,14 @@ def dim_L_oracle(curve: CurveSpec, D: ThreePointDivisor, *, n_extra: int = 0,
 
 def basis_L_oracle(curve: CurveSpec, D: ThreePointDivisor, *,
                    degree_cap: int = DEGREE_CAP) -> RRSpace:
-    """Explicit basis of L(D): forms modulo multiples of the curve equation.
-
-    The returned rows span a complement of F * (degree N-n-1 forms) inside
-    the solution space of the vanishing conditions, so the corresponding
-    functions h/M are a basis of L(D).  M is the covering monomial that
-    dim_L_oracle uses for the same D.
+    """Explicit basis of L(D): the null space of the vanishing conditions
+    over the standard monomials, so the functions h/M of its rows are a
+    basis of L(D).  M is the covering monomial that dim_L_oracle uses for
+    the same D.
     """
-    field = curve.field
     exps, A, monos = _condition_matrix(curve, D, 0, degree_cap)
-    N = sum(exps)
-    n = curve.n
-    null = linalg.nullspace(field, A)
-    col_of = {e: i for i, e in enumerate(monos)}
-    inc = linalg.IncrementalBasis(field, len(monos))
-    for mu in monomials_of_degree(N - n - 1):
-        row = field.zeros(len(monos))
-        for e, c in curve.F_terms.items():
-            row[col_of[(e[0] + mu[0], e[1] + mu[1], e[2] + mu[2])]] = c
-        if not inc.add(row):
-            raise OracleError("multiples of the curve equation are dependent")
-    basis_rows = [row for row in null if inc.add(row)]
-    expect = len(null) - math.comb(max(N - n + 1, 0), 2)
-    if len(basis_rows) != expect:
-        raise OracleError("quotient basis size mismatch")
-    basis = np.array(basis_rows, dtype=null.dtype).reshape(-1, len(monos))
-    return RRSpace(divisor=D, dimension=len(basis_rows), denominator=exps,
+    basis = linalg.nullspace(curve.field, A)
+    return RRSpace(divisor=D, dimension=len(basis), denominator=exps,
                    monomials=monos, basis=basis)
 
 

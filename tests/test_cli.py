@@ -360,6 +360,15 @@ def test_config_file_precedence(capsys, tmp_path):
     conf.write_text(json.dumps({"bogus_key": 1}))
     code, _, err = run(capsys, "gaps", "--n", "3", "--config", str(conf))
     assert code == 1 and "unknown config keys" in err
+    # config values get the checks of their flags
+    for bad in ({"format": "xml"}, {"budget": -5}, {"budget": 2.5},
+                {"limit": -1}):
+        conf.write_text(json.dumps(bad))
+        code, out, err = run(capsys, "gaps", "--n", "3", "--config", str(conf))
+        assert code == 1 and out == "" and "usage error" in err, bad
+    conf.write_text(json.dumps({"budget": "1e7"}))
+    code, doc, _ = run_json(capsys, "gaps", "--n", "3", "--config", str(conf))
+    assert code == 0 and doc["config"]["budget"] == 10_000_000
 
 
 def test_deterministic_output(capsys):
@@ -387,3 +396,9 @@ def test_search_json_lines(capsys):
     lines = out.strip().splitlines()
     assert len(lines) - 1 <= 2
     assert all(json.loads(l)["points"] >= 7 for l in lines[1:])
+    code, out, _ = run(capsys, "search", "--q", "2", "--n", "3",
+                       "--keep-singular", "--limit", "0")
+    assert code == 0 and len(out.strip().splitlines()) == 1    # header only
+    code, out, err = run(capsys, "search", "--q", "2", "--n", "3",
+                         "--keep-singular", "--limit", "-1")
+    assert code == 1 and out == "" and "--limit" in err

@@ -77,18 +77,6 @@ def test_nullspace_of_full_rank():
     assert linalg.nullspace(f, M).shape[0] == 0
 
 
-def test_incremental_basis():
-    f = make_field(2, 3)
-    rng = np.random.default_rng(4)
-    M = random_matrix(f, rng, 12, 6)
-    inc = linalg.IncrementalBasis(f, 6)
-    grew = sum(bool(inc.add(row)) for row in M)
-    assert grew == linalg.rank(f, M)
-    # adding anything in the span cannot grow the rank further
-    assert not inc.add(M[0])
-    assert not inc.add(f.vadd(M[1], M[2]))
-
-
 def test_zero_and_empty():
     f = make_field(5)
     Z = f.zeros((3, 4))
@@ -139,24 +127,6 @@ def scalar_nullspace(field, M):
     return basis
 
 
-def scalar_incremental(field, rows):
-    """(kept, reduced rows, pivots) of IncrementalBasis.add, row by row."""
-    kept, basis, pivots = [], [], []
-    for row in rows:
-        v = [int(x) for x in row]
-        for b, p in zip(basis, pivots):
-            c = v[p]
-            if c:
-                v = [field.sub(a, field.mul(c, y)) for a, y in zip(v, b)]
-        nz = [i for i, x in enumerate(v) if x]
-        kept.append(bool(nz))
-        if nz:
-            s = field.inv(v[nz[0]])
-            basis.append([field.mul(s, x) for x in v])
-            pivots.append(nz[0])
-    return kept, basis, pivots
-
-
 def _test_matrices(field, rng):
     """Tall, wide, 1 x n and n x 1; random, rank-deficient, and with
     pivots equal to 1 and not equal to 1."""
@@ -204,14 +174,6 @@ def test_elimination_matches_scalar_reference(p, k):
         N = linalg.nullspace(f, M)
         N0 = scalar_nullspace(f, M)
         assert N.dtype == N0.dtype and np.array_equal(N, N0), M
-        kept0, basis0, pivots0 = scalar_incremental(f, M)
-        inc = linalg.IncrementalBasis(f, M.shape[1])
-        assert [inc.add(row) for row in M] == kept0
-        assert inc.pivots == pivots0
-        assert [list(map(int, v)) for v in inc.rows] == basis0
-        # a reduced row has zeros at every pivot column
-        v = inc.reduce(random_matrix(f, rng, 1, M.shape[1])[0])
-        assert not v[inc.pivots].any()
 
 
 @pytest.mark.parametrize("p, k", [(3, 3), (2, 4)])

@@ -1,15 +1,21 @@
+from math import comb
+
 import numpy as np
 import pytest
 
+from tripoint import linalg
 from tripoint.claims import FAMILIES, dimension_claims
-from tripoint.riemann_roch import (DEGREE_CAP, Md_divisor, Nd_divisor,
+from tripoint.curves import CurveSpec
+from tripoint.fields import make_field
+from tripoint.riemann_roch import (DEGREE_CAP, POINT_IDS, Md_divisor, Nd_divisor,
                                    OracleError, SHIFT_VARIANTS, Sd_divisor,
                                    ThreePointDivisor, basis_L_oracle,
                                    canonical_divisor, dim_L_oracle, dim_Md_Nd,
                                    dim_mP_formula, dim_Sd, dim_Sd_plus_e,
                                    dim_shifted_formula, divisor_of_x,
-                                   divisor_of_y, order_of_form,
-                                   shifted_divisor)
+                                   divisor_of_y, monomials_of_degree,
+                                   order_of_form, shifted_divisor,
+                                   _covering_exponents, _expansions)
 
 P1, P2, P3 = (ThreePointDivisor(1, 0, 0), ThreePointDivisor(0, 1, 0),
               ThreePointDivisor(0, 0, 1))
@@ -217,3 +223,72 @@ def test_basis_oracle(klein, c16):
     js = space.to_json()
     assert js["dimension"] == space.dimension
     assert len(js["basis"]) == space.dimension
+
+
+# ---------------------------------------------------------------------------
+# forms modulo the curve equation: standard monomials against the quotient
+# of all degree-N forms by the multiples of F
+# ---------------------------------------------------------------------------
+
+def _seeded_divisors(curve, count, seed):
+    rng = np.random.default_rng(seed)
+    g = curve.genus
+    return [ThreePointDivisor(*(int(v) for v in rng.integers(-g, 2 * g + 1, 3)))
+            for _ in range(count)]
+
+
+def _all_forms_count(curve, D, n_extra):
+    """ell(D) over every degree-N monomial, F-multiples subtracted:
+    C(N+2, 2) - rank(conditions) - C(N-n+1, 2)."""
+    n = curve.n
+    alpha, beta, gamma = _covering_exponents(n, D)
+    gamma += n_extra
+    N = alpha + beta + gamma
+    zeros = (beta + n * gamma, n * alpha + gamma, n * beta + alpha)
+    monos = monomials_of_degree(N)
+    A = np.concatenate([_expansions(curve, pid, N, monos, max(z - d, 0))
+                        for pid, z, d in zip(POINT_IDS, zeros, D.coeffs())])
+    return (comb(N + 2, 2) - linalg.rank(curve.field, A)
+            - comb(max(N - n + 1, 0), 2))
+
+
+def _quotient_curves(klein, c16, c27, record):
+    gf8 = make_field(2, 3)
+    return [klein, c16, c27, record] + [CurveSpec(gf8, n) for n in (6, 7, 8)]
+
+
+def test_standard_monomials_match_all_forms_count(klein, c16, c27, record):
+    for seed, curve in enumerate(_quotient_curves(klein, c16, c27, record)):
+        for D in _seeded_divisors(curve, 12, seed):
+            if D.degree < 0:
+                continue
+            for n_extra in (0, 1, 2):
+                assert dim_L_oracle(curve, D, n_extra=n_extra, memo=False) \
+                    == _all_forms_count(curve, D, n_extra), (curve, D, n_extra)
+
+
+def test_basis_is_over_standard_monomials(klein, c16, c27, record):
+    checked = 0
+    for seed, curve in enumerate(_quotient_curves(klein, c16, c27, record)):
+        n = curve.n
+        for D in _seeded_divisors(curve, 8, seed):
+            space = basis_L_oracle(curve, D)
+            N = sum(space.denominator)
+            quotient = comb(max(N - n + 1, 0), 2)
+            assert len(space.monomials) == comb(N + 2, 2) - quotient
+            assert not any(e[0] >= n and e[2] >= 1 for e in space.monomials)
+            # independent modulo F: stacked with every F-multiple of degree
+            # N, the basis adds exactly its own dimension to the rank
+            full = monomials_of_degree(N)
+            col = {e: i for i, e in enumerate(full)}
+            rows = curve.field.zeros((space.dimension + quotient, len(full)))
+            rows[:space.dimension, [col[e] for e in space.monomials]] = \
+                space.basis
+            for r, mu in enumerate(monomials_of_degree(N - n - 1),
+                                   space.dimension):
+                for e, c in curve.F_terms.items():
+                    rows[r, col[(e[0] + mu[0], e[1] + mu[1], e[2] + mu[2])]] = c
+            assert linalg.rank(curve.field, rows) == \
+                space.dimension + quotient, (curve, D)
+            checked += quotient > 0
+    assert checked
