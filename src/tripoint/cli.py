@@ -78,6 +78,14 @@ def _count(text: str) -> int:
     return value
 
 
+def _positive(text: str) -> int:
+    """A positive integer, such as a worker count."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 FORMATS = ("json", "csv")
 
 # Real defaults live here, not in argparse: every option parses to None when
@@ -127,6 +135,21 @@ def _need_n(cfg: dict) -> int:
     return n
 
 
+def _config_value(action: argparse.Action, value):
+    """A config-file value checked and converted as its flag's value."""
+    if action.nargs == 0 and not isinstance(value, bool):     # store_true
+        raise UsageError(f"must be true or false, got {value!r}")
+    if action.type is not None:
+        try:
+            value = action.type(str(value))
+        except (argparse.ArgumentTypeError, ValueError) as exc:
+            raise UsageError(str(exc))
+    if action.choices is not None and value not in action.choices:
+        raise UsageError(f"invalid choice: {value!r} (choose from "
+                         f"{', '.join(map(repr, action.choices))})")
+    return value
+
+
 def _resolve(args: argparse.Namespace) -> dict:
     """Merge precedence: explicit flag > config file > DEFAULTS."""
     conf = {}
@@ -143,19 +166,16 @@ def _resolve(args: argparse.Namespace) -> dict:
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         # config values get the checks their flags get
-        if conf.get("format") not in (None, *FORMATS):
-            raise UsageError(f"config file {args.config}: format must be "
-                             f"one of {FORMATS}, got {conf['format']!r}")
-        for key in ("budget", "limit"):
-            if conf.get(key) is not None:
+        for key, value in conf.items():
+            if value is not None:
                 try:
-                    conf[key] = _count(str(conf[key]))
-                except argparse.ArgumentTypeError as exc:
+                    conf[key] = _config_value(args.actions[key], value)
+                except UsageError as exc:
                     raise UsageError(f"config file {args.config}: "
                                      f"{key}: {exc}")
     cfg = {"command": args.command}
     for key, ns_val in vars(args).items():
-        if key in ("command", "func"):
+        if key in ("command", "func", "actions"):
             continue
         if ns_val is None:
             ns_val = conf.get(key, DEFAULTS.get(key))
@@ -654,7 +674,7 @@ def build_parser() -> _Parser:
     common.add_argument("--out", help="write the report here instead of stdout")
     common.add_argument("--format", choices=FORMATS)
     common.add_argument("--seed", type=int)
-    common.add_argument("--jobs", type=int)
+    common.add_argument("--jobs", type=_positive)
     common.add_argument("--budget", type=_count,
                         help="max column subsets C(m, w) per certification, "
                              "an integer such as 10000000 or 1e7")
@@ -733,6 +753,9 @@ def build_parser() -> _Parser:
     p.add_argument("--inject-bug", action="store_true", default=None,
                    help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
+    # config-file values are checked by the actions of their flags
+    parser.set_defaults(actions={a.dest: a for p in sub.choices.values()
+                                 for a in p._actions})
     return parser
 
 

@@ -144,8 +144,8 @@ def _reduction_rows(p: int, k: int, modulus) -> list:
 class _Tables:
     """Dense op tables for one field.  Built lazily, at most once per Field."""
 
-    __slots__ = ("q", "char2", "MUL", "ADD", "NEG", "NMUL", "INV", "EXP",
-                 "LOG")
+    __slots__ = ("q", "p", "char2", "MUL", "ADD", "NEG", "NMUL", "INV", "EXP",
+                 "LOG", "DIGITS", "PLACE")
 
     def __init__(self, field: "Field"):
         q, p, k = field.q, field.p, field.k
@@ -153,6 +153,7 @@ class _Tables:
             raise FieldError(
                 f"bulk table arithmetic unsupported for q={q} > {TABLE_LIMIT}")
         self.q = q
+        self.p = p
         self.char2 = p == 2
 
         gen = field._find_generator()
@@ -182,16 +183,16 @@ class _Tables:
         self.INV = inv
 
         if self.char2:
-            self.ADD = None
+            self.ADD = self.DIGITS = self.PLACE = None
             self.NEG = np.arange(q, dtype=CODE_DTYPE)
         else:
-            # one base-p digit at a time: digit sums stay below 2p
-            codes = np.arange(q, dtype=CODE_DTYPE)
+            self.PLACE = p ** np.arange(k)
+            self.DIGITS = (np.arange(q)[:, None] // self.PLACE % p).astype(
+                CODE_DTYPE)
             self.ADD = np.zeros((q, q), dtype=CODE_DTYPE)
             self.NEG = np.zeros(q, dtype=CODE_DTYPE)
-            for j in range(k):
-                place = p ** j
-                d = codes // place % p
+            # one base-p digit at a time: digit sums stay below 2p
+            for d, place in zip(self.DIGITS.T, self.PLACE.tolist()):
                 dsum = np.add.outer(d, d)
                 np.subtract(dsum, p, out=dsum, where=dsum >= p)
                 dsum *= place
@@ -205,11 +206,6 @@ class _Tables:
         if self.char2:
             return np.bitwise_xor(a, b)
         return self.ADD[a, b]
-
-    def sub(self, a, b):
-        if self.char2:
-            return np.bitwise_xor(a, b)
-        return self.ADD[a, self.NEG[b]]
 
     def mul(self, a, b):
         return self.MUL[a, b]
@@ -226,6 +222,15 @@ class _Tables:
         if self.char2:
             return np.bitwise_xor(a, t)
         return self.ADD.ravel().take(np.multiply(a, q, dtype=np.intp) + t)
+
+    def sum(self, x, axis):
+        """Field sum of x along one axis: an XOR reduce in characteristic 2,
+        otherwise the base-p digits of the codes summed mod p."""
+        if self.char2:
+            return np.bitwise_xor.reduce(x, axis=axis)
+        x = np.asarray(x)
+        digits = self.DIGITS[x].sum(axis=axis % x.ndim, dtype=np.int64)
+        return (digits % self.p @ self.PLACE).astype(CODE_DTYPE)
 
     def neg(self, a):
         if self.char2:
@@ -432,9 +437,6 @@ class Field:
 
     def vadd(self, a, b):
         return self.tables().add(a, b)
-
-    def vsub(self, a, b):
-        return self.tables().sub(a, b)
 
     def vmul(self, a, b):
         return self.tables().mul(a, b)

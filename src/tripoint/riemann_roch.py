@@ -21,19 +21,20 @@ form, by exact linear algebra over the base field:
     monomials not divisible by X^n Z (the standard monomials) are a basis
     of the degree-N forms modulo F (Macaulay's basis theorem).  Forms are
     written over the standard monomials only.  Each vanishing condition is
-    one coefficient of the Newton expansion of h along a branch, linear in
-    the form coefficients, so
+    one coefficient of the expansion of h along a branch, linear in the
+    form coefficients, so
 
         ell(D) = #standard monomials - rank of conditions,
 
     and the null space of the conditions is a basis of L(D).
 
 In the chart at a point (series._CHART_EXPS) a monomial restricts to
-t^i * w(t)^j, a shifted row of cached powers of the solved chart coordinate
-w (`_chart_powers`).  `_expansions` is the one expansion path: condition
-rows, the order of a single form (`order_of_form`), and h/M at P3 when
-D.c <= 0: the coefficient of t^ord(M), ord_P3(M) = n*beta + alpha, in h's
-expansion over that in M's (`codes.build_CL`).
+t^i * w(t)^j, a shifted row of the powers of the chart coordinate w.  The
+powers come from one order-by-order recurrence (series.chart_powers) and are
+cached per point (`_chart_powers`).  `_expansions` is the one expansion
+path: condition rows, the order of a single form (`order_of_form`), and h/M
+at P3 when D.c <= 0: the coefficient of t^ord(M), ord_P3(M) = n*beta +
+alpha, in h's expansion over that in M's (`codes.build_CL`).
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ import numpy as np
 
 from . import linalg
 from .curves import CurveSpec
-from .series import _CHART_EXPS, POINT_IDS, conv_trunc, solve_chart
+# solve_chart is unused here; benchmarks/tracing.py patches it on this module
+from .series import _CHART_EXPS, POINT_IDS, chart_powers, solve_chart
 
 __all__ = [
     "ThreePointDivisor", "RRSpace", "OracleError",
@@ -147,7 +149,7 @@ def monomials_of_degree(N: int) -> list:
 
 def _chart_powers(curve: CurveSpec, point_id: str, maxdeg: int, prec: int):
     """Matrix whose row j <= maxdeg holds the first `prec` coefficients of
-    w(t)^j, w the solved chart coordinate at the point.
+    w(t)^j, w the solved chart coordinate at the point (series.chart_powers).
 
     Cached per curve and point; a cache that is too small grows
     geometrically, which keeps long dimension sweeps cheap.
@@ -157,12 +159,8 @@ def _chart_powers(curve: CurveSpec, point_id: str, maxdeg: int, prec: int):
         if mat is not None:
             maxdeg = max(maxdeg, mat.shape[0] + 3)
             prec = max(prec, (mat.shape[1] * 3) // 2)
-        field = curve.field
-        w = solve_chart(field, curve.chart_poly(point_id), prec)
-        mat = field.zeros((maxdeg + 1, prec))
-        mat[0, 0] = 1
-        for j in range(1, maxdeg + 1):
-            mat[j] = conv_trunc(field, mat[j - 1], w, prec)
+        mat = chart_powers(curve.field, curve.chart_poly(point_id), maxdeg,
+                           prec)
         curve._cache[("powers", point_id)] = mat
     return mat
 

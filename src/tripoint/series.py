@@ -5,12 +5,18 @@ equation has the shape
 
     w + t^n + t*w^n + t*w*(...) = 0
 
-so dP/dw(0,0) = 1.  solve_chart finds the branch w(t) = -t^n + higher order
-by Newton iteration with doubling precision and never needs a pivot
-choice.  Coefficient arrays are plain numpy vectors of field codes, low
-order first; conv_trunc and series_inverse are the truncated product and
-inverse on them.  Riemann-Roch and vanishing orders are built on these in
-riemann_roch.py.
+so every term but w itself carries a power of t.  Write W_j[k] for the t^k
+coefficient of w(t)^j and c_ab for the coefficient of t^a w^b.  The t^k
+coefficient of the equation and the product w^j = w * w^(j-1) give
+
+    w_k = W_1[k] = -sum c_ab * W_b[k - a]        over the terms with a >= 1,
+    W_j[k] = sum_{i=1..k} w_i * W_(j-1)[k - i]   for j >= 2,
+
+so column k of the powers comes from the columns before it, row 1 first.
+chart_powers fills the powers of the branch w(t) = -t^n + higher order
+order by order with this recurrence and never needs a pivot choice.
+Coefficient arrays are numpy arrays of field codes, low order first.
+Riemann-Roch and vanishing orders are built on these in riemann_roch.py.
 """
 
 from __future__ import annotations
@@ -19,8 +25,8 @@ import numpy as np
 
 from .fields import Field
 
-__all__ = ["SeriesError", "POINT_IDS", "conv_trunc", "series_inverse",
-           "solve_chart", "monomial_valuations"]
+__all__ = ["SeriesError", "POINT_IDS", "chart_powers", "solve_chart",
+           "monomial_valuations"]
 
 POINT_IDS = ("P1", "P2", "P3")
 
@@ -36,88 +42,53 @@ _CHART_EXPS = {
 
 
 class SeriesError(ValueError):
-    """Bad series operation (non-unit inverse, unsolvable chart, ...)."""
-
-
-def conv_trunc(field: Field, a: np.ndarray, b: np.ndarray, length: int) -> np.ndarray:
-    """First `length` coefficients of the product of coefficient arrays."""
-    out = field.zeros(length)
-    la = min(len(a), length)
-    for i in range(la):
-        ai = int(a[i])
-        if ai == 0:
-            continue
-        seg = min(len(b), length - i)
-        if seg <= 0:
-            break
-        out[i:i + seg] = field.vadd(out[i:i + seg],
-                                    field.vmul(field.array(ai), b[:seg]))
-    return out
-
-
-def series_inverse(field: Field, a: np.ndarray, length: int) -> np.ndarray:
-    """Coefficients of 1/a to the given length; a[0] must be nonzero."""
-    if len(a) == 0 or int(a[0]) == 0:
-        raise SeriesError("cannot invert a series with zero constant term")
-    x = field.zeros(1)
-    x[0] = field.inv(int(a[0]))
-    m = 1
-    two = field.from_int(2)
-    while m < length:
-        m = min(2 * m, length)
-        e = conv_trunc(field, a[:m], x, m)
-        t = field.vneg(e)
-        t[0] = field.add(int(t[0]), two)
-        x = conv_trunc(field, x, t, m)
-    return x[:length]
+    """Unsolvable chart equation."""
 
 
 # ---------------------------------------------------------------------------
 # chart solving
 # ---------------------------------------------------------------------------
 
-def solve_chart(field: Field, chart_poly: dict, precision: int) -> np.ndarray:
-    """Solve P(t, w) = 0 for w(t) with w(0) = 0, coefficient of w equal 1.
+def chart_powers(field: Field, chart_poly: dict, degree: int,
+                 precision: int) -> np.ndarray:
+    """Matrix whose row j <= degree holds the first `precision` coefficients
+    of w(t)^j, w(t) with w(0) = 0 the solution of P(t, w) = 0.
 
-    chart_poly maps (t_exp, w_exp) -> code.  Returns the coefficient array of
-    w to the requested precision and verifies the residual vanishes.
+    chart_poly maps (t_exp, w_exp) -> code.  The coefficient of w must be 1
+    and every other term must have t-exponent >= 1 (see the module
+    docstring); the residual P(t, w) mod t^precision is checked to vanish.
     """
-    if chart_poly.get((0, 1), 0) != 1:
+    if chart_poly.get((0, 1)) != 1:
         raise SeriesError("chart equation is not monic in w at the origin")
-    max_w = max(e[1] for e in chart_poly)
-    # A[j] = coefficient polynomial of w^j, as a dense array in t
-    A = []
-    for j in range(max_w + 1):
-        terms = {e[0]: c for e, c in chart_poly.items() if e[1] == j}
-        arr = field.zeros(precision)
-        for texp, c in terms.items():
-            if texp < precision:
-                arr[texp] = field.add(int(arr[texp]), c)
-        A.append(arr)
+    flat = sorted(e for e in chart_poly if e[0] < 1 and e != (0, 1))
+    if flat:
+        raise SeriesError(f"chart terms {flat} have t-exponent 0")
+    T = field.tables()
+    a, b = np.array(list(chart_poly), dtype=np.intp).T
+    c = field.array(list(chart_poly.values()))
+    rest = a >= 1
+    ra, rb, rnc = a[rest], b[rest], T.neg(c[rest])
+    rows = max(degree, int(b.max()))
+    # column shift + k holds t^k; the zero columns in front of it are the
+    # t^(k - a) with k < a
+    shift = int(a.max())
+    W = field.zeros((rows + 1, shift + precision))
+    if precision:
+        W[0, shift] = 1
+    for col in range(shift + 1, shift + precision):
+        W[1, col] = T.sum(T.mul(rnc, W[rb, col - ra]), 0)
+        W[2:, col] = T.sum(T.mul(W[1, shift + 1:col + 1],
+                                 W[1:rows, shift:col][:, ::-1]), 1)
+    cols = np.arange(shift, shift + precision) - a[:, None]
+    if T.sum(T.mul(c[:, None], W[b[:, None], cols]), 0).any():
+        raise SeriesError("the chart recurrence left a residual")
+    return W[:degree + 1, shift:].copy()
 
-    def eval_poly(coeffs, w, length):
-        res = coeffs[-1][:length].copy()
-        for j in range(len(coeffs) - 2, -1, -1):
-            res = conv_trunc(field, res, w, length)
-            res = field.vadd(res, coeffs[j][:length])
-        return res
 
-    # derivative coefficients dP/dw: Aw[j] = (j+1) * A[j+1]
-    Aw = [field.vmul(field.array(field.from_int(j + 1)), A[j + 1])
-          for j in range(max_w)]
-
-    w = field.zeros(precision)
-    m = 1
-    while m < precision:
-        m = min(2 * m, precision)
-        pw = eval_poly(Aw, w[:m], m)
-        res = eval_poly(A, w[:m], m)
-        corr = conv_trunc(field, res, series_inverse(field, pw, m), m)
-        w[:m] = field.vsub(w[:m], corr)
-    residual = eval_poly(A, w, precision)
-    if np.any(residual):
-        raise SeriesError("Newton iteration failed to kill the residual")
-    return w
+def solve_chart(field: Field, chart_poly: dict, precision: int) -> np.ndarray:
+    """Coefficients of the solution w(t) of P(t, w) = 0 with w(0) = 0, to
+    the given precision: row 1 of `chart_powers`."""
+    return chart_powers(field, chart_poly, 1, precision)[1]
 
 
 def monomial_valuations(n: int, u: int, v: int) -> tuple:

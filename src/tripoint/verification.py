@@ -29,7 +29,7 @@ def validate_curve(spec: CurveSpec) -> list:
     """Structural checks at the three fundamental points.
 
     Verifies that each Pi lies on the curve, that the gradient there is
-    nonzero, that the chart equations have a Newton solution to precision
+    nonzero, that the chart equations have a solution w(t) to precision
     2n + 4, and that the coordinate lines cut the curve with the tangency
     pattern the family promises (order n along the tangent, order 1 at the
     next point, order 0 at the third).  Returns a list of CheckResult.

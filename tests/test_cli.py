@@ -54,6 +54,12 @@ def test_usage_errors(capsys):
                              "--design", "2,1", f"--budget={value}")
         assert code == 1 and out == ""
         assert "argument --budget: expected a non-negative integer" in err
+    # --jobs is a positive worker count, not read as "run serially"
+    for value in ("0", "-2", "two"):
+        code, out, err = run(capsys, "reproduce", "--rows", "counts",
+                             f"--jobs={value}")
+        assert code == 1 and out == ""
+        assert "argument --jobs: expected a positive integer" in err
 
 
 def test_module_entry_point():
@@ -148,6 +154,26 @@ def test_pure_gaps_check_oracle_work(capsys, monkeypatch):
                                 "--points", str(points), "--check")
         assert code == 0 and doc["oracle_check"]["passed"] is True
         assert len(calls) == want, (n, points)
+
+
+def test_oracle_chart_power_builds(capsys, monkeypatch):
+    # the power cache at each point grows geometrically, so a whole check
+    # run builds only a few caches; a cache rebuilt per query would not
+    from tripoint import riemann_roch
+    original = riemann_roch.chart_powers
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(riemann_roch, "chart_powers", counted)
+    for argv, want in ((("dims", "--n", "5", "--check"), 8),
+                       (("pure-gaps", "--n", "5", "--points", "3",
+                         "--check"), 7)):
+        calls.clear()
+        code, _, _ = run_json(capsys, *argv)
+        assert code == 0 and len(calls) == want, argv
 
 
 def test_dims_check(capsys):
@@ -369,6 +395,25 @@ def test_config_file_precedence(capsys, tmp_path):
     conf.write_text(json.dumps({"budget": "1e7"}))
     code, doc, _ = run_json(capsys, "gaps", "--n", "3", "--config", str(conf))
     assert code == 0 and doc["config"]["budget"] == 10_000_000
+    # every value passes its flag's type and choices; a store_true flag
+    # takes a JSON bool; the message names the key
+    for bad, why in (({"check": "no"}, "check: must be true or false"),
+                     ({"check": 1}, "check: must be true or false"),
+                     ({"jobs": 0}, "jobs: expected a positive integer"),
+                     ({"jobs": -2}, "jobs: expected a positive integer"),
+                     ({"jobs": "two"}, "jobs: expected a positive integer"),
+                     ({"points": 5}, "points: invalid choice: 5"),
+                     ({"n": "four"}, "n: invalid literal for int()")):
+        conf.write_text(json.dumps(bad))
+        code, out, err = run(capsys, "pure-gaps", "--n", "4",
+                             "--config", str(conf))
+        assert code == 1 and out == "" and why in err, bad
+    conf.write_text(json.dumps({"check": False, "points": "3", "jobs": 2}))
+    code, doc, _ = run_json(capsys, "pure-gaps", "--n", "4",
+                            "--config", str(conf))
+    assert code == 0 and "oracle_check" not in doc
+    assert {k: doc["config"][k] for k in ("check", "points", "jobs")} == {
+        "check": False, "points": 3, "jobs": 2}
 
 
 def test_deterministic_output(capsys):

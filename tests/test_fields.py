@@ -243,3 +243,25 @@ def test_submul_matches_table_lookup(p, k):
         for x, y, z, g in zip(*(np.broadcast_to(v, want.shape).ravel()
                                  for v in (a, c, b, got))):
             assert int(g) == f.sub(int(x), f.mul(int(y), int(z)))
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (7, 1), (2, 3), (3, 3), (7, 2),
+                                  (3, 7), (2, 12)])
+def test_table_sum_matches_scalar_fold(p, k):
+    f = make_field(p, k)
+    T = f.tables()
+    rng = np.random.default_rng(f.q)
+    x = rng.integers(0, f.q, (6, 40))
+    x[0] = f.q - 1                      # long runs of the largest code
+    x = x.astype(CODE_DTYPE)
+    for axis in (0, 1, -1):
+        got = T.sum(x, axis)
+        want = [0] * len(got)
+        for i, line in enumerate(np.moveaxis(x, axis, -1).tolist()):
+            for v in line:
+                want[i] = f.add(want[i], v)
+        assert got.dtype == CODE_DTYPE and got.tolist() == want, axis
+    # an empty axis sums to zero
+    empty = f.zeros((3, 0))
+    assert T.sum(empty, 1).tolist() == [0, 0, 0]
+    assert T.sum(empty, 0).shape == (0,)
