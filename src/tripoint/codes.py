@@ -19,7 +19,10 @@ or returns the lexicographically first dependent subset (the support of a
 low-weight codeword).  Subsets sharing a (w-2)-column prefix P are tested
 together: H is reduced modulo span(P) once, and P + {a, b} is dependent
 exactly when residual columns a and b are zero or parallel, which one sort
-of exact normalised column keys detects.
+of exact normalised column keys detects.  The last two prefix columns are
+not walked one node at a time: a (w-4)-column node tests all of its
+(w-2)-column grandchildren in a few stacked calls, grouped by their last
+column, so that each group carries only the columns after it.
 
 low_weight_search bounds the distance from above with random information
 sets.  Each trial wants the systematic generator of one column order; it
@@ -304,19 +307,22 @@ def _lex_rank(subset, m: int) -> int:
     return rank
 
 
-def _eliminate(T, R: np.ndarray, count: int):
-    """Residuals of R modulo each of its first `count` columns.
+def _eliminate(T, S: np.ndarray, own: np.ndarray):
+    """Residual of each matrix S[b] of a stack modulo its own column own[b].
 
-    Column i is eliminated at its first nonzero row; that row cancels
-    itself, so every residual keeps R's shape.  Returns the (count, rows,
-    cols) stack and a mask of the columns that are zero (their residual is
-    R unchanged).
+    S is (B, rows, cols), or (1, rows, cols) for one matrix shared by all
+    B = len(own) members.  The column is eliminated at its first nonzero
+    row; that row cancels itself, so every residual keeps the shape.
+    Returns the (B, rows, cols) stack and a mask of the members whose own
+    column is zero (their residual is S[b] unchanged).
     """
-    C = R[:, :count]
-    piv = np.argmax(C != 0, axis=0)
-    lead = C[piv, np.arange(count)]
-    factors = T.MUL[C, T.INV[lead]].T
-    res = T.submul(R[None], factors[:, :, None], R[piv][:, None, :])
+    b = np.arange(len(own))
+    S = np.broadcast_to(S, (len(own), *S.shape[1:]))
+    C = S[b, :, own]
+    piv = np.argmax(C != 0, axis=1)
+    lead = C[b, piv]
+    factors = T.MUL[C, T.INV[lead][:, None]]
+    res = T.submul(S, factors[:, :, None], S[b, piv][:, None, :])
     return res, lead == 0
 
 
@@ -363,11 +369,36 @@ def _first_pair(keys: np.ndarray, start: int):
     return None
 
 
+def _first_bad(T, S: np.ndarray, own: np.ndarray):
+    """The last prefix level for a stack: the first member b, in stack
+    order, whose own column own[b] and two later columns x < y of S[b] are
+    dependent.  Returns (b, x, y) with the lexicographically first such
+    pair, or None.
+
+    After eliminating the own column, the triple is dependent exactly when
+    one residual column is zero or the two are parallel.  A zero own
+    column makes every triple dependent, so its first one wins.
+    """
+    res, zero = _eliminate(T, S, own)
+    keys = _column_keys(T, res)
+    col = np.arange(keys.shape[1])
+    # columns up to the own one get distinct negative keys: never a pair
+    keys = np.where(col <= own[:, None], -1 - col, keys)
+    ordered = np.sort(keys, axis=1)
+    bad = (zero | (keys == 0).any(axis=1)
+           | (ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+    if not bad.any():
+        return None
+    b = int(np.argmax(bad))
+    o = int(own[b])
+    if zero[b]:
+        return b, o + 1, o + 2
+    return (b, *_first_pair(keys[b], o + 1))
+
+
 def _first_dependent(field: Field, H: np.ndarray, w: int):
     """Lexicographically first dependent w-subset of H's columns, or None."""
     rows, m = H.shape
-    if rows < w:
-        return list(range(w))
     T = field.tables()
     if w == 1:
         zero = np.nonzero(~H.any(axis=0))[0]
@@ -375,37 +406,58 @@ def _first_dependent(field: Field, H: np.ndarray, w: int):
     if w == 2:
         pair = _first_pair(_column_keys(T, H[None])[0], 0)
         return list(pair) if pair else None
+    if w == 3:
+        hit = _first_bad(T, H[None], np.arange(m - 2))
+        return list(hit) if hit else None
+
+    def grandchildren(res, zero, base, prefix):
+        # the node prefix (depth w - 4) has children residuals res; the
+        # grandchild (i, j) is prefix + [c_i, c_j], its residual res[i]
+        # modulo column j.  Group j holds the i < j; it needs only the
+        # columns from j on, and consecutive groups share one test.
+        width = res.shape[2]
+        found, limit = None, len(zero)
+        if zero.any():
+            # a zero child i0 comes after every grandchild with i < i0
+            limit = int(np.argmax(zero))
+            found = prefix + list(range(base + limit, base + limit + 4))
+        lo = 1
+        while lo <= width - 3 and limit:
+            per = rows * (width - lo)       # cells of one member
+            hi, members = lo, min(lo, limit)
+            while (hi < width - 3
+                   and (members + min(hi + 1, limit)) * per <= _GROUP_CELLS):
+                hi += 1
+                members += min(hi, limit)
+            # members in lexicographic (i, j) order
+            i, j = np.nonzero(np.arange(limit)[:, None]
+                              < np.arange(lo, hi + 1)[None, :])
+            j += lo
+            hit = _first_bad(T, res[i, :, lo:], j - lo)
+            if hit:
+                b, a, c = hit
+                # every later grandchild that comes first has i < i[b]
+                limit = int(i[b])
+                found = prefix + [base + limit, base + int(j[b]),
+                                  base + lo + a, base + lo + c]
+            lo = hi + 1
+        return found
 
     def walk(R, base, prefix):
         # R holds columns base..m-1 of H modulo span(prefix); the children
         # are prefix + [c] for the c that leave room for w - d - 1 more
         d = len(prefix)
         count = m - (w - d) + 1 - base
-        res, zero = _eliminate(T, R, count)
-        if d < w - 3:
-            for i in range(count):
-                if zero[i]:
-                    return prefix + list(range(base + i, base + i + w - d))
-                found = walk(res[i, :, i + 1:], base + i + 1,
-                             prefix + [base + i])
-                if found:
-                    return found
-            return None
-        # last prefix level: child i may pair only columns after it
-        keys = _column_keys(T, res)
-        j = np.arange(keys.shape[1])
-        keys = np.where(j[None, :] <= np.arange(count)[:, None], -1 - j, keys)
-        ordered = np.sort(keys, axis=1)
-        bad = (zero | (keys == 0).any(axis=1)
-               | (ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
-        if not bad.any():
-            return None
-        i = int(np.argmax(bad))
-        c = base + i
-        if zero[i]:
-            return prefix + [c, c + 1, c + 2]
-        a, b = _first_pair(keys[i], i + 1)
-        return prefix + [c, base + a, base + b]
+        res, zero = _eliminate(T, R[None], np.arange(count))
+        if d == w - 4:
+            return grandchildren(res, zero, base, prefix)
+        for i in range(count):
+            if zero[i]:
+                return prefix + list(range(base + i, base + i + w - d))
+            found = walk(res[i, :, i + 1:], base + i + 1, prefix + [base + i])
+            if found:
+                return found
+        return None
 
     return walk(H, 0, [])
 
@@ -421,20 +473,37 @@ def verify_distance_floor(field: Field, H: np.ndarray, w: int, *,
     subsets up to and including it.  Raises BudgetError when C(m, w)
     exceeds the budget.
 
-    The subsets are not eliminated one by one.  The (w-2)-column prefixes
-    are walked depth first in lexicographic order, and each tree node
-    eliminates one pivot column from its parent's residual, so a prefix P
-    is reduced once for all of its extensions.  For an independent P with
+    When H has fewer than w rows, every w-subset is dependent, and the
+    first one is returned without a budget test.
+
+    The subsets are not eliminated one by one.  The prefixes are walked
+    depth first in lexicographic order, and each tree node eliminates one
+    pivot column from its parent's residual, so a prefix P is reduced once
+    for all of its extensions.  For an independent (w-2)-column P with
     residual R (H modulo span(P)), P + {a, b} is dependent exactly when
     R[:, a] or R[:, b] is zero or the two are parallel: the elimination is
     a linear map whose kernel is span(P).  Parallel columns share one key
-    once each column is scaled to a leading 1, so each batch of prefixes is
+    once each column is scaled to a leading 1, so a stack of prefixes is
     tested with one sort.
+
+    The walk stops at the (w-4)-column nodes (w >= 4).  Such a node P has
+    children P + {c_i} with residuals R_i; its grandchild (i, j) is
+    P + {c_i, c_j}, with residual R_i modulo column j.  Grandchild group j
+    (every i < j) keeps only the columns from j on, and consecutive groups
+    share one stacked test up to _GROUP_CELLS cells.  The node then
+    reports its lexicographically first bad (i, j): a bad grandchild
+    (i, j) rules out every later i, and a zero child i0 (P + {c_i0}
+    dependent) comes after every grandchild with i < i0, so only those are
+    tested.  A node is always finished, so an early exit costs at most one
+    node more than a walk to the exact witness.
     """
     H = np.asarray(H)
     m = H.shape[1]
     if w < 1 or w > m:
         raise CodesError(f"w = {w} out of range for length {m}")
+    if H.shape[0] < w:
+        # w vectors in fewer than w dimensions: the first subset is dependent
+        return False, list(range(w)), 1
     total = math.comb(m, w)
     if total > budget:
         raise BudgetError(
@@ -445,6 +514,10 @@ def verify_distance_floor(field: Field, H: np.ndarray, w: int, *,
     return False, witness, _lex_rank(witness, m) + 1
 
 
+# cells of one stacked last-level test of certification: consecutive
+# grandchild groups of a prefix node are merged up to this many (a group
+# larger than this is tested alone)
+_GROUP_CELLS = 1 << 15
 # cells of one stack of parity-check trials reduced by one rref: about 128
 # trials of the 18 x 113 record check, a few MB of gather indices
 _CHUNK_CELLS = 1 << 18

@@ -245,6 +245,18 @@ def test_code_budget_note(capsys):
     assert doc["report"]["verified_floor"] is None
 
 
+def test_code_certify_more_than_rows(capsys):
+    # the parity check has 8 rows, so any 9 columns are dependent: the
+    # first 9-subset is the witness, although C(37, 9) exceeds the budget
+    code, doc, _ = run_json(capsys, "code", "--curve", "q16-n4",
+                            "--design", "2,1", "--certify", "9")
+    assert code == 0
+    assert doc["certification"] == {"w": 9, "ok": False, "checked": 1,
+                                    "witness": list(range(9))}
+    assert doc["report"]["floor_witness"] == list(range(9))
+    assert doc["report"]["verified_floor"] is None
+
+
 def test_budget_exponent_form(capsys):
     # 1e3 is the budget 1000: the same refusal as the written-out value
     docs = []

@@ -353,6 +353,100 @@ def test_verify_distance_floor_multiword_keys():
     assert verify_distance_floor(f, H, 3)[:2] == (False, [0, 1, 3])
 
 
+@pytest.mark.parametrize("p, k", [(2, 1), (7, 1), (3, 2), (2, 4)])
+def test_verify_distance_floor_across_group_chunks(p, k, monkeypatch):
+    # The last two prefix levels are tested in stacked calls of grandchild
+    # groups merged up to _GROUP_CELLS.  At 1 cell every group is its own
+    # call, at 200 and 1000 several groups share one; the answers must not
+    # move.
+    f = make_field(p, k)
+    rng = np.random.default_rng(100 * p + k)
+    cases = []
+    for trial in range(12):
+        rows = int(rng.integers(4, 8))
+        m = int(rng.integers(rows + 3, 15))
+        H = _planted(f, rng, rows, m, ("none", "zero", "parallel",
+                                      "prefix")[trial % 4])
+        cases += [(H, w) for w in range(4, min(rows, 6) + 1)]
+    # a zero child of the root at 4: its witness [4, 5, 6, 7] loses to an
+    # earlier grandchild, at the latest (0, 1) with the zero residual 4
+    H = f.array(rng.integers(0, f.q, (5, 11)))
+    H[:, 4] = 0
+    cases.append((H, 4))
+    # columns 8 and 10 parallel: a pair after j in every grandchild
+    H = f.array(rng.integers(0, f.q, (6, 12)))
+    H[:, 10] = f.vmul(f.array(f.q - 1), H[:, 8])
+    cases += [(H, 4), (H, 5)]
+    # columns 0 and 1 parallel: the zero child of the node [0] wins at once
+    H = f.array(rng.integers(0, f.q, (6, 10)))
+    H[:, 1] = H[:, 0]
+    cases += [(H, 5), (H, 6)]
+    # {1, 2, 4, 6} and {0, 3, 5, 7} dependent: in one stacked call the bad
+    # grandchild (1, 2) comes before (0, 3), which is the first one
+    H = f.array(rng.integers(0, f.q, (6, 10)))
+    H[:, 6] = f.vadd(f.vadd(H[:, 1], H[:, 2]), H[:, 4])
+    H[:, 7] = f.vadd(f.vadd(H[:, 0], H[:, 3]), H[:, 5])
+    cases.append((H, 4))
+    for H, w in cases:
+        want, want_checked = _first_dependent_brute(f, H, w)
+        for cells in (1, 200, 1000):
+            monkeypatch.setattr(codes, "_GROUP_CELLS", cells)
+            assert verify_distance_floor(f, H, w) == (
+                want is None, want, want_checked), (H, w, cells)
+
+
+def test_verify_distance_floor_multiword_keys_across_group_chunks(
+        monkeypatch):
+    # 24 rows over GF(7): two key words per column, ranked per stack, so a
+    # key is only meaningful inside the call that made it
+    f = make_field(7)
+    rng = np.random.default_rng(11)
+    H = rng.integers(0, 7, (24, 10)).astype(np.int16)
+    H[:, 9] = np.concatenate([f.vmul(f.array(2), H[:22, 1]),
+                              f.vmul(f.array(3), H[22:, 1])])
+    cases = [(H.copy(), 4), (H.copy(), 5)]
+    # columns 2, 5, 7, 8 dependent
+    H[:, 8] = f.vadd(f.vadd(H[:, 2], f.vmul(f.array(4), H[:, 5])), H[:, 7])
+    cases += [(H.copy(), 4), (H.copy(), 5)]
+    for H, w in cases:
+        want, want_checked = _first_dependent_brute(f, H, w)
+        for cells in (1, 300, 3000):
+            monkeypatch.setattr(codes, "_GROUP_CELLS", cells)
+            assert verify_distance_floor(f, H, w) == (
+                want is None, want, want_checked), (w, cells)
+
+
+def test_verify_distance_floor_fewer_rows_than_w():
+    # w columns in fewer than w dimensions are dependent, however large
+    # C(m, w) is: the answer comes before the budget test
+    f = make_field(2, 4)
+    H = f.array(np.random.default_rng(3).integers(0, 16, (8, 37)))
+    assert verify_distance_floor(f, H, 9, budget=1) == (
+        False, list(range(9)), 1)
+    with pytest.raises(BudgetError):
+        verify_distance_floor(f, H, 8, budget=1)
+
+
+def test_certification_memory_stays_bounded(c27):
+    # q27-n4 at w = 5 (4,187,106 subsets): the stacked calls are bounded
+    # in cells, so numpy's buffers, which tracemalloc sees, stay small
+    import tracemalloc
+    spec = predict_pair_params(4, 2, 1)
+    rep = build_COmega(c27, evaluation_points(c27, spec.G), spec.G,
+                       boxes=spec.boxes)
+    c27.field.tables()
+    tracemalloc.start()
+    try:
+        assert verify_distance_floor(c27.field, rep.parity_check, 5) == (
+            True, None, 4_187_106)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # measured 845,948 bytes (the depth-first last level took 526,262);
+    # the bound leaves about 1.8x headroom
+    assert peak < 1_500_000, peak
+
+
 def test_record_code_floor_four(record):
     # 18 x 113 over GF(49): 49^18 > 2^63, so each column takes two key words
     spec = predict_pair_params(5, 3, 1)

@@ -185,20 +185,27 @@ def test_eliminate_matches_scalar_residuals(p, k):
         R = random_matrix(f, rng, rows, cols)
         R[:, 1] = 0                      # a zero column keeps R unchanged
         count = cols - 1
-        res, zero = _eliminate(f.tables(), R, count)
-        assert res.shape == (count, rows, cols)
-        for i in range(count):
-            col = [int(v) for v in R[:, i]]
-            assert zero[i] == (not any(col))
-            if zero[i]:
-                assert np.array_equal(res[i], R)
-                continue
-            piv = next(r for r, v in enumerate(col) if v)
-            for r in range(rows):
-                c = f.div(col[r], col[piv])
-                want = [f.sub(int(a), f.mul(c, int(b)))
-                        for a, b in zip(R[r], R[piv])]
-                assert list(map(int, res[i, r])) == want
+        # one matrix shared by every member, member i eliminating column
+        # i; then a stack of distinct matrices, each with its own column
+        S = random_matrix(f, rng, 3 * rows, cols).reshape(3, rows, cols)
+        S[1][:, 2] = 0
+        for stack, own in ((R[None], np.arange(count)),
+                           (S, np.array([cols - 1, 2, 0]))):
+            res, zero = _eliminate(f.tables(), stack, own)
+            assert res.shape == (len(own), rows, cols)
+            for i, o in enumerate(own):
+                M = stack[min(i, len(stack) - 1)]
+                col = [int(v) for v in M[:, o]]
+                assert zero[i] == (not any(col))
+                if zero[i]:
+                    assert np.array_equal(res[i], M)
+                    continue
+                piv = next(r for r, v in enumerate(col) if v)
+                for r in range(rows):
+                    c = f.div(col[r], col[piv])
+                    want = [f.sub(int(a), f.mul(c, int(b)))
+                            for a, b in zip(M[r], M[piv])]
+                    assert list(map(int, res[i, r])) == want
 
 
 @pytest.mark.parametrize("p, k", [(2, 1), (7, 1), (2, 4), (3, 3), (7, 2)])
