@@ -78,14 +78,6 @@ def _count(text: str) -> int:
     return value
 
 
-def _positive(text: str) -> int:
-    """A positive integer, such as a worker count."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}")
-    return int(text)
-
-
 FORMATS = ("json", "csv")
 
 # Real defaults live here, not in argparse: every option parses to None when
@@ -94,7 +86,6 @@ DEFAULTS = {
     "out": None,
     "format": "json",
     "seed": 0,
-    "jobs": 1,
     "budget": 10_000_000,
     "config": None,
     "n": None,
@@ -117,8 +108,6 @@ DEFAULTS = {
     "keep_singular": False,
     "rows": None,
     "n_max": 4,
-    "skip_oracle_sweeps": False,
-    "inject_bug": False,
 }
 
 
@@ -293,6 +282,20 @@ def _parse_ints(text: str, flag: str, count: tuple) -> tuple:
     return vals
 
 
+def _selection(text: str, flag: str, known) -> tuple:
+    """The names in a comma list, in order; a name outside `known`, or a
+    list that names nothing, is a usage error."""
+    names = tuple(part.strip() for part in str(text).split(",")
+                  if part.strip())
+    unknown = sorted(set(names) - set(known))
+    if unknown:
+        raise UsageError(f"unknown {flag[2:]} {unknown}; "
+                         f"choose from {list(known)}")
+    if not names:
+        raise UsageError(f"{flag} names nothing, got {text!r}")
+    return names
+
+
 def _oracle_check(payload: dict, curve: CurveSpec, passed: bool,
                   **fields) -> int:
     """Attach the --check block {curve, *fields, passed}; its exit code."""
@@ -369,11 +372,7 @@ def cmd_pure_gaps(cfg: dict):
 
 def cmd_dims(cfg: dict):
     n = _need_n(cfg)
-    fams = tuple(part.strip() for part in str(cfg["families"]).split(",")
-                 if part.strip())
-    bad = [f for f in fams if f not in FAMILIES]
-    if bad:
-        raise UsageError(f"unknown families {bad}; choose from {FAMILIES}")
+    fams = _selection(cfg["families"], "--families", FAMILIES)
     g = n * (n - 1) // 2
     # the table keeps the S_d claims with i, j, k >= 0
     entries = [({"family": c.family, "label": c.label,
@@ -577,32 +576,22 @@ def _reproduce_code(row, budget: int, curve=None, length=None) -> dict:
 
 
 def _reproduce_counts() -> list:
+    """Points of the G = 0 member X Y^n + Y Z^n + Z X^n against the
+    Hurwitz (n = q + 1 over GF(q^3)) and Hermitian (n = q over GF(q^6))
+    counts.  The form is swept directly: the curve type wants n >= 3."""
+    rows = ([("hurwitz", q, q + 1, q ** 3, hurwitz_count(q))
+             for q in (2, 3, 4)]
+            + [("hermitian", q, q, q ** 6, hermitian_maximal_count(q))
+               for q in (2, 3)])
     out = []
-    for q in (2, 3, 4):
-        formula = hurwitz_count(q)
-        n = q + 1
-        ext = make_field(*_parse_prime_power(q ** 3))
-        enumerated = len(CurveSpec(ext, n).rational_points())
+    for family, q, n, order, formula in rows:
+        field = make_field(*_parse_prime_power(order))
+        enumerated = len(rational_points_raw(
+            field, {(1, n, 0): 1, (0, 1, n): 1, (n, 0, 1): 1}))
         out.append({
-            "row": f"hurwitz-q{q}",
+            "row": f"{family}-q{q}",
             "tag": "reproduced-exact" if enumerated == formula else "mismatch",
-            "note": f"n = {n} member over GF({q ** 3})",
-            "got_points": enumerated, "want_points": formula,
-        })
-    for q in (2, 3):
-        formula = hermitian_maximal_count(q)
-        ext = make_field(*_parse_prime_power(q ** 6))
-        if q == 2:
-            # n = 2 member: sweep the form directly, the family type wants
-            # n >= 3
-            terms = {(1, 2, 0): 1, (0, 1, 2): 1, (2, 0, 1): 1}
-            enumerated = len(rational_points_raw(ext, terms))
-        else:
-            enumerated = len(CurveSpec(ext, q).rational_points())
-        out.append({
-            "row": f"hermitian-q{q}",
-            "tag": "reproduced-exact" if enumerated == formula else "mismatch",
-            "note": f"n = {q} member over GF({q ** 6})",
+            "note": f"n = {n} member over GF({order})",
             "got_points": enumerated, "want_points": formula,
         })
     return out
@@ -610,26 +599,13 @@ def _reproduce_counts() -> list:
 
 def cmd_reproduce(cfg: dict):
     budget = int(cfg["budget"])
-    jobs = int(cfg["jobs"])
     wanted = None
-    if cfg["rows"]:
-        wanted = {part.strip() for part in str(cfg["rows"]).split(",")
-                  if part.strip()}
-        known = ({row.name for row in REFERENCE_ROWS}
-                 | {"record-ladder", "counts"})
-        unknown = wanted - known
-        if unknown:
-            raise UsageError(f"unknown rows {sorted(unknown)}; "
-                             f"choose from {sorted(known)}")
-    refs = [row for row in REFERENCE_ROWS
+    if cfg["rows"] is not None:
+        known = sorted({row.name for row in REFERENCE_ROWS}
+                       | {"record-ladder", "counts"})
+        wanted = set(_selection(cfg["rows"], "--rows", known))
+    rows = [_reproduce_code(row, budget) for row in REFERENCE_ROWS
             if wanted is None or row.name in wanted]
-    if jobs > 1 and len(refs) > 1:
-        import concurrent.futures as cf
-        with cf.ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_reproduce_code, refs,
-                                 [budget] * len(refs)))
-    else:
-        rows = [_reproduce_code(row, budget) for row in refs]
     if wanted is None or "record-ladder" in wanted:
         curve = RECORD_ROW.curve()
         rows += [_reproduce_code(RECORD_ROW, budget, curve, length)
@@ -648,10 +624,7 @@ def cmd_verify(cfg: dict):
     if not lo <= n_max <= hi:
         raise UsageError(f"--n-max must be in {lo}..{hi}, the n of the "
                          f"bundled check curves, got {n_max}")
-    report = default_verify_report(
-        n_max=n_max,
-        oracle_sweeps=not cfg["skip_oracle_sweeps"],
-        inject_bug=bool(cfg["inject_bug"]))
+    report = default_verify_report(n_max)
     rows = []
     for section, checks in report["sections"].items():
         for chk in checks:
@@ -674,7 +647,6 @@ def build_parser() -> _Parser:
     common.add_argument("--out", help="write the report here instead of stdout")
     common.add_argument("--format", choices=FORMATS)
     common.add_argument("--seed", type=int)
-    common.add_argument("--jobs", type=_positive)
     common.add_argument("--budget", type=_count,
                         help="max column subsets C(m, w) per certification, "
                              "an integer such as 10000000 or 1e7")
@@ -749,9 +721,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", parents=[common],
                        help="run the full formula-vs-oracle check suite")
     p.add_argument("--n-max", type=int)
-    p.add_argument("--skip-oracle-sweeps", action="store_true", default=None)
-    p.add_argument("--inject-bug", action="store_true", default=None,
-                   help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
     # config-file values are checked by the actions of their flags
     parser.set_defaults(actions={a.dest: a for p in sub.choices.values()

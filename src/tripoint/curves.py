@@ -197,29 +197,28 @@ class CurveSpec:
 
     # -- point enumeration ------------------------------------------------------
 
-    def rational_points(self, ext_degree: int = 1) -> list:
-        """All points over GF(q^ext_degree), sorted canonically.
+    def rational_points(self) -> list:
+        """All points over the base field, sorted canonically; the points
+        over GF(q^m) are `extension(m).rational_points()`.
 
-        The three fundamental points are always present.  Each degree is
-        swept once per curve object; every call returns a fresh list.
+        The three fundamental points are always present.  The sweep runs
+        once per curve object; every call returns a fresh list.
         """
-        key = ("points", ext_degree)
-        if key not in self._cache:
-            cur = self.extension(ext_degree)
-            pts = rational_points_raw(cur.field, cur.F_terms)
-            fund = set(p.coords for p in _fundamental(cur.field))
+        if "points" not in self._cache:
+            pts = rational_points_raw(self.field, self.F_terms)
+            fund = set(p.coords for p in _fundamental(self.field))
             got = set(p.coords for p in pts)
             if not fund <= got:
                 raise CurveError("fundamental points missing from sweep")
-            self._cache[key] = pts
-        return list(self._cache[key])
+            self._cache["points"] = pts
+        return list(self._cache["points"])
 
     # -- smoothness -------------------------------------------------------------
 
     def smoothness_probe(self, max_ext: int = 1) -> list:
         """Search for singular rational points over GF(q^m), m <= max_ext.
 
-        Returns a list of (ext_degree, ProjectivePoint) where F and all three
+        Returns a list of (m, ProjectivePoint) where F and all three
         partials vanish.  Empty list means no singularity was found in the
         probed range; it is not a smoothness proof.
         """

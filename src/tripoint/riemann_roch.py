@@ -221,8 +221,7 @@ def _covering_exponents(n: int, D: ThreePointDivisor) -> tuple:
         N += 1
 
 
-def _condition_matrix(curve: CurveSpec, D: ThreePointDivisor, n_extra: int,
-                      degree_cap: int):
+def _condition_matrix(curve: CurveSpec, D: ThreePointDivisor, n_extra: int):
     """Covering exponents, stacked vanishing conditions and the standard
     monomials of degree N (those not divisible by X^n Z).
 
@@ -233,9 +232,9 @@ def _condition_matrix(curve: CurveSpec, D: ThreePointDivisor, n_extra: int,
     alpha, beta, gamma = _covering_exponents(n, D)
     gamma += n_extra
     N = alpha + beta + gamma
-    if N > degree_cap:
+    if N > DEGREE_CAP:
         raise OracleError(
-            f"form degree {N} for {D!r} exceeds the cap {degree_cap}")
+            f"form degree {N} for {D!r} exceeds the cap {DEGREE_CAP}")
     zeros = (beta + n * gamma, n * alpha + gamma, n * beta + alpha)
     monos = [e for e in monomials_of_degree(N) if e[0] < n or e[2] == 0]
     A = np.concatenate([_expansions(curve, pid, N, monos, max(z - d, 0))
@@ -244,7 +243,7 @@ def _condition_matrix(curve: CurveSpec, D: ThreePointDivisor, n_extra: int,
 
 
 def dim_L_oracle(curve: CurveSpec, D: ThreePointDivisor, *, n_extra: int = 0,
-                 degree_cap: int = DEGREE_CAP, memo: bool = True) -> int:
+                 memo: bool = True) -> int:
     """ell(D) by exact linear algebra.  See the module docstring.
 
     n_extra multiplies the covering monomial by Z^n_extra; the answer must
@@ -257,21 +256,20 @@ def dim_L_oracle(curve: CurveSpec, D: ThreePointDivisor, *, n_extra: int = 0,
         got = curve._cache.setdefault("ell", {}).get(key)
         if got is not None:
             return got
-    _, A, monos = _condition_matrix(curve, D, n_extra, degree_cap)
+    _, A, monos = _condition_matrix(curve, D, n_extra)
     dim = len(monos) - linalg.rank(curve.field, A)
     if memo and n_extra == 0:
         curve._cache["ell"][key] = dim
     return dim
 
 
-def basis_L_oracle(curve: CurveSpec, D: ThreePointDivisor, *,
-                   degree_cap: int = DEGREE_CAP) -> RRSpace:
+def basis_L_oracle(curve: CurveSpec, D: ThreePointDivisor) -> RRSpace:
     """Explicit basis of L(D): the null space of the vanishing conditions
     over the standard monomials, so the functions h/M of its rows are a
     basis of L(D).  M is the covering monomial that dim_L_oracle uses for
     the same D.
     """
-    exps, A, monos = _condition_matrix(curve, D, 0, degree_cap)
+    exps, A, monos = _condition_matrix(curve, D, 0)
     basis = linalg.nullspace(curve.field, A)
     return RRSpace(divisor=D, dimension=len(basis), denominator=exps,
                    monomials=monos, basis=basis)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from tripoint import cli, verification
 from tripoint.cli import main
 
 
@@ -54,12 +56,19 @@ def test_usage_errors(capsys):
                              "--design", "2,1", f"--budget={value}")
         assert code == 1 and out == ""
         assert "argument --budget: expected a non-negative integer" in err
-    # --jobs is a positive worker count, not read as "run serially"
-    for value in ("0", "-2", "two"):
-        code, out, err = run(capsys, "reproduce", "--rows", "counts",
-                             f"--jobs={value}")
+    # the removed flags are unknown arguments
+    for argv, extra in ((("reproduce", "--rows", "counts"), ("--jobs", "2")),
+                        (("verify", "--n-max", "3"), ("--skip-oracle-sweeps",)),
+                        (("verify", "--n-max", "3"), ("--inject-bug",))):
+        code, out, err = run(capsys, *argv, *extra)
         assert code == 1 and out == ""
-        assert "argument --jobs: expected a positive integer" in err
+        assert f"unrecognized arguments: {' '.join(extra)}" in err
+    # a selection that names nothing checks nothing: refused, not passed
+    for argv in (("reproduce", "--rows", ","), ("reproduce", "--rows", ""),
+                 ("dims", "--n", "3", "--families", ","),
+                 ("dims", "--n", "3", "--families", " ")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and f"{argv[-2]} names nothing" in err
 
 
 def test_module_entry_point():
@@ -329,28 +338,21 @@ def test_reproduce_sweeps_each_curve_once(capsys, monkeypatch):
     assert code == 0 and swept == [16]
 
 
-def test_reproduce_parallel(capsys):
-    code, doc, _ = run_json(capsys, "reproduce", "--rows", "q16-n4,q27-n4",
-                            "--jobs", "2", "--budget", "1000")
-    assert code == 0
-    assert {r["row"] for r in doc["rows"]} == {"q16-n4", "q27-n4"}
-    assert all(r["tag"] == "formula-only" for r in doc["rows"])
-
-
-def test_verify_invariant_exit(capsys):
-    code, doc, err = run_json(capsys, "verify", "--inject-bug",
-                              "--skip-oracle-sweeps", "--n-max", "3")
+def test_verify_invariant_exit(capsys, monkeypatch, corrupted_field):
+    suite = verification.field_axiom_suite
+    # every field the `fields` section checks comes with the broken GF(16)
+    monkeypatch.setattr(verification, "field_axiom_suite",
+                        lambda field: suite(field) + suite(corrupted_field))
+    code, doc, err = run_json(capsys, "verify", "--n-max", "3")
     assert code == 2
     assert doc["passed"] is False
     assert "FAIL" in err
     failing = [r for r in doc["rows"] if not r["passed"]]
-    assert failing and any("fields-injected-bug" == r["section"]
-                           for r in failing)
+    assert failing and all(r["section"] == "fields" for r in failing)
 
 
 def test_verify_clean(capsys):
-    code, doc, _ = run_json(capsys, "verify", "--skip-oracle-sweeps",
-                            "--n-max", "3")
+    code, doc, _ = run_json(capsys, "verify", "--n-max", "3")
     assert code == 0 and doc["passed"] is True
     assert doc["checks"] == len(doc["rows"]) > 50
 
@@ -360,8 +362,7 @@ def test_verify_suite_exception(capsys, monkeypatch):
         raise RuntimeError("boom")
 
     monkeypatch.setattr("tripoint.verification.gap_suite", broken)
-    code, doc, err = run_json(capsys, "verify", "--skip-oracle-sweeps",
-                              "--n-max", "3")
+    code, doc, err = run_json(capsys, "verify", "--n-max", "3")
     assert code == 2 and doc["passed"] is False
     failing = [r for r in doc["rows"] if not r["passed"]]
     assert len(failing) == 1 and failing[0]["section"] == "gaps-n3"
@@ -411,21 +412,35 @@ def test_config_file_precedence(capsys, tmp_path):
     # takes a JSON bool; the message names the key
     for bad, why in (({"check": "no"}, "check: must be true or false"),
                      ({"check": 1}, "check: must be true or false"),
-                     ({"jobs": 0}, "jobs: expected a positive integer"),
-                     ({"jobs": -2}, "jobs: expected a positive integer"),
-                     ({"jobs": "two"}, "jobs: expected a positive integer"),
                      ({"points": 5}, "points: invalid choice: 5"),
                      ({"n": "four"}, "n: invalid literal for int()")):
         conf.write_text(json.dumps(bad))
         code, out, err = run(capsys, "pure-gaps", "--n", "4",
                              "--config", str(conf))
         assert code == 1 and out == "" and why in err, bad
-    conf.write_text(json.dumps({"check": False, "points": "3", "jobs": 2}))
+    conf.write_text(json.dumps({"check": False, "points": "3", "seed": 2}))
     code, doc, _ = run_json(capsys, "pure-gaps", "--n", "4",
                             "--config", str(conf))
     assert code == 0 and "oracle_check" not in doc
-    assert {k: doc["config"][k] for k in ("check", "points", "jobs")} == {
-        "check": False, "points": 3, "jobs": 2}
+    assert {k: doc["config"][k] for k in ("check", "points", "seed")} == {
+        "check": False, "points": 3, "seed": 2}
+    # the keys of the removed flags are unknown, not silently accepted
+    for bad in ({"jobs": 2}, {"skip_oracle_sweeps": True},
+                {"inject_bug": True}):
+        conf.write_text(json.dumps(bad))
+        code, out, err = run(capsys, "verify", "--n-max", "3",
+                             "--config", str(conf))
+        assert code == 1 and out == "" and "unknown config keys" in err, bad
+
+
+def test_defaults_match_flags():
+    # a removed flag leaves no dead default or config key behind, and a new
+    # flag must declare its default
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for p in sub.choices.values() for a in p._actions}
+    assert set(cli.DEFAULTS) == dests - {"help"}
 
 
 def test_deterministic_output(capsys):

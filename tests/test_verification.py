@@ -1,8 +1,7 @@
 from tripoint.catalog import builtin_curves
 from tripoint.fields import make_field
-from tripoint.verification import (corrupted_field_fixture, curve_suite,
-                                   default_verify_report, field_axiom_suite,
-                                   kim_suite)
+from tripoint.verification import (curve_suite, default_verify_report,
+                                   field_axiom_suite, kim_suite)
 
 
 def test_field_axiom_suite_clean():
@@ -10,11 +9,10 @@ def test_field_axiom_suite_clean():
     assert results and all(r.passed for r in results)
 
 
-def test_field_axiom_suite_catches_injected_bug():
+def test_field_axiom_suite_catches_injected_bug(corrupted_field):
     # reducible modulus => a quotient ring with zero divisors, not a field;
     # the suite must fail with a concrete witness rather than crash
-    bad = corrupted_field_fixture()
-    results = field_axiom_suite(bad)
+    results = field_axiom_suite(corrupted_field)
     failing = [r for r in results if not r.passed]
     assert failing
     assert any("inverse" in r.name for r in failing)
@@ -28,7 +26,7 @@ def test_kim_suite():
 
 
 def test_default_report_shape():
-    report = default_verify_report(n_max=3, oracle_sweeps=False)
+    report = default_verify_report(n_max=3)
     assert report["passed"] is True
     assert report["checks"] == sum(len(v) for v in report["sections"].values())
     assert {"fields", "kim"} <= set(report["sections"])
