@@ -283,10 +283,10 @@ def _parse_ints(text: str, flag: str, count: tuple) -> tuple:
 
 
 def _selection(text: str, flag: str, known) -> tuple:
-    """The names in a comma list, in order; a name outside `known`, or a
-    list that names nothing, is a usage error."""
-    names = tuple(part.strip() for part in str(text).split(",")
-                  if part.strip())
+    """The names in a comma list, in order, a repeated name kept once; a
+    name outside `known`, or a list that names nothing, is a usage error."""
+    names = tuple(dict.fromkeys(part.strip() for part in str(text).split(",")
+                                if part.strip()))
     unknown = sorted(set(names) - set(known))
     if unknown:
         raise UsageError(f"unknown {flag[2:]} {unknown}; "

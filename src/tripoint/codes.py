@@ -50,6 +50,7 @@ from .fields import Field
 # dim_L_oracle is unused here; benchmarks/tracing.py patches it on this module
 from .riemann_roch import (ThreePointDivisor, _expansions, basis_L_oracle,
                            dim_L_oracle)
+from .series import monomial_orders
 from .weierstrass import pure_gap_box
 
 __all__ = [
@@ -182,7 +183,7 @@ def build_CL(curve: CurveSpec, points: list, G: ThreePointDivisor):
     only when G.c <= 0, so that each basis function h / M is defined at
     every point.  The standard monomials and M are evaluated as forms, and
     E = basis * V / M.  At P3 a monomial's value is the coefficient of
-    t^ord(M), ord_P3(M) = n*beta + alpha, in its chart expansion there.
+    t^ord_P3(M) (series.monomial_orders) in its chart expansion there.
     """
     field = curve.field
     rr = basis_L_oracle(curve, G)
@@ -207,10 +208,9 @@ def build_CL(curve: CurveSpec, points: list, G: ThreePointDivisor):
         raise CodesError(f"{points[int(off[0])]!r} is not on the curve")
     V = np.array(list(values))
     if p3 in coords:
-        alpha, beta, _ = rr.denominator
+        ord_p3 = monomial_orders(curve.n, rr.denominator)[2]
         V[:, [c == p3 for c in coords]] = _expansions(
-            curve, "P3", sum(rr.denominator), monos,
-            curve.n * beta + alpha + 1)[-1:].T
+            curve, "P3", sum(rr.denominator), monos, ord_p3 + 1)[-1:].T
     denom = V[-1]
     if np.any(denom == 0):
         raise CodesError("zero denominator at an evaluation point")

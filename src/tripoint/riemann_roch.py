@@ -1,13 +1,12 @@
 """Riemann-Roch spaces for divisors supported on the three fundamental points.
 
-The oracle computes ell(D) for D = a*P1 + b*P2 + c*P3 without any closed
-form, by exact linear algebra over the base field:
+The oracle computes ell(D) for D = a*P1 + b*P2 + c*P3 without any
+dimension formula, by exact linear algebra over the base field:
 
-1.  Cover D by a monomial.  X = 0 cuts the curve in n*P2 + P3, Y = 0 in
-    n*P3 + P1 and Z = 0 in n*P1 + P2, so M = X^alpha Y^beta Z^gamma has
-    zero divisor (beta + n*gamma, n*alpha + gamma, n*beta + alpha).  The
-    oracle takes the M of smallest degree N whose zero divisor dominates D,
-    ties broken by the smallest (alpha, beta, gamma).
+1.  Cover D by a monomial.  M = X^alpha Y^beta Z^gamma has zero divisor
+    series.monomial_orders(n, (alpha, beta, gamma)), read off the lines
+    X, Y, Z = 0.  The oracle takes the M of smallest degree N whose zero
+    divisor dominates D, ties broken by the smallest (alpha, beta, gamma).
 
 2.  Model L(D) with forms h of degree N: h/M lies in L(D) exactly when
     ord_Pk(h) >= ord_Pk(M) - D_k at P1, P2 and P3 (vanishing orders along
@@ -33,8 +32,11 @@ t^i * w(t)^j, a shifted row of the powers of the chart coordinate w.  The
 powers come from one order-by-order recurrence (series.chart_powers) and are
 cached per point (`_chart_powers`).  `_expansions` is the one expansion
 path: condition rows, the order of a single form (`order_of_form`), and h/M
-at P3 when D.c <= 0: the coefficient of t^ord(M), ord_P3(M) = n*beta +
-alpha, in h's expansion over that in M's (`codes.build_CL`).
+at P3 when D.c <= 0: the coefficient of t^ord_P3(M) in h's expansion over
+that in M's (`codes.build_CL`).
+
+The module also hosts the m*P, shifted-pair and S_d formulas; the M_d, N_d
+and S_d + e families are the pure-gap box corners (weierstrass.pure_gap_box).
 """
 
 from __future__ import annotations
@@ -46,14 +48,14 @@ import numpy as np
 from . import linalg
 from .curves import CurveSpec
 # solve_chart is unused here; benchmarks/tracing.py patches it on this module
-from .series import _CHART_EXPS, POINT_IDS, chart_powers, solve_chart
+from .series import (_CHART_EXPS, POINT_IDS, chart_powers, monomial_orders,
+                     solve_chart)
 
 __all__ = [
     "ThreePointDivisor", "RRSpace", "OracleError",
     "dim_L_oracle", "basis_L_oracle", "canonical_divisor",
     "dim_mP_formula", "dim_shifted_formula", "shifted_divisor",
-    "dim_Md_Nd", "Md_divisor", "Nd_divisor",
-    "dim_Sd", "Sd_divisor", "dim_Sd_plus_e",
+    "dim_Sd", "Sd_divisor",
     "monomials_of_degree", "order_of_form",
 ]
 
@@ -97,19 +99,17 @@ class ThreePointDivisor:
 
 
 def canonical_divisor(n: int) -> ThreePointDivisor:
-    """A canonical divisor: the curve section cut by Z^(n-2).
-
-    Z = 0 cuts n*P1 + P2 and deg = (n-2)(n+1) = 2g - 2.
-    """
-    return ThreePointDivisor((n - 2) * n, n - 2, 0)
+    """A canonical divisor: the curve section cut by Z^(n-2), of degree
+    (n-2)(n+1) = 2g - 2."""
+    return ThreePointDivisor(*monomial_orders(n, (0, 0, n - 2)))
 
 
 def divisor_of_x(n: int) -> ThreePointDivisor:
-    return ThreePointDivisor(-n, n - 1, 1)
+    return ThreePointDivisor(*monomial_orders(n, (1, 0, -1)))
 
 
 def divisor_of_y(n: int) -> ThreePointDivisor:
-    return ThreePointDivisor(-(n - 1), -1, n)
+    return ThreePointDivisor(*monomial_orders(n, (0, 1, -1)))
 
 
 @dataclass
@@ -216,7 +216,8 @@ def _covering_exponents(n: int, D: ThreePointDivisor) -> tuple:
             # P3 bounds beta below; P1, P2 and gamma >= 0 bound it above
             beta = max(0, -(-(c - alpha) // n))
             gamma = N - alpha - beta
-            if gamma >= 0 and beta + n * gamma >= a and n * alpha + gamma >= b:
+            z1, z2, _ = monomial_orders(n, (alpha, beta, gamma))
+            if gamma >= 0 and z1 >= a and z2 >= b:
                 return alpha, beta, gamma
         N += 1
 
@@ -235,7 +236,7 @@ def _condition_matrix(curve: CurveSpec, D: ThreePointDivisor, n_extra: int):
     if N > DEGREE_CAP:
         raise OracleError(
             f"form degree {N} for {D!r} exceeds the cap {DEGREE_CAP}")
-    zeros = (beta + n * gamma, n * alpha + gamma, n * beta + alpha)
+    zeros = monomial_orders(n, (alpha, beta, gamma))
     monos = [e for e in monomials_of_degree(N) if e[0] < n or e[2] == 0]
     A = np.concatenate([_expansions(curve, pid, N, monos, max(z - d, 0))
                         for pid, z, d in zip(POINT_IDS, zeros, D.coeffs())])
@@ -286,10 +287,8 @@ def _split_m(n: int, m: int):
     return divmod(m, n - 1)  # m = d*(n-1) + r with 0 <= r <= n-2
 
 
-def dim_mP_formula(n: int, m: int, point: int = 1) -> int:
+def dim_mP_formula(n: int, m: int) -> int:
     """ell(m * Pk), the same at each of the three fundamental points."""
-    if point not in (1, 2, 3):
-        raise ValueError(f"point must be 1, 2 or 3, got {point}")
     d, r = _split_m(n, m)
     return (d * d - d + 2) // 2 + min(r, d)
 
@@ -320,28 +319,6 @@ def shifted_divisor(n: int, m: int, variant: str) -> ThreePointDivisor:
     raise ValueError(f"variant must be one of {SHIFT_VARIANTS}")
 
 
-def _check_ij(n: int, i: int, j: int):
-    if i < 1 or j < 1 or not 2 <= i + j <= n - 1:
-        raise ValueError(f"need i, j >= 1 with 2 <= i+j <= n-1, got {(i, j)}")
-
-
-def dim_Md_Nd(n: int, i: int, j: int) -> int:
-    """Common dimension of the two-point families M_d and N_d below."""
-    _check_ij(n, i, j)
-    d = i + j
-    return (d - 1) * (d - 2) // 2 + i
-
-
-def Md_divisor(n: int, i: int, j: int) -> ThreePointDivisor:
-    _check_ij(n, i, j)
-    return ThreePointDivisor(i * n - (i + j), j * (n - 1), 0)
-
-
-def Nd_divisor(n: int, i: int, j: int) -> ThreePointDivisor:
-    _check_ij(n, i, j)
-    return ThreePointDivisor((i - 1) * n, (j - 1) * n + i - 1, 0)
-
-
 def dim_Sd(n: int, i: int, j: int, k: int) -> int:
     """ell of the symmetric divisor S_d ~ d*(n*P1 + P2), d = i+j+k."""
     d = i + j + k
@@ -354,11 +331,3 @@ def dim_Sd(n: int, i: int, j: int, k: int) -> int:
 
 def Sd_divisor(n: int, i: int, j: int, k: int) -> ThreePointDivisor:
     return ThreePointDivisor(k * n + j, i * n + k, j * n + i)
-
-
-def dim_Sd_plus_e(n: int, i: int, j: int, k: int, e: int) -> int:
-    """ell(S_d + e*(P1+P2+P3)) in the balanced case d + e = n - 2."""
-    d = i + j + k
-    if d + e != n - 2 or d < 0:
-        raise ValueError(f"need d + e = n - 2 with d >= 0, got d={d}, e={e}")
-    return (d + 2) * (d + 1) // 2

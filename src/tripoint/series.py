@@ -17,6 +17,8 @@ chart_powers fills the powers of the branch w(t) = -t^n + higher order
 order by order with this recurrence and never needs a pivot choice.
 Coefficient arrays are numpy arrays of field codes, low order first.
 Riemann-Roch and vanishing orders are built on these in riemann_roch.py.
+monomial_orders is the one table of the orders of X, Y and Z at the three
+points; every divisor of a monomial is read from it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from .fields import Field
 
 __all__ = ["SeriesError", "POINT_IDS", "chart_powers", "solve_chart",
-           "monomial_valuations"]
+           "monomial_orders"]
 
 POINT_IDS = ("P1", "P2", "P3")
 
@@ -91,10 +93,9 @@ def solve_chart(field: Field, chart_poly: dict, precision: int) -> np.ndarray:
     return chart_powers(field, chart_poly, 1, precision)[1]
 
 
-def monomial_valuations(n: int, u: int, v: int) -> tuple:
-    """Valuations of x^u y^v at (P1, P2, P3) for the degree-(n+1) family.
-
-    Derived from div(x) = -n P1 + (n-1) P2 + P3 and
-    div(y) = -(n-1) P1 - P2 + n P3; the three valuations always sum to 0.
-    """
-    return (-u * n - v * (n - 1), u * (n - 1) - v, u + v * n)
+def monomial_orders(n: int, e: tuple) -> tuple:
+    """Orders at (P1, P2, P3) of X^e1 Y^e2 Z^e3, exponents of any sign:
+    X = 0 cuts the curve in n*P2 + P3, Y = 0 in n*P3 + P1, Z = 0 in
+    n*P1 + P2."""
+    e1, e2, e3 = e
+    return (e2 + n * e3, n * e1 + e3, e1 + n * e2)

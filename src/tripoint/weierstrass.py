@@ -9,9 +9,11 @@ test, ell(D) = ell(D - step), and pure_gap_problems is the one per-record
 check of a pure gap against the oracle.  The test suite pins the two
 flavors against each other.
 
-The boxes of pure gaps are stated once, in pure_gap_box: pure_gaps_pair
-and pure_gaps_triple enumerate them and the designs of tripoint.codes read
-them.
+The boxes of pure gaps are stated once, in pure_gap_box, and ell on each
+box once, in pure_gap_dimension: ell is constant from the corner below the
+box (lo - 1) up to its top corner (hi).  pure_gaps_pair and pure_gaps_triple
+enumerate the boxes, the designs of tripoint.codes read them, and the M_d,
+N_d and S_d + e claims of tripoint.claims are their corners.
 
 Gap bookkeeping at a point P:  m is a gap iff ell(mP) = ell((m-1)P).  For
 this family the gap set at each fundamental point is
@@ -31,16 +33,16 @@ from dataclasses import dataclass, field as dc_field
 from itertools import product
 
 from .curves import CurveSpec
-from .riemann_roch import ThreePointDivisor, dim_L_oracle
-from .series import POINT_IDS, monomial_valuations
+from .riemann_roch import ThreePointDivisor, Sd_divisor, dim_L_oracle, dim_Sd
+from .series import POINT_IDS, monomial_orders
 
 __all__ = [
     "GapSet", "KimMapTable", "PureGapRecord",
     "gaps_closed_form", "semigroup_generators", "gaps_oracle",
     "kim_map", "kim_image", "gap_index",
     "pure_gaps_pair", "pure_gaps_pair_via_homma_kim", "gap_pair_count",
-    "pure_gaps_triple", "pure_gap_box", "pure_gap_count_pair",
-    "pure_gap_count_triple",
+    "pure_gaps_triple", "pure_gap_box", "pure_gap_dimension",
+    "pure_gap_count_pair", "pure_gap_count_triple",
     "pair_membership_oracle", "gap_pairs_oracle", "pure_gap_oracle",
     "pure_gap_problems", "CYCLIC_PAIRS",
 ]
@@ -166,7 +168,7 @@ def kim_map(n: int, pair: tuple) -> KimMapTable:
     for a in gaps_closed_form(n).gaps:
         b = kim_image(n, a)
         u, v = _witness_monomial(pair, n, a)
-        vals = monomial_valuations(n, u, v)
+        vals = monomial_orders(n, (u, v, -u - v))
         pole = tuple(-min(val, 0) for val in vals)
         expect = _divisor(pair, (a, b)).coeffs()
         if pole != expect:
@@ -199,24 +201,37 @@ def pure_gap_box(n: int, params: tuple) -> tuple:
         pair, i, j >= 1, d = i + j <= n - 1:
             ((i-1)n + 1, in - i - j) and ((j-1)n + i, jn - j)
         triple, i, j, k >= 0, d = i + j + k <= n - 3:
-            lo = (kn + j + 1, in + k + 1, jn + i + 1), hi = lo + n - 3 - d
+            lo = S_d + 1 = (kn + j + 1, in + k + 1, jn + i + 1),
+            hi = lo + n - 3 - d (at d = n - 2 the box is empty, hi = S_d)
     """
     if len(params) == 2:
         i, j = params
         return (((i - 1) * n + 1, i * n - i - j), ((j - 1) * n + i, j * n - j))
     if len(params) == 3:
-        i, j, k = params
-        span = n - 3 - (i + j + k)
-        return tuple((lo, lo + span)
-                     for lo in (k * n + j + 1, i * n + k + 1, j * n + i + 1))
+        span = n - 3 - sum(params)
+        return tuple((s + 1, s + 1 + span)
+                     for s in Sd_divisor(n, *params).coeffs())
     raise ValueError(f"want (i, j) or (i, j, k), got {params}")
 
 
-def _box_records(n: int, params: dict, dimension: int) -> list:
+def pure_gap_dimension(n: int, params: tuple) -> int:
+    """ell on the box pure_gap_box(n, params), from lo - 1 up to hi: a pair
+    gives (d-1)(d-2)/2 + i, a triple ell(S_d), S_d = lo - 1."""
+    if len(params) == 2:
+        d = sum(params)
+        return (d - 1) * (d - 2) // 2 + params[0]
+    if len(params) == 3:
+        return dim_Sd(n, *params)
+    raise ValueError(f"want (i, j) or (i, j, k), got {params}")
+
+
+def _box_records(n: int, params: dict) -> list:
     """One record per tuple of the box of params = {i, j[, k]}, with the
     offsets from the low corner as r, s[, t]."""
-    box = pure_gap_box(n, tuple(params.values()))
-    d = sum(params.values())
+    values = tuple(params.values())
+    box = pure_gap_box(n, values)
+    dimension = pure_gap_dimension(n, values)
+    d = sum(values)
     offsets = product(*(range(hi - lo + 1) for lo, hi in box))
     return [PureGapRecord(tuple_=tuple(lo + o for (lo, _), o in zip(box, off)),
                           params={**params, "d": d,
@@ -242,9 +257,7 @@ def pure_gaps_pair(n: int) -> list:
     out = []
     for i in range(1, n):
         for j in range(1, n - i):
-            d = i + j
-            out += _box_records(n, {"i": i, "j": j},
-                                (d - 1) * (d - 2) // 2 + i)
+            out += _box_records(n, {"i": i, "j": j})
     out.sort(key=lambda rec: rec.tuple_)
     return out
 
@@ -295,9 +308,7 @@ def pure_gaps_triple(n: int) -> list:
     for i in range(0, max(n - 2, 0)):
         for j in range(0, n - 2 - i):
             for k in range(0, n - 2 - i - j):
-                d = i + j + k
-                out += _box_records(n, {"i": i, "j": j, "k": k},
-                                    (d + 1) * (d + 2) // 2)
+                out += _box_records(n, {"i": i, "j": j, "k": k})
     out.sort(key=lambda rec: rec.tuple_)
     return out
 

@@ -203,6 +203,11 @@ def test_dims_check(capsys):
                 for i in range(d + 1) for j in range(d - i + 1)]
         assert [r["label"] for r in doc["rows"]
                 if r["family"] == "Sd"] == want
+    # a repeated family is listed, and its claims tabled, once
+    code, doc, _ = run_json(capsys, "dims", "--n", "3",
+                            "--families", "Sd+e,mP,Sd+e,mP")
+    assert code == 0 and doc["families"] == ["Sd+e", "mP"]
+    assert len(doc["rows"]) == 12 + 4     # 12 m*P claims, 4 S_d + e
 
 
 def test_code_pipeline(capsys, tmp_path):

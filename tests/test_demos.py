@@ -1,6 +1,8 @@
-"""Every demo script runs to the end in-process and prints something."""
+"""Every demo script runs to the end in-process and prints, byte for byte,
+the output pinned below."""
 
 import contextlib
+import hashlib
 import io
 import runpy
 from pathlib import Path
@@ -9,9 +11,28 @@ import pytest
 
 _DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
+# SHA-256 of each demo's stdout (UTF-8); every demo is deterministic, so a
+# change here is a change in what the package computes or prints
+_STDOUT_SHA256 = {
+    "01_field_arithmetic":
+        "b2ae866d5e0ae083521c3fba27030488e078a96185f15af5a419e98e98056090",
+    "02_curves_and_points":
+        "20830c26876de1fcd102e354059da33c8598347cbc7d1322f28b82d7268326b9",
+    "03_gap_sequences":
+        "0c26741b2ae748930bae9afe301dca2b69d3ac8611fbbe75ab9775487ce8c5e7",
+    "04_pure_gaps":
+        "211a7650bd1d32e85a39e58db7cf58d9707cee1051197b53d7bc67728065ae8b",
+    "05_riemann_roch":
+        "83372a7aaccc8d4da66226ef8d3d90f4c212b1e5c895104d36bafff3c4d597d2",
+    "06_code_q16":
+        "c2a89a5d770ae796dbd79345110578dd631d3df5ce2e2531e8d84de722a13ca5",
+    "07_record_ladder":
+        "ccbb54cd43fc6d9ddb32acf20883c3d14bd5a91295f833601fe512d29ba6c976",
+}
+
 
 def test_demos_are_found():
-    assert len(_DEMOS) == 7
+    assert [p.stem for p in _DEMOS] == sorted(_STDOUT_SHA256)
 
 
 @pytest.mark.parametrize("path", _DEMOS, ids=lambda p: p.stem)
@@ -20,3 +41,5 @@ def test_demo_runs(path):
     with contextlib.redirect_stdout(out):
         runpy.run_path(str(path), run_name="__main__")
     assert out.getvalue().strip()
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == _STDOUT_SHA256[path.stem]

@@ -7,15 +7,18 @@ from tripoint import linalg
 from tripoint.claims import FAMILIES, dimension_claims
 from tripoint.curves import CurveSpec
 from tripoint.fields import make_field
-from tripoint.riemann_roch import (DEGREE_CAP, POINT_IDS, Md_divisor, Nd_divisor,
-                                   OracleError, SHIFT_VARIANTS, Sd_divisor,
+from tripoint.riemann_roch import (DEGREE_CAP, POINT_IDS, OracleError,
+                                   SHIFT_VARIANTS, Sd_divisor,
                                    ThreePointDivisor, basis_L_oracle,
-                                   canonical_divisor, dim_L_oracle, dim_Md_Nd,
-                                   dim_mP_formula, dim_Sd, dim_Sd_plus_e,
+                                   canonical_divisor, dim_L_oracle,
+                                   dim_mP_formula, dim_Sd,
                                    dim_shifted_formula, divisor_of_x,
                                    divisor_of_y, monomials_of_degree,
                                    order_of_form, shifted_divisor,
                                    _covering_exponents, _expansions)
+from tripoint.series import monomial_orders
+from tripoint.weierstrass import (pure_gap_dimension, pure_gaps_pair,
+                                  pure_gaps_triple)
 
 P1, P2, P3 = (ThreePointDivisor(1, 0, 0), ThreePointDivisor(0, 1, 0),
               ThreePointDivisor(0, 0, 1))
@@ -45,15 +48,15 @@ def test_formula_examples():
     assert dim_shifted_formula(4, 3, "P2-P1") == 0
     assert dim_shifted_formula(4, 8, "P2-P1") == 2
     assert dim_shifted_formula(5, 9, "P3-P2") == 1
-    assert dim_Md_Nd(4, 1, 1) == 1
-    assert dim_Md_Nd(4, 2, 1) == 3
-    assert dim_Md_Nd(5, 2, 2) == 5
+    assert pure_gap_dimension(4, (1, 1)) == 1
+    assert pure_gap_dimension(4, (2, 1)) == 3
+    assert pure_gap_dimension(5, (2, 2)) == 5
     assert dim_Sd(4, -1, 0, 0) == 0
     assert dim_Sd(4, 1, 1, 0) == 6
     assert dim_Sd(4, 1, 1, 1) == 10   # d = n-1 switches to (n+1)d - g + 1
-    assert dim_Sd_plus_e(4, 0, 0, 0, 2) == 1
-    assert dim_Sd_plus_e(4, 1, 1, 0, 0) == 6
-    assert dim_Sd_plus_e(5, 1, 0, 0, 2) == 3
+    assert pure_gap_dimension(4, (0, 0, 0)) == 1
+    assert pure_gap_dimension(4, (1, 1, 0)) == 6
+    assert pure_gap_dimension(5, (1, 0, 0)) == 3
 
 
 def test_formula_range_checks():
@@ -62,15 +65,9 @@ def test_formula_range_checks():
     with pytest.raises(ValueError):
         dim_mP_formula(4, 11)   # 2g-2 = 10 is the last proven value
     with pytest.raises(ValueError):
-        dim_mP_formula(4, 3, point=4)
-    with pytest.raises(ValueError):
         dim_shifted_formula(4, 3, "P1-P2")
     with pytest.raises(ValueError):
-        dim_Md_Nd(4, 1, 3)   # i + j = n not allowed
-    with pytest.raises(ValueError):
-        dim_Md_Nd(4, 0, 2)
-    with pytest.raises(ValueError):
-        dim_Sd_plus_e(4, 1, 0, 0, 0)   # d + e != n - 2
+        pure_gap_dimension(4, (1,))   # neither a pair nor a triple
 
 
 def test_dimension_claims_ranges():
@@ -91,6 +88,39 @@ def test_dimension_claims_ranges():
         # a subset keeps FAMILIES order, whatever order it is asked in
         assert dimension_claims(n, ("Sd+e", "mP")) == \
             [c for c in claims if c.family in ("mP", "Sd+e")]
+
+
+def test_box_corner_claims_match_reference_formulas():
+    # the M_d, N_d and S_d + e claims and the pure-gap record dimensions,
+    # against the divisor and dimension formulas written out by hand
+    for n in range(3, 11):
+        want = []
+        for i in range(1, n):
+            for j in range(1, n - i):
+                d = i + j
+                dim = (d - 1) * (d - 2) // 2 + i
+                want += [("MdNd", f"M({i},{j})",
+                          (i * n - (i + j), j * (n - 1), 0), dim, ("M", i, j)),
+                         ("MdNd", f"N({i},{j})",
+                          ((i - 1) * n, (j - 1) * n + i - 1, 0), dim,
+                          ("N", i, j))]
+        for d in range(0, n - 1):
+            e = n - 2 - d
+            for i in range(0, d + 1):
+                for j in range(0, d - i + 1):
+                    k = d - i - j
+                    want.append(("Sd+e", f"S({i},{j},{k})+{e}",
+                                 (k * n + j + e, i * n + k + e, j * n + i + e),
+                                 (d + 1) * (d + 2) // 2, (i, j, k, e)))
+        got = [(c.family, c.label, c.divisor.coeffs(), c.dimension, c.params)
+               for c in dimension_claims(n, ("MdNd", "Sd+e"))]
+        assert got == want
+        for rec in pure_gaps_pair(n):
+            d, i = rec.params["d"], rec.params["i"]
+            assert rec.predicted_dimension == (d - 1) * (d - 2) // 2 + i
+        for rec in pure_gaps_triple(n):
+            d = rec.params["d"]
+            assert rec.predicted_dimension == (d + 1) * (d + 2) // 2
 
 
 def test_oracle_base_cases(klein):
@@ -124,14 +154,13 @@ def test_oracle_matches_formulas_n3(klein):
     n = 3
     for m in range(1, 5):
         want = dim_mP_formula(n, m)
-        for k, point in enumerate((P1, P2, P3), start=1):
+        for point in (P1, P2, P3):
             assert dim_L_oracle(klein, point.scaled(m)) == want
-            assert dim_mP_formula(n, m, k) == want
         for variant in SHIFT_VARIANTS:
             D = shifted_divisor(n, m, variant)
             assert dim_L_oracle(klein, D) == dim_shifted_formula(n, m, variant)
-    assert dim_L_oracle(klein, Md_divisor(n, 1, 1)) == dim_Md_Nd(n, 1, 1)
-    assert dim_L_oracle(klein, Nd_divisor(n, 1, 1)) == dim_Md_Nd(n, 1, 1)
+    for claim in dimension_claims(n, ("MdNd",)):
+        assert dim_L_oracle(klein, claim.divisor) == claim.dimension
 
 
 def test_oracle_matches_Sd(klein):
@@ -242,7 +271,7 @@ def _all_forms_count(curve, D, n_extra):
     alpha, beta, gamma = _covering_exponents(n, D)
     gamma += n_extra
     N = alpha + beta + gamma
-    zeros = (beta + n * gamma, n * alpha + gamma, n * beta + alpha)
+    zeros = monomial_orders(n, (alpha, beta, gamma))
     monos = monomials_of_degree(N)
     A = np.concatenate([_expansions(curve, pid, N, monos, max(z - d, 0))
                         for pid, z, d in zip(POINT_IDS, zeros, D.coeffs())])

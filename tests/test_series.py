@@ -7,7 +7,7 @@ from tripoint.catalog import builtin_curves
 from tripoint.curves import CurveSpec
 from tripoint.fields import make_field
 from tripoint.riemann_roch import _chart_powers, order_of_form
-from tripoint.series import (SeriesError, chart_powers, monomial_valuations,
+from tripoint.series import (SeriesError, chart_powers, monomial_orders,
                              solve_chart)
 
 F8 = make_field(2, 3)
@@ -167,17 +167,22 @@ def test_chart_powers_refuses_unsolvable_charts():
             solve_chart(field, {(3, 0): 1, (1, 3): 1}, 10)
 
 
-def test_monomial_valuations_closed_form():
+def _xy_orders(n, u, v):
+    """monomial_orders of x^u y^v = X^u Y^v Z^-(u+v)."""
+    return monomial_orders(n, (u, v, -u - v))
+
+
+def test_monomial_orders_closed_form():
     for n in (3, 4, 5, 9):
-        assert monomial_valuations(n, 1, 0) == (-n, n - 1, 1)
-        assert monomial_valuations(n, 0, 1) == (-(n - 1), -1, n)
-        assert monomial_valuations(n, 0, 0) == (0, 0, 0)
+        assert _xy_orders(n, 1, 0) == (-n, n - 1, 1)
+        assert _xy_orders(n, 0, 1) == (-(n - 1), -1, n)
+        assert _xy_orders(n, 0, 0) == (0, 0, 0)
         # div_infinity(x * y^(n-1)) = (n(n-1)+1) P1
-        assert monomial_valuations(n, 1, n - 1)[0] == -(n * (n - 1) + 1)
+        assert _xy_orders(n, 1, n - 1)[0] == -(n * (n - 1) + 1)
         rng = np.random.default_rng(n)
         for _ in range(25):
             u, v = (int(w) for w in rng.integers(-3 * n, 3 * n + 1, 2))
-            assert sum(monomial_valuations(n, u, v)) == 0
+            assert sum(_xy_orders(n, u, v)) == 0
 
 
 def test_order_of_form_xy_valuations(klein, c16, record):
@@ -198,14 +203,18 @@ def test_solve_chart_klein_branch(klein):
         order_of_form(klein, "P7", {(1, 0, 0): 1}, 1)
 
 
-def test_monomial_valuations_match_series(klein, c16, record):
+def test_monomial_orders_match_series(klein, c16, record):
     rng = np.random.default_rng(7)
     for curve in (klein, c16, record):
         n = curve.n
+        for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):   # the rows X, Y, Z
+            got = tuple(order_of_form(curve, point, {e: 1}, 1)
+                        for point in POINTS)
+            assert got == monomial_orders(n, e)
         for _ in range(6):
             u, v = (int(w) for w in rng.integers(-3 * n, 3 * n + 1, 2))
             got = tuple(_valuation(curve, point, u, v) for point in POINTS)
-            assert got == monomial_valuations(n, u, v)
+            assert got == _xy_orders(n, u, v)
 
 
 def test_order_of_form_lines(klein, c16, record):

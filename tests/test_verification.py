@@ -19,7 +19,7 @@ def test_field_axiom_suite_catches_injected_bug(corrupted_field):
 
 
 def test_kim_suite():
-    results = kim_suite(n_max=8)
+    results = kim_suite()
     assert all(r.passed for r in results)
     names = {r.name for r in results}
     assert any("fixed points" in name for name in names)
