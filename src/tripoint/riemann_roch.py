@@ -3,6 +3,19 @@
 The oracle computes ell(D) for D = a*P1 + b*P2 + c*P3 without any
 dimension formula, by exact linear algebra over the base field:
 
+0.  Reduce D to its (degree, class).  Multiplying by x^u y^v maps L(D)
+    onto L(D - u*div x - v*div y), with div x = (-n, n-1, 1) and
+    div y = (-(n-1), -1, n).  The class (a - (n-1)b) mod n^2 - n + 1
+    vanishes on both (-n - (n-1)^2 = -(n^2 - n + 1) and
+    -(n-1) + (n-1) = 0), and the two span a sublattice of index
+    n^2 - n + 1 in the degree-0 divisors, so the degree-d divisors fall
+    into n^2 - n + 1 classes with one ell each.  The memo holds one ell
+    per (d, class), computed on `_representative`: D minus the rounded
+    div x, div y coordinates of D - (d/3)(P1 + P2 + P3), whose cover
+    degree stays within 2 of ceil(d/(n+1)) for n = 3..8 and
+    0 <= d <= 2g - 2.  `memo=False` (and `n_extra`) skips the reduction
+    and runs steps 1-3 on D itself: the unreduced reference.
+
 1.  Cover D by a monomial.  M = X^alpha Y^beta Z^gamma has zero divisor
     series.monomial_orders(n, (alpha, beta, gamma)), read off the lines
     X, Y, Z = 0.  The oracle takes the M of smallest degree N whose zero
@@ -243,25 +256,52 @@ def _condition_matrix(curve: CurveSpec, D: ThreePointDivisor, n_extra: int):
     return (alpha, beta, gamma), A, monos
 
 
+def _class_of(n: int, D: ThreePointDivisor) -> int:
+    """(a - (n-1)b) mod N, N = n^2 - n + 1: zero on div x and div y."""
+    return (D.a - (n - 1) * D.b) % (n * n - n + 1)
+
+
+def _representative(n: int, D: ThreePointDivisor) -> ThreePointDivisor:
+    """The member of D's (degree, class) that the memo computes ell on.
+
+    D - (d/3)(P1 + P2 + P3) = s*div x + t*div y with 3N*s and 3N*t the
+    integers below (N the determinant of div x, div y on the P1, P2
+    coefficients); subtracting the rounded (s, t) lands on the same divisor
+    from every member of the class, since a member's (s, t) differ by
+    integers.
+    """
+    N = n * n - n + 1
+    a, b, d = D.a, D.b, D.degree
+    s3 = 3 * ((n - 1) * b - a) - (n - 2) * d
+    t3 = (2 * n - 1) * d - 3 * ((n - 1) * a + n * b)
+    u, v = ((2 * w + 3 * N) // (6 * N) for w in (s3, t3))
+    return D - divisor_of_x(n).scaled(u) - divisor_of_y(n).scaled(v)
+
+
+def _ell(curve: CurveSpec, D: ThreePointDivisor, n_extra: int) -> int:
+    """Standard monomials minus the rank of D's own conditions (steps 1-3)."""
+    _, A, monos = _condition_matrix(curve, D, n_extra)
+    return len(monos) - linalg.rank(curve.field, A)
+
+
 def dim_L_oracle(curve: CurveSpec, D: ThreePointDivisor, *, n_extra: int = 0,
                  memo: bool = True) -> int:
     """ell(D) by exact linear algebra.  See the module docstring.
 
-    n_extra multiplies the covering monomial by Z^n_extra; the answer must
-    not change.
+    The memo answers one (degree, class) from one representative (step 0).
+    memo=False or n_extra > 0 builds the conditions of D itself; n_extra
+    multiplies the covering monomial by Z^n_extra, and the answer must not
+    change.
     """
     if D.degree < 0:
         return 0
-    key = D.coeffs()
-    if memo and n_extra == 0:
-        got = curve._cache.setdefault("ell", {}).get(key)
-        if got is not None:
-            return got
-    _, A, monos = _condition_matrix(curve, D, n_extra)
-    dim = len(monos) - linalg.rank(curve.field, A)
-    if memo and n_extra == 0:
-        curve._cache["ell"][key] = dim
-    return dim
+    if not memo or n_extra:
+        return _ell(curve, D, n_extra)
+    table = curve._cache.setdefault("ell", {})
+    key = (D.degree, _class_of(curve.n, D))
+    if key not in table:
+        table[key] = _ell(curve, _representative(curve.n, D), 0)
+    return table[key]
 
 
 def basis_L_oracle(curve: CurveSpec, D: ThreePointDivisor) -> RRSpace:

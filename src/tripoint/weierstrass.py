@@ -194,35 +194,46 @@ class PureGapRecord:
                 "predicted_dimension": self.predicted_dimension}
 
 
+def _box_kind(n: int, params: tuple) -> int:
+    """2 for a pair, 3 for a triple; ValueError outside the theorems' range:
+    a pair needs i, j >= 1 with i + j <= n - 1, a triple i, j, k >= 0 with
+    i + j + k <= n - 2."""
+    if len(params) not in (2, 3):
+        raise ValueError(f"want (i, j) or (i, j, k), got {params}")
+    low, top = (1, n - 1) if len(params) == 2 else (0, n - 2)
+    if min(params) < low or sum(params) > top:
+        raise ValueError(f"want entries >= {low} with sum <= {top} for "
+                         f"n = {n}, got {params}")
+    return len(params)
+
+
 def pure_gap_box(n: int, params: tuple) -> tuple:
     """The box of pure gaps of a pair (i, j) or a triple (i, j, k):
     ((lo, hi), ...) per point, every integer tuple of the box a pure gap.
 
         pair, i, j >= 1, d = i + j <= n - 1:
             ((i-1)n + 1, in - i - j) and ((j-1)n + i, jn - j)
-        triple, i, j, k >= 0, d = i + j + k <= n - 3:
+        triple, i, j, k >= 0, d = i + j + k <= n - 2:
             lo = S_d + 1 = (kn + j + 1, in + k + 1, jn + i + 1),
             hi = lo + n - 3 - d (at d = n - 2 the box is empty, hi = S_d)
+
+    Parameters outside these ranges raise ValueError.
     """
-    if len(params) == 2:
+    if _box_kind(n, params) == 2:
         i, j = params
         return (((i - 1) * n + 1, i * n - i - j), ((j - 1) * n + i, j * n - j))
-    if len(params) == 3:
-        span = n - 3 - sum(params)
-        return tuple((s + 1, s + 1 + span)
-                     for s in Sd_divisor(n, *params).coeffs())
-    raise ValueError(f"want (i, j) or (i, j, k), got {params}")
+    span = n - 3 - sum(params)
+    return tuple((s + 1, s + 1 + span) for s in Sd_divisor(n, *params).coeffs())
 
 
 def pure_gap_dimension(n: int, params: tuple) -> int:
     """ell on the box pure_gap_box(n, params), from lo - 1 up to hi: a pair
-    gives (d-1)(d-2)/2 + i, a triple ell(S_d), S_d = lo - 1."""
-    if len(params) == 2:
+    gives (d-1)(d-2)/2 + i, a triple ell(S_d), S_d = lo - 1.  The ranges
+    are pure_gap_box's."""
+    if _box_kind(n, params) == 2:
         d = sum(params)
         return (d - 1) * (d - 2) // 2 + params[0]
-    if len(params) == 3:
-        return dim_Sd(n, *params)
-    raise ValueError(f"want (i, j) or (i, j, k), got {params}")
+    return dim_Sd(n, *params)
 
 
 def _box_records(n: int, params: dict) -> list:

@@ -157,12 +157,17 @@ def test_pure_gaps_check_oracle_work(capsys, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(riemann_roch, "_condition_matrix", counted)
-    for n, points, want in ((4, 2, 18), (4, 3, 21), (5, 2, 50), (5, 3, 103)):
+    for n, points, want in ((4, 2, 18), (4, 3, 17), (5, 2, 50), (5, 3, 63)):
         calls.clear()
         code, doc, _ = run_json(capsys, "pure-gaps", "--n", str(n),
                                 "--points", str(points), "--check")
         assert code == 0 and doc["oracle_check"]["passed"] is True
         assert len(calls) == want, (n, points)
+    # one matrix per (degree, class) queried, not per divisor
+    calls.clear()
+    code, doc, _ = run_json(capsys, "dims", "--n", "5", "--check")
+    assert code == 0 and all(r["match"] for r in doc["rows"])
+    assert len(calls) == 91
 
 
 def test_oracle_chart_power_builds(capsys, monkeypatch):
@@ -374,6 +379,20 @@ def test_verify_suite_exception(capsys, monkeypatch):
     assert failing[0]["detail"].startswith("RuntimeError: boom")
     # the suites after the broken one still ran
     assert any(r["section"] == "riemann-roch-n3" for r in doc["rows"])
+
+
+def test_verify_catches_wrong_class(capsys, monkeypatch):
+    # a representative in the wrong class changes the memo answers; the
+    # stability check compares them with the unreduced oracle
+    from tripoint import riemann_roch
+    original = riemann_roch._representative
+    shift = riemann_roch.ThreePointDivisor(1, -1, 0)
+    monkeypatch.setattr(riemann_roch, "_representative",
+                        lambda n, D: original(n, D) + shift)
+    code, doc, _ = run_json(capsys, "verify", "--n-max", "3")
+    assert code == 2 and doc["passed"] is False
+    failing = {r["name"] for r in doc["rows"] if not r["passed"]}
+    assert "oracle stability under larger form degree (n=3)" in failing
 
 
 def test_verify_record_curve(capsys):

@@ -15,10 +15,11 @@ from tripoint.riemann_roch import (DEGREE_CAP, POINT_IDS, OracleError,
                                    dim_shifted_formula, divisor_of_x,
                                    divisor_of_y, monomials_of_degree,
                                    order_of_form, shifted_divisor,
-                                   _covering_exponents, _expansions)
+                                   _class_of, _covering_exponents,
+                                   _expansions, _representative)
 from tripoint.series import monomial_orders
-from tripoint.weierstrass import (pure_gap_dimension, pure_gaps_pair,
-                                  pure_gaps_triple)
+from tripoint.weierstrass import (pure_gap_box, pure_gap_dimension,
+                                  pure_gaps_pair, pure_gaps_triple)
 
 P1, P2, P3 = (ThreePointDivisor(1, 0, 0), ThreePointDivisor(0, 1, 0),
               ThreePointDivisor(0, 0, 1))
@@ -68,6 +69,13 @@ def test_formula_range_checks():
         dim_shifted_formula(4, 3, "P1-P2")
     with pytest.raises(ValueError):
         pure_gap_dimension(4, (1,))   # neither a pair nor a triple
+    # a pair needs i, j >= 1 and i + j <= n - 1; a triple entries >= 0 and
+    # d <= n - 2 (the empty box of the S_d + e claims at d = n - 2)
+    for params in ((3, 3), (0, 0), (0, 2), (2, 2), (-1, 0, 0), (1, 1, 1),
+                   (3, 0, 0)):
+        for formula in (pure_gap_box, pure_gap_dimension):
+            with pytest.raises(ValueError):
+                formula(4, params)
 
 
 def test_dimension_claims_ranges():
@@ -205,14 +213,71 @@ def test_degree_cap(klein):
 
 
 def test_memoization(klein):
+    # one entry per (degree, class), class = (a - (n-1)b) mod n^2 - n + 1
     D = ThreePointDivisor(2, 2, 1)
     val = dim_L_oracle(klein, D)
-    assert klein._cache["ell"][D.coeffs()] == val
+    assert klein._cache["ell"][(5, (2 - 2 * 2) % 7)] == val
+    entries = len(klein._cache["ell"])
+    moved = D + divisor_of_x(3).scaled(2) - divisor_of_y(3)
+    assert dim_L_oracle(klein, moved) == val
+    assert len(klein._cache["ell"]) == entries
     key2 = ThreePointDivisor(1, 1, 1)
     dim_L_oracle(klein, key2, memo=False)
     # memo=False computes without touching the cache entry for that divisor
     dim_L_oracle(klein, key2, n_extra=1)
     assert dim_L_oracle(klein, key2) == dim_L_oracle(klein, key2, n_extra=2)
+
+
+def _member(n, d, cls):
+    """The unreduced member (a, d - a, 0) of class cls in degree d."""
+    N = n * n - n + 1
+    a = next(a for a in range(N) if (a - (n - 1) * (d - a) - cls) % N == 0)
+    return ThreePointDivisor(a, d - a, 0)
+
+
+def test_reduced_memo_matches_unreduced(klein, c16, record):
+    # every (degree, class) with 0 <= d <= 2g - 2: the memo answer, from
+    # the class representative, against the conditions of a member itself
+    for curve in (klein, c16, record):
+        n, g = curve.n, curve.genus
+        for d in range(2 * g - 1):
+            for cls in range(n * n - n + 1):
+                D = _member(n, d, cls)
+                assert dim_L_oracle(curve, D) == \
+                    dim_L_oracle(curve, D, memo=False), (curve, D)
+
+
+def test_representative_is_a_class_function():
+    # the representative depends on (n, d, class) only, and its cover
+    # degree exceeds ceil(d / (n+1)) by at most 2 (measured: 1 at n = 3,
+    # 2 at n = 4..8)
+    shifts = ((1, 0), (0, 1), (-3, 2), (5, -7), (-11, -4))
+    for n in range(3, 9):
+        divx, divy = divisor_of_x(n), divisor_of_y(n)
+        for d in range(n * (n - 1) - 1):
+            for cls in range(n * n - n + 1):
+                D = _member(n, d, cls)
+                R = _representative(n, D)
+                assert (R.degree, _class_of(n, R)) == (d, cls)
+                for u, v in shifts:
+                    moved = D + divx.scaled(u) + divy.scaled(v)
+                    assert _representative(n, moved) == R, (n, D, u, v)
+                excess = sum(_covering_exponents(n, R)) - -(-d // (n + 1))
+                assert excess <= 2, (n, D, R)
+
+
+def test_reduction_reaches_past_degree_cap(c16):
+    # low-degree divisors with large coefficients: their own covers need
+    # form degree 100 and 68, above DEGREE_CAP, their representatives do not
+    W = canonical_divisor(c16.n)
+    g = c16.genus
+    for D, want in ((ThreePointDivisor(400, -390, 0), 5),
+                    (ThreePointDivisor(-300, 150, 155), 2)):
+        assert dim_L_oracle(c16, D) == want
+        assert dim_L_oracle(c16, D) - dim_L_oracle(c16, W - D) == \
+            D.degree + 1 - g
+        with pytest.raises(OracleError):
+            dim_L_oracle(c16, D, memo=False)
 
 
 def _divisor_constraint_ok(curve, space):
