@@ -7,7 +7,7 @@ coefficients, low degree first); all arithmetic is table driven and exact.
 from tripoint import FieldElement, embed, make_field
 
 f16 = make_field(2, 4)
-print(f"GF(16) with modulus {f16.modulus} (x^4 + x + 1)")
+print(f"GF(16) with modulus {f16.modulus} (x^4 + x^3 + 1)")
 a, b = FieldElement(f16, 6), FieldElement(f16, 11)
 print(f"  a = {a!r}, b = {b!r}")
 print(f"  a + b = {(a + b).code}, a * b = {(a * b).code}")

@@ -52,10 +52,10 @@ def dimension_claims(n: int, families=FAMILIES) -> list:
                                  dim, (m, point)))
     if "shifted" in families:
         for m in range(1, 2 * g - 1):
+            dim = dim_shifted_formula(n, m)
             for var in SHIFT_VARIANTS:
                 out.append(Claim("shifted", f"m={m} {var}",
-                                 shifted_divisor(n, m, var),
-                                 dim_shifted_formula(n, m, var), (m, var)))
+                                 shifted_divisor(n, m, var), dim, (m, var)))
     if "MdNd" in families:
         for i in range(1, n):
             for j in range(1, n - i):

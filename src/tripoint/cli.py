@@ -80,36 +80,6 @@ def _count(text: str) -> int:
 
 FORMATS = ("json", "csv")
 
-# Real defaults live here, not in argparse: every option parses to None when
-# absent so that config-file values can slot in underneath explicit flags.
-DEFAULTS = {
-    "out": None,
-    "format": "json",
-    "seed": 0,
-    "budget": 10_000_000,
-    "config": None,
-    "n": None,
-    "curve": None,
-    "check": False,
-    "points": 2,
-    "families": ",".join(FAMILIES),
-    "design": None,
-    "divisor": None,
-    "length": None,
-    "certify": None,
-    "estimate_trials": 0,
-    "exclude_p3": False,
-    "matrix_csv": None,
-    "q": None,
-    "min_points": None,
-    "sample": None,
-    "probe_ext": 1,
-    "limit": None,
-    "keep_singular": False,
-    "rows": None,
-    "n_max": 4,
-}
-
 
 def _need(cfg: dict, key: str, flag: str):
     if cfg.get(key) is None:
@@ -139,9 +109,12 @@ def _config_value(action: argparse.Action, value):
     return value
 
 
-def _resolve(args: argparse.Namespace) -> dict:
-    """Merge precedence: explicit flag > config file > DEFAULTS."""
-    conf = {}
+def _resolve(args: argparse.Namespace, argv) -> dict:
+    """The run's configuration: explicit flag > config file > the flag's
+    default.  With --config the file's values are checked by their flags'
+    actions, then argv is parsed again by a fresh parser whose subcommand
+    takes them as its defaults (set_defaults rewrites the actions of the
+    shared `common` parent, so the parser that read argv is left alone)."""
     if args.config:
         try:
             with open(args.config) as fh:
@@ -151,26 +124,27 @@ def _resolve(args: argparse.Namespace) -> dict:
         if not isinstance(conf, dict):
             raise UsageError("config file must hold a JSON object")
         conf = {str(k).replace("-", "_"): v for k, v in conf.items()}
-        unknown = set(conf) - set(DEFAULTS)
+        parser = build_parser()
+        subparsers = next(a.choices for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        actions = {a.dest: a for p in subparsers.values() for a in p._actions
+                   if a.dest != "help"}
+        unknown = set(conf) - set(actions)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         # config values get the checks their flags get
         for key, value in conf.items():
             if value is not None:
                 try:
-                    conf[key] = _config_value(args.actions[key], value)
+                    conf[key] = _config_value(actions[key], value)
                 except UsageError as exc:
                     raise UsageError(f"config file {args.config}: "
                                      f"{key}: {exc}")
-    cfg = {"command": args.command}
-    for key, ns_val in vars(args).items():
-        if key in ("command", "func", "actions"):
-            continue
-        if ns_val is None:
-            ns_val = conf.get(key, DEFAULTS.get(key))
-        cfg[key] = ns_val
-    cfg["config"] = args.config
-    return cfg
+        sub = subparsers[args.command]
+        own = {a.dest for a in sub._actions}
+        sub.set_defaults(**{k: v for k, v in conf.items() if k in own})
+        args = parser.parse_args(argv)
+    return {k: v for k, v in vars(args).items() if k != "func"}
 
 
 def _jsonable(obj):
@@ -256,16 +230,17 @@ def _load_curve(cfg: dict, n: int | None = None) -> CurveSpec:
     else:
         try:
             with open(name) as fh:
-                data = json.load(fh)
+                curve = CurveSpec.from_json(json.load(fh))
         except json.JSONDecodeError as exc:
             raise UsageError(f"curve file {name}: {exc}")
+        except (KeyError, TypeError) as exc:    # valid JSON, wrong shape
+            raise UsageError(f"curve file {name}: not a curve spec ({exc!r})")
         except OSError:
             if not os.path.exists(name):
                 raise UsageError(
                     f"--curve {name!r}: not a file and not one of "
                     f"{sorted(builtins)}")
             raise
-        curve = CurveSpec.from_json(data)
     if n is not None and curve.n != n:
         raise UsageError(f"curve has n = {curve.n}, command asked for n = {n}")
     return curve
@@ -344,8 +319,6 @@ def cmd_gaps(cfg: dict):
 def cmd_pure_gaps(cfg: dict):
     n = _need_n(cfg)
     points = int(cfg["points"])
-    if points not in (2, 3):
-        raise UsageError(f"--points must be 2 or 3, got {points}")
     records = pure_gaps_pair(n) if points == 2 else pure_gaps_triple(n)
     rows = []
     for rec in records:
@@ -645,9 +618,9 @@ def cmd_verify(cfg: dict):
 def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the report here instead of stdout")
-    common.add_argument("--format", choices=FORMATS)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--budget", type=_count,
+    common.add_argument("--format", choices=FORMATS, default="json")
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--budget", type=_count, default=10_000_000,
                         help="max column subsets C(m, w) per certification, "
                              "an integer such as 10000000 or 1e7")
     common.add_argument("--config",
@@ -660,7 +633,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gaps", parents=[common],
                        help="gap sequence, semigroup, and the gap bijections")
     p.add_argument("--n", type=int)
-    p.add_argument("--check", action="store_true", default=None,
+    p.add_argument("--check", action="store_true",
                    help="compare against the linear-algebra computation")
     p.add_argument("--curve", help="bundled curve name or JSON file")
     p.set_defaults(func=cmd_gaps)
@@ -668,8 +641,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("pure-gaps", parents=[common],
                        help="pure gap pairs or triples with parameters")
     p.add_argument("--n", type=int)
-    p.add_argument("--points", type=int, choices=(2, 3))
-    p.add_argument("--check", action="store_true", default=None)
+    p.add_argument("--points", type=int, choices=(2, 3), default=2)
+    p.add_argument("--check", action="store_true")
     p.add_argument("--curve")
     p.set_defaults(func=cmd_pure_gaps)
 
@@ -677,9 +650,9 @@ def build_parser() -> _Parser:
                        help="closed-form dimension tables, optionally "
                             "checked against the oracle")
     p.add_argument("--n", type=int)
-    p.add_argument("--families",
+    p.add_argument("--families", default=",".join(FAMILIES),
                    help=f"comma list from {','.join(FAMILIES)}")
-    p.add_argument("--check", action="store_true", default=None)
+    p.add_argument("--check", action="store_true")
     p.add_argument("--curve")
     p.set_defaults(func=cmd_dims)
 
@@ -691,9 +664,9 @@ def build_parser() -> _Parser:
     p.add_argument("--length", type=int, help="truncate the evaluation set")
     p.add_argument("--certify", type=int, metavar="W",
                    help="prove every W parity-check columns independent")
-    p.add_argument("--estimate-trials", type=int,
+    p.add_argument("--estimate-trials", type=int, default=0,
                    help="random information sets for a weight upper bound")
-    p.add_argument("--exclude-p3", action="store_true", default=None,
+    p.add_argument("--exclude-p3", action="store_true",
                    help="drop the third fundamental point from the "
                         "evaluation set even when permitted")
     p.add_argument("--matrix-csv", metavar="DIR",
@@ -707,10 +680,10 @@ def build_parser() -> _Parser:
     p.add_argument("--min-points", type=int)
     p.add_argument("--sample", type=int,
                    help="random draws when the space is too big to exhaust")
-    p.add_argument("--probe-ext", type=int)
+    p.add_argument("--probe-ext", type=int, default=1)
     p.add_argument("--limit", type=_count,
                    help="stop after this many matches")
-    p.add_argument("--keep-singular", action="store_true", default=None)
+    p.add_argument("--keep-singular", action="store_true")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("reproduce", parents=[common],
@@ -720,11 +693,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="run the full formula-vs-oracle check suite")
-    p.add_argument("--n-max", type=int)
+    p.add_argument("--n-max", type=int, default=4)
     p.set_defaults(func=cmd_verify)
-    # config-file values are checked by the actions of their flags
-    parser.set_defaults(actions={a.dest: a for p in sub.choices.values()
-                                 for a in p._actions})
     return parser
 
 
@@ -735,7 +705,7 @@ def main(argv=None) -> int:
         if getattr(args, "command", None) is None:
             parser.print_help(sys.stderr)
             return EXIT_USAGE
-        cfg = _resolve(args)
+        cfg = _resolve(args, argv)
         payload, code = args.func(cfg)
         if payload is not None:
             _emit(cfg, _envelope(cfg, payload))

@@ -336,27 +336,23 @@ def dim_mP_formula(n: int, m: int) -> int:
 SHIFT_VARIANTS = ("P2-P1", "P3-P2", "P1-P3")
 
 
-def dim_shifted_formula(n: int, m: int, variant: str) -> int:
-    """ell(m*P - d*Q) for the cyclically shifted pairs.
-
-    variant picks (P, Q) among (P2, P1), (P3, P2), (P1, P3); d is the
-    quotient in m = d(n-1) + r.  The value is variant independent.
-    """
-    if variant not in SHIFT_VARIANTS:
-        raise ValueError(f"variant must be one of {SHIFT_VARIANTS}")
+def dim_shifted_formula(n: int, m: int) -> int:
+    """ell(m*P - d*Q), the same for each cyclically shifted pair (P, Q)
+    among (P2, P1), (P3, P2), (P1, P3); d is the quotient in
+    m = d(n-1) + r."""
     d, r = _split_m(n, m)
     return (d - 1) * (d - 2) // 2 + min(r, d)
 
 
 def shifted_divisor(n: int, m: int, variant: str) -> ThreePointDivisor:
+    """m*P - d*Q for a variant "P-Q": (-d, m, 0), the P2-P1 divisor,
+    rotated right by the variant's index in SHIFT_VARIANTS."""
+    if variant not in SHIFT_VARIANTS:
+        raise ValueError(f"variant must be one of {SHIFT_VARIANTS}")
     d, _ = _split_m(n, m)
-    if variant == "P2-P1":
-        return ThreePointDivisor(-d, m, 0)
-    if variant == "P3-P2":
-        return ThreePointDivisor(0, -d, m)
-    if variant == "P1-P3":
-        return ThreePointDivisor(m, 0, -d)
-    raise ValueError(f"variant must be one of {SHIFT_VARIANTS}")
+    k = SHIFT_VARIANTS.index(variant)
+    v = (-d, m, 0)
+    return ThreePointDivisor(*v[3 - k:], *v[:3 - k])
 
 
 def dim_Sd(n: int, i: int, j: int, k: int) -> int:

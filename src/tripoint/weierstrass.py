@@ -128,20 +128,17 @@ def kim_image(n: int, a: int) -> int:
 
 
 def _witness_monomial(pair: tuple, n: int, a: int) -> tuple:
-    """(u, v) with div_infinity(x^u y^v) = a * source + beta(a) * target."""
-    if pair == ("P1", "P2"):
-        i, j = gap_index(n, a)
-        return (-(n - j - 1), n - j + i - 1)
-    if pair == ("P2", "P3"):
-        i, j = gap_index(n, a)
-        return (-i, -(n - j - 1))
-    if pair == ("P3", "P1"):
-        # reuse the first family through the image gap: the monomial with
-        # pole a*P1 + b*P3 is x^j / y^(j+1-i) for (i, j) the index of the
-        # P1-side gap, which here is the image beta(a).
-        i, j = gap_index(n, kim_image(n, a))
-        return (j, i - j - 1)
-    raise ValueError(f"pair must be one of {CYCLIC_PAIRS}")
+    """(u, v) with div_infinity(x^u y^v) = a * source + beta(a) * target.
+
+    The (P1, P2) witness x^(j+1-n) y^(n-1+i-j), (i, j) the index of a,
+    carried along CYCLIC_PAIRS by the automorphism X -> Y -> Z -> X, which
+    takes P1 to P2 to P3 and x^u y^v to x^(-u-v) y^u.
+    """
+    i, j = gap_index(n, a)
+    u, v = -(n - j - 1), n - j + i - 1
+    for _ in range(CYCLIC_PAIRS.index(pair)):
+        u, v = -u - v, u
+    return u, v
 
 
 @dataclass(frozen=True)

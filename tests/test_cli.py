@@ -1,16 +1,17 @@
-import argparse
 import csv
+import hashlib
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from tripoint import cli, verification
+from tripoint import verification
 from tripoint.cli import main
 
 
@@ -25,7 +26,7 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, tmp_path):
     code, _, err = run(capsys, "gaps", "--n", "2")
     assert code == 1 and "n must be >= 3" in err
     code, _, err = run(capsys, "code", "--curve", "q16-n4")
@@ -69,6 +70,15 @@ def test_usage_errors(capsys):
                  ("dims", "--n", "3", "--families", " ")):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "" and f"{argv[-2]} names nothing" in err
+    # a curve file of valid JSON but the wrong shape is refused, not a crash
+    for i, bad in enumerate(({"n": 3}, [1, 2], {"field": 3, "n": 3},
+                             {"field": {"p": 2, "k": 3}, "n": 3})):
+        path = tmp_path / f"curve{i}.json"
+        path.write_text(json.dumps(bad))
+        code, out, err = run(capsys, "gaps", "--n", "3", "--check",
+                             "--curve", str(path))
+        assert code == 1 and out == ""
+        assert f"usage error: curve file {path}" in err, bad
 
 
 def test_module_entry_point():
@@ -448,23 +458,65 @@ def test_config_file_precedence(capsys, tmp_path):
     assert code == 0 and "oracle_check" not in doc
     assert {k: doc["config"][k] for k in ("check", "points", "seed")} == {
         "check": False, "points": 3, "seed": 2}
-    # the keys of the removed flags are unknown, not silently accepted
+    # the keys of the removed flags are unknown, not silently accepted, and
+    # so is help, the one flag that is not a setting
     for bad in ({"jobs": 2}, {"skip_oracle_sweeps": True},
-                {"inject_bug": True}):
+                {"inject_bug": True}, {"help": True}):
         conf.write_text(json.dumps(bad))
         code, out, err = run(capsys, "verify", "--n-max", "3",
                              "--config", str(conf))
         assert code == 1 and out == "" and "unknown config keys" in err, bad
 
 
-def test_defaults_match_flags():
-    # a removed flag leaves no dead default or config key behind, and a new
-    # flag must declare its default
-    parser = cli.build_parser()
-    sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction))
-    dests = {a.dest for p in sub.choices.values() for a in p._actions}
-    assert set(cli.DEFAULTS) == dests - {"help"}
+# Each invocation's stdout as SHA-256, every timestamp masked (search repeats
+# its stamp on each line), and its stderr and exit code.  A change here is a
+# change in what the CLI computes or prints.  conf.json is written to the
+# working directory, so the config echo holds the relative path.
+_CONF = {"n": 4, "check": True, "seed": 3, "limit": 2, "format": None}
+_STAMP = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ")
+_PASS = "closed-form = oracle: PASS\n"
+_PINNED = (
+    ("gaps --n 4 --check --curve q16-n4",
+     "86fd2e5a894f3b86dd2bb4994e372e54acb1fc95056a60a2ccf7f965c7e9fa3b",
+     _PASS, 0),
+    ("pure-gaps --n 4 --points 3 --check",
+     "c8f0d6497a99a023f05432d2d19e0c58f412bab04a9de5285d762333f6a54557",
+     "", 0),
+    ("dims --n 3 --check --format csv",
+     "2f097372a6bd63376481a8f7dd1eb1ccdfca5e6ba4093f89df75c33cbcf21bcf",
+     "", 0),
+    ("code --curve q16-n4 --design 2,1 --certify 5 --estimate-trials 20",
+     "c9c542ee561621300354fc34104ba0e8d458f606396e6a8c4e65bbc7f811a714",
+     "", 0),
+    ("reproduce --rows counts --format csv",
+     "e3392b840bd86a4b99cf37e54baf816553bc8e305af6275287ee1eaa73943b1d",
+     "", 0),
+    ("verify --n-max 3",
+     "8add0c0dba7f3595717bd6afaae868e502a47d7927cd1feb2212136341bebea0",
+     "", 0),
+    ("search --q 2 --n 3",
+     "404d3250178179d7c5a7a735d336e8ee6b7a8567796d96034110a0227fd17038",
+     "", 0),
+    ("gaps --config conf.json",
+     "d58cedbc84c73162bc60cbe51e266da2a43baf0517f8a74b83ef05d5257ecd64",
+     _PASS, 0),
+    ("pure-gaps --n 4 --points 5",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "usage error: argument --points: invalid choice: 5 "
+     "(choose from 2, 3)\n", 1),
+)
+
+
+@pytest.mark.parametrize("command, stdout_sha256, stderr, exit_code",
+                         _PINNED, ids=[pin[0] for pin in _PINNED])
+def test_output_pinned(capsys, tmp_path, monkeypatch, command,
+                       stdout_sha256, stderr, exit_code):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "conf.json").write_text(json.dumps(_CONF))
+    code, out, err = run(capsys, *command.split())
+    assert (code, err) == (exit_code, stderr)
+    digest = hashlib.sha256(_STAMP.sub("", out).encode()).hexdigest()
+    assert digest == stdout_sha256
 
 
 def test_deterministic_output(capsys):

@@ -15,7 +15,7 @@ _DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 # change here is a change in what the package computes or prints
 _STDOUT_SHA256 = {
     "01_field_arithmetic":
-        "b2ae866d5e0ae083521c3fba27030488e078a96185f15af5a419e98e98056090",
+        "fddf1b4553b41f0f6f781babab13d95e186d37ddc9ddc1bb79a3fe5b295e5ef4",
     "02_curves_and_points":
         "20830c26876de1fcd102e354059da33c8598347cbc7d1322f28b82d7268326b9",
     "03_gap_sequences":

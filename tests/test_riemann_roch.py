@@ -46,9 +46,9 @@ def test_formula_examples():
     assert dim_mP_formula(4, 3) == 1
     assert dim_mP_formula(4, 5) == 2
     assert dim_mP_formula(5, 10) == 4
-    assert dim_shifted_formula(4, 3, "P2-P1") == 0
-    assert dim_shifted_formula(4, 8, "P2-P1") == 2
-    assert dim_shifted_formula(5, 9, "P3-P2") == 1
+    assert dim_shifted_formula(4, 3) == 0
+    assert dim_shifted_formula(4, 8) == 2
+    assert dim_shifted_formula(5, 9) == 1
     assert pure_gap_dimension(4, (1, 1)) == 1
     assert pure_gap_dimension(4, (2, 1)) == 3
     assert pure_gap_dimension(5, (2, 2)) == 5
@@ -65,8 +65,6 @@ def test_formula_range_checks():
         dim_mP_formula(4, 0)
     with pytest.raises(ValueError):
         dim_mP_formula(4, 11)   # 2g-2 = 10 is the last proven value
-    with pytest.raises(ValueError):
-        dim_shifted_formula(4, 3, "P1-P2")
     with pytest.raises(ValueError):
         pure_gap_dimension(4, (1,))   # neither a pair nor a triple
     # a pair needs i, j >= 1 and i + j <= n - 1; a triple entries >= 0 and
@@ -166,7 +164,7 @@ def test_oracle_matches_formulas_n3(klein):
             assert dim_L_oracle(klein, point.scaled(m)) == want
         for variant in SHIFT_VARIANTS:
             D = shifted_divisor(n, m, variant)
-            assert dim_L_oracle(klein, D) == dim_shifted_formula(n, m, variant)
+            assert dim_L_oracle(klein, D) == dim_shifted_formula(n, m)
     for claim in dimension_claims(n, ("MdNd",)):
         assert dim_L_oracle(klein, claim.divisor) == claim.dimension
 
