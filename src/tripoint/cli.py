@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -109,12 +110,22 @@ def _config_value(action: argparse.Action, value):
     return value
 
 
+def _nullable(action: argparse.Action) -> bool:
+    """Whether a config-file null may stand for the flag's value: where the
+    default is None, and where the commands read None as the default (off
+    for a switch, JSON for --format).  Elsewhere a null would reach int()
+    or a name list."""
+    return (action.default is None or action.nargs == 0
+            or action.dest == "format")
+
+
 def _resolve(args: argparse.Namespace, argv) -> dict:
     """The run's configuration: explicit flag > config file > the flag's
     default.  With --config the file's values are checked by their flags'
-    actions, then argv is parsed again by a fresh parser whose subcommand
-    takes them as its defaults (set_defaults rewrites the actions of the
-    shared `common` parent, so the parser that read argv is left alone)."""
+    actions, and a null is refused where _nullable says so.  Then argv is
+    parsed again by a fresh parser whose subcommand takes them as its
+    defaults (set_defaults rewrites the actions of the shared `common`
+    parent, so the cached parser that read argv is left alone)."""
     if args.config:
         try:
             with open(args.config) as fh:
@@ -134,12 +145,14 @@ def _resolve(args: argparse.Namespace, argv) -> dict:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         # config values get the checks their flags get
         for key, value in conf.items():
-            if value is not None:
-                try:
+            try:
+                if value is not None:
                     conf[key] = _config_value(actions[key], value)
-                except UsageError as exc:
-                    raise UsageError(f"config file {args.config}: "
-                                     f"{key}: {exc}")
+                elif not _nullable(actions[key]):
+                    raise UsageError(f"must not be null (the flag's default "
+                                     f"is {actions[key].default!r})")
+            except UsageError as exc:
+                raise UsageError(f"config file {args.config}: {key}: {exc}")
         sub = subparsers[args.command]
         own = {a.dest for a in sub._actions}
         sub.set_defaults(**{k: v for k, v in conf.items() if k in own})
@@ -698,8 +711,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser of every run, built once per process.  Nothing mutates
+    it: _resolve builds a parser of its own for --config."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if getattr(args, "command", None) is None:

@@ -29,11 +29,16 @@ sets.  Each trial wants the systematic generator of one column order; it
 row-reduces the (n-k)-row parity check in the reversed order instead of the
 k-row generator.  By matroid duality the dual's first information set in
 reversed order is the complement of the code's first one in forward order,
-so both reductions give the same words.  The trials are reduced together,
-in chunks of a bounded number of cells, each chunk by one stacked rref.
-A tie inside a trial goes to the first column in its order, and a tie
-between trials to the first trial, so the words do not depend on the
-chunking.
+so both reductions give the same words.  The r-row parity check H is not
+reduced at full width.  The trials go in chunks whose product has a
+bounded number of cells.  In each chunk one stacked rref reduces a panel
+per trial, the first r + 2 columns of its order next to I_r (2r + 2
+columns in all), which yields the trial's transform E.  One field product
+E H (linalg.matmul, a BLAS product over base-p digits) then gives every
+trial's reduced parity check.  A trial whose panel has rank < r reduces
+its panel again at full width.  A tie inside a trial goes to the first
+column in its order, and a tie between trials to the first trial, so the
+words do not depend on the chunking.
 """
 
 from __future__ import annotations
@@ -215,10 +220,7 @@ def build_CL(curve: CurveSpec, points: list, G: ThreePointDivisor):
     if np.any(denom == 0):
         raise CodesError("zero denominator at an evaluation point")
 
-    T = field.tables()
-    E = field.zeros((rr.dimension, m))
-    for col, row in enumerate(V[:-1]):
-        E = T.submul(E, T.NEG[rr.basis[:, col, None]], row)
+    E = linalg.matmul(field, rr.basis, V[:-1])
     return field.vmul(E, field.vinv(denom)), rr
 
 
@@ -518,9 +520,28 @@ def verify_distance_floor(field: Field, H: np.ndarray, w: int, *,
 # grandchild groups of a prefix node are merged up to this many (a group
 # larger than this is tested alone)
 _GROUP_CELLS = 1 << 15
-# cells of one stack of parity-check trials reduced by one rref: about 128
-# trials of the 18 x 113 record check, a few MB of gather indices
+# trials per chunk of low_weight_search: each chunk's product has at most
+# this many cells, about 128 trials of the 18 x 113 record check
 _CHUNK_CELLS = 1 << 18
+# columns of a trial's panel beyond the r pivots it needs: at slack 0, 118
+# of 5,600 trials on the record ladder had a short panel; at 2, none did
+_PANEL_SLACK = 2
+
+
+def _transforms(field: Field, H: np.ndarray, orders: np.ndarray):
+    """For each row of orders, the r x r matrix E that brings
+    H[:, order] to reduced row echelon form, and the pivot mask of that
+    form over the columns of order.
+
+    One stacked rref of the panels [H[:, order] | I_r] gives both: row
+    operations turn I_r into E.  E is the transform of the whole of
+    H[:, order] when order holds all r of its pivots.
+    """
+    r, w = H.shape[0], orders.shape[1]
+    eye = np.broadcast_to(np.eye(r, dtype=H.dtype), (len(orders), r, r))
+    R, P = linalg.rref(field, np.concatenate(
+        [H[:, orders].swapaxes(0, 1), eye], axis=2))
+    return R[:, :, w:], P[:, :w]
 
 
 def low_weight_search(field: Field, gen: np.ndarray, trials: int = 200,
@@ -535,7 +556,7 @@ def low_weight_search(field: Field, gen: np.ndarray, trials: int = 200,
     systematic generator R = rref(gen[:, perm]): the row with pivot i has a
     1 at i, zeros at the other pivots, and the fewest nonzeros wins (the
     first in perm order on a tie).  R is found from the parity check H,
-    which has n - k rows instead of k.  The pivots of R are the
+    which has r = n - k rows instead of k.  The pivots of R are the
     lexicographically first information set I in perm order; with distinct
     weights the minimum basis of a matroid is unique, and its complement is
     the maximum basis of the dual.  So J = complement of I is the first
@@ -546,37 +567,55 @@ def low_weight_search(field: Field, gen: np.ndarray, trials: int = 200,
     so the tie rule is the one of R: inside a trial the highest column of
     S wins, which is the first in perm order.
 
+    S is not reduced at full width.  The first r + _PANEL_SLACK columns of
+    the reversed order hold all r pivots in almost every trial, and then
+    the rref of the panel [those columns | I_r] gives the transform E with
+    S = E H[:, order] (linalg.rref is unique, and E is fixed by the
+    pivots).  A trial whose panel has rank < r reduces its panel again at
+    full width.  S = linalg.matmul(E, H) is then one field product for all
+    trials of a chunk, in H's own column order, and the column weights are
+    permuted by each trial's order.
+
     The permutations are drawn one trial after another, and the trials are
-    reduced in chunks of about _CHUNK_CELLS cells, one stacked rref per
-    chunk, so memory stays bounded for any number of trials.  Across
-    trials the first one with a strictly smaller weight wins, and only the
-    winner's word is built.
+    handled in chunks whose product has about _CHUNK_CELLS cells, so memory
+    stays bounded for any number of trials.  Across trials the first one
+    with a strictly smaller weight wins, and only the winner's word is
+    built.
     """
     gen = np.asarray(gen)
     m = gen.shape[1]
     H = linalg.nullspace(field, gen)
-    if H.shape[0] == m:
+    r = H.shape[0]
+    if r == m:
         return None, None
     NEG = field.tables().NEG
     rng = np.random.default_rng(seed)
     chunk = max(1, _CHUNK_CELLS // max(1, H.size))
+    width = min(m, r + _PANEL_SLACK)
     best_w, best_word = None, None
     for start in range(0, trials, chunk):
         orders = np.array([rng.permutation(m)[::-1]
                            for _ in range(min(chunk, trials - start))])
-        S, P = linalg.rref(field, H[:, orders].swapaxes(0, 1))
+        E, P = _transforms(field, H, orders[:, :width])
+        short = P.sum(axis=1) < r
+        P = np.pad(P, ((0, 0), (0, m - width)))
+        if short.any():
+            E[short], P[short] = _transforms(field, H, orders[short])
+        S = linalg.matmul(field, E, H)
         # H has independent rows, so every row of S has a pivot and the
         # non-pivots are the information set; reversed, the first minimum
         # of each trial is its highest column
-        weights = np.where(P, m + 1, 1 + (S != 0).sum(axis=1))[:, ::-1]
+        nnz = np.take_along_axis((S != 0).sum(axis=1), orders, axis=1)
+        weights = np.where(P, m + 1, 1 + nnz)[:, ::-1]
         pos = m - 1 - weights.argmin(axis=1)
         wgts = weights.min(axis=1)
         b = int(wgts.argmin())
         if best_w is None or wgts[b] < best_w:
-            order, col, J = orders[b], pos[b], P[b].nonzero()[0]
+            order, J = orders[b], P[b].nonzero()[0]
+            col = order[pos[b]]
             word = field.zeros(m)
-            word[order[col]] = 1
-            word[order[J]] = NEG[S[b, :J.size, col]]
+            word[col] = 1
+            word[order[J]] = NEG[S[b, :, col]]
             best_w, best_word = int(wgts[b]), word
     return best_w, best_word
 

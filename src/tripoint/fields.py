@@ -145,7 +145,7 @@ class _Tables:
     """Dense op tables for one field.  Built lazily, at most once per Field."""
 
     __slots__ = ("q", "p", "char2", "MUL", "ADD", "NEG", "NMUL", "INV", "EXP",
-                 "LOG", "DIGITS", "PLACE")
+                 "LOG", "DIGITS", "PLACE", "_digit_mul")
 
     def __init__(self, field: "Field"):
         q, p, k = field.q, field.p, field.k
@@ -182,13 +182,14 @@ class _Tables:
             inv[1:] = exp[(-log[np.arange(1, q)]) % (q - 1)]
         self.INV = inv
 
+        self.PLACE = p ** np.arange(k)
+        self.DIGITS = (np.arange(q)[:, None] // self.PLACE % p).astype(
+            CODE_DTYPE)
+        self._digit_mul = None
         if self.char2:
-            self.ADD = self.DIGITS = self.PLACE = None
+            self.ADD = None
             self.NEG = np.arange(q, dtype=CODE_DTYPE)
         else:
-            self.PLACE = p ** np.arange(k)
-            self.DIGITS = (np.arange(q)[:, None] // self.PLACE % p).astype(
-                CODE_DTYPE)
             self.ADD = np.zeros((q, q), dtype=CODE_DTYPE)
             self.NEG = np.zeros(q, dtype=CODE_DTYPE)
             # one base-p digit at a time: digit sums stay below 2p
@@ -201,6 +202,15 @@ class _Tables:
             del dsum
         # NMUL[c, b] = -(c * b); in characteristic 2 negation is the identity
         self.NMUL = mul if self.char2 else self.NEG[mul]
+
+    def digit_mul(self) -> np.ndarray:
+        """(q, k, k) table, built on first use: row i of entry b holds the
+        base-p digits of x^i * b, so digit j of a * b is
+        sum_i a_i * table[b, i, j] mod p."""
+        if self._digit_mul is None:
+            self._digit_mul = np.ascontiguousarray(
+                self.DIGITS[self.MUL[self.PLACE]].transpose(1, 0, 2))
+        return self._digit_mul
 
     def add(self, a, b):
         if self.char2:

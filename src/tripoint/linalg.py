@@ -1,7 +1,7 @@
 """Dense exact linear algebra over GF(q) on matrices of integer codes.
 
 All routines take the Field first and a 2-D numpy array of codes; rref
-also takes a (B, m, n) stack of matrices.  Row reduction is table-driven:
+and matmul also take a stack of matrices.  Row reduction is table-driven:
 each pivot step updates one block of rows, from the pivot column onwards,
 with the fused a - c*b update of the field's tables (submul), whose two
 gathers read flat views of the q x q tables, so cost is dominated by numpy
@@ -13,13 +13,20 @@ every matrix that has a nonzero at or below its own rank takes its first
 such row as pivot, and the whole stack block from that column on gets one
 submul.  The reduced form is unique, so each matrix of a stack reduces
 exactly as it would alone; a 2-D matrix is a stack of one.
+
+matmul multiplies a matrix, or a stack of them, by one matrix.  It does
+not gather from the q x q tables: a product over GF(p^k) is bilinear over
+GF(p) in the base-p digits of its factors, so it runs as a float64 BLAS
+product of digit matrices followed by one integer remainder mod p.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .fields import Field
+from .fields import CODE_DTYPE, Field
 
 
 def rref(field: Field, mat: np.ndarray):
@@ -104,6 +111,51 @@ def rank(field: Field, mat: np.ndarray) -> int:
         if r == m:
             break
     return r
+
+
+def matmul(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Field product A @ B of a matrix, or of each matrix of a (..., r, s)
+    stack, by one (s, c) matrix.
+
+    Digit j of a * b is sum_i a_i * M_b[i, j] mod p, where row i of M_b
+    holds the base-p digits of x^i * b (Field.tables().digit_mul()).  So
+    the product is a float64 BLAS matmul of A's digits, an (N * r, s * k)
+    matrix, by the (s * k, c * k) matrix of the M_{B[s, c]}, followed by
+    an integer remainder mod p.  Every sum is an integer of at most
+    s * k * (p - 1)^2, exact in float64.  The rows go through in blocks
+    of at most _BLOCK_PRODUCTS multiply-adds.
+    """
+    T = field.tables()
+    A, B = np.asarray(A), np.asarray(B)
+    *stack, r, s = A.shape
+    c = B.shape[1]
+    p, k = T.p, len(T.PLACE)
+    # take along axis 0 gathers whole table rows, far faster than A as a
+    # fancy index
+    lhs = T.DIGITS.astype(np.float64).take(A, axis=0).reshape(
+        math.prod(stack) * r, s * k)
+    rhs = T.digit_mul().take(B, axis=0).transpose(0, 2, 1, 3).reshape(
+        s * k, c * k).astype(np.float64)
+    # an integer type that holds every sum and every code
+    dtype = np.min_scalar_type(max(T.q, s * k * (p - 1) ** 2))
+    out = np.empty((len(lhs), c), dtype=CODE_DTYPE)
+    step = max(1, _BLOCK_PRODUCTS // max(1, s * k * c * k))
+    for lo in range(0, len(lhs), step):
+        blk = lhs[lo:lo + step]
+        # column (c, j) of the product is digit j of entry c
+        D = (blk @ rhs).astype(dtype).reshape(len(blk), c, k)
+        D %= p
+        packed = D[:, :, 0]
+        for j, place in enumerate(T.PLACE[1:].tolist(), 1):
+            packed += D[:, :, j] * place
+        out[lo:lo + step] = packed
+    return out.reshape(*stack, r, c)
+
+
+# scalar multiply-adds of one block of matmul's float64 product.  OpenBLAS
+# computes a product of at most 2^18 of them on the calling thread, so no
+# BLAS worker thread is woken, and none spins idle between blocks.
+_BLOCK_PRODUCTS = 1 << 18
 
 
 def row_space_basis(field: Field, mat: np.ndarray) -> np.ndarray:

@@ -211,11 +211,8 @@ def order_of_form(curve: CurveSpec, point_id: str, form: dict,
     field = curve.field
     length = (curve.n + 1) * degree + 1
     rows = _expansions(curve, point_id, degree, list(form), length)
-    T = field.tables()
-    acc = field.zeros(length)
-    for col, c in enumerate(form.values()):
-        acc = T.submul(acc, T.NEG[int(c)], rows[:, col])
-    nz = np.flatnonzero(acc)
+    coeffs = field.array(list(form.values())).reshape(-1, 1)
+    nz = np.flatnonzero(linalg.matmul(field, rows, coeffs))
     return int(nz[0]) if nz.size else None
 
 

@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from tripoint import verification
-from tripoint.cli import main
+from tripoint import cli, verification
+from tripoint.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -79,6 +79,27 @@ def test_usage_errors(capsys, tmp_path):
                              "--curve", str(path))
         assert code == 1 and out == ""
         assert f"usage error: curve file {path}" in err, bad
+    # a config-file null where the flag's default is a value is refused,
+    # not passed on to int() or to the family list
+    for argv, key in ((("pure-gaps", "--n", "4"), "points"),
+                      (("verify",), "n_max"),
+                      (("code", "--curve", "q16-n4", "--design", "2,1",
+                        "--certify", "5"), "budget"),
+                      (("code", "--curve", "q16-n4", "--design", "2,1",
+                        "--certify", "5"), "estimate_trials"),
+                      (("dims", "--n", "3"), "families")):
+        path = tmp_path / f"null-{key}.json"
+        path.write_text(json.dumps({key: None}))
+        code, out, err = run(capsys, *argv, "--config", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"usage error: config file {path}: {key}: "
+                              f"must not be null"), err
+    # null stays valid where the default is None, for a switch and --format
+    path = tmp_path / "null-ok.json"
+    path.write_text(json.dumps({"curve": None, "check": None,
+                                "format": None}))
+    code, doc, _ = run_json(capsys, "gaps", "--n", "3", "--config", str(path))
+    assert code == 0 and doc["n"] == 3
 
 
 def test_module_entry_point():
@@ -517,6 +538,35 @@ def test_output_pinned(capsys, tmp_path, monkeypatch, command,
     assert (code, err) == (exit_code, stderr)
     digest = hashlib.sha256(_STAMP.sub("", out).encode()).hexdigest()
     assert digest == stdout_sha256
+
+
+def test_parser_built_once(capsys, tmp_path, monkeypatch):
+    # main builds its parser once per process; only a --config run builds
+    # a parser of its own, and a plain run after it is unchanged
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        for argv in (("gaps", "--n", "3"), ("gaps", "--n", "4"),
+                     ("pure-gaps", "--n", "4"), ("nonsense",)):
+            run(capsys, *argv)
+        assert len(built) == 1
+        (tmp_path / "conf.json").write_text(json.dumps(_CONF))
+        command, stdout_sha256, stderr, exit_code = _PINNED[0]
+        for argv in ("gaps --config conf.json".split(), command.split()):
+            code, out, err = run(capsys, *argv)
+        assert len(built) == 2
+        assert (code, err) == (exit_code, stderr)
+        digest = hashlib.sha256(_STAMP.sub("", out).encode()).hexdigest()
+        assert digest == stdout_sha256
+    finally:
+        cli._parser.cache_clear()
 
 
 def test_deterministic_output(capsys):

@@ -622,3 +622,83 @@ def test_low_weight_search_full_rank_and_no_trials(monkeypatch):
                  _primal_search(f, gen, 5, 2))
     assert low_weight_search(f, f.array([[1, 2, 0]]), trials=0) == (None,
                                                                      None)
+
+
+def _counting_rref(monkeypatch):
+    """Patch linalg.rref to record the shape of every stack it reduces."""
+    shapes, rref = [], linalg.rref
+
+    def counted(field, mat):
+        if np.ndim(mat) == 3:
+            shapes.append(np.shape(mat))
+        return rref(field, mat)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    return shapes
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (7, 1), (2, 4), (7, 2)])
+def test_low_weight_search_short_panels(p, k, monkeypatch):
+    # parity checks with zero and repeated columns: a panel of r + 2
+    # columns often has rank < r, and its trial is redone at full width
+    f = make_field(p, k)
+    rng = np.random.default_rng(7 * p + k)
+    m = 14
+    for shape in ("zero columns", "repeated columns"):
+        H = f.array(rng.integers(0, f.q, (4, m)))
+        if shape == "zero columns":
+            H[:, rng.choice(m, 7, replace=False)] = 0
+        else:
+            # every column a multiple of one of the first four
+            for j in range(4, m):
+                H[:, j] = f.vmul(f.array(int(rng.integers(1, f.q))),
+                                 H[:, j % 4])
+        r = linalg.rank(f, H)
+        gen = linalg.nullspace(f, H)
+        for seed in (1, 2):
+            want = _primal_search(f, gen, 30, seed)
+            shapes = _counting_rref(monkeypatch)
+            got = low_weight_search(f, gen, trials=30, seed=seed)
+            monkeypatch.undo()
+            _same_search(got, want)
+            assert shapes[0] == (30, r, (r + 2) + r)
+            # the full-width redos: [H[:, order] | I_r] for each short trial
+            assert len(shapes) == 2 and shapes[1][1:] == (r, m + r), shapes
+
+
+# (weight, SHA-256 of the word's bytes) of a 200-trial search with seed =
+# length on each record-ladder code, recorded before the panel reduction
+_LADDER_SEARCH = {
+    113: (14, "2b95eae93257ed463d4a2ffa266f86e3ccd048de715eddd00ef1b2902a4f438f"),
+    112: (14, "8e22c1dd993d276841bf0e8276b1fb94fb035ba44c4956d346950970181ae519"),
+    111: (15, "88f05a43ee4915ca6e6f7e845802aefcce19177fd17ac73ca89b8609a77d50c6"),
+    110: (15, "ea975a3e2eb0f33e5e6bde681a61ca2a1b22788039f7dce4a3322db1eae6e442"),
+    109: (15, "41fa21d2a14b9d39e82d2b5443c2bff7287c6cf5111d9a3886412acb2bd6f332"),
+    108: (14, "54164481ea899db3d2f4b174d4e3fbd0d40b07c2a59ab7180298f21779fe3420"),
+    107: (15, "23d3c95ec17f084703dbf84e6d9a844812906555d8ab73cdd786c8241fdea6c6"),
+}
+
+
+def test_low_weight_search_ladder_pinned(record):
+    spec = predict_pair_params(5, 3, 1)
+    for length, (weight, sha) in _LADDER_SEARCH.items():
+        pts = evaluation_points(record, spec.G, length=length)
+        gen = build_COmega(record, pts, spec.G, boxes=spec.boxes).generator
+        best_w, word = low_weight_search(record.field, gen, trials=200,
+                                         seed=length)
+        assert word.dtype == np.int16
+        assert (best_w, hashlib.sha256(word.tobytes()).hexdigest()) == (
+            weight, sha), length
+
+
+def test_low_weight_search_panel_width(record, monkeypatch):
+    # every trial of the record code reduces a panel of 2r + 2 columns:
+    # its first r + 2 columns hold all r pivots, so nothing is redone
+    spec = predict_pair_params(5, 3, 1)
+    pts = evaluation_points(record, spec.G, length=113)
+    gen = build_COmega(record, pts, spec.G, boxes=spec.boxes).generator
+    r = 113 - gen.shape[0]
+    shapes = _counting_rref(monkeypatch)
+    low_weight_search(record.field, gen, trials=200, seed=3)
+    assert shapes and sum(s[0] for s in shapes) == 200
+    assert all(s[1:] == (r, 2 * r + 2) for s in shapes), shapes

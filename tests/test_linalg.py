@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tripoint import linalg
-from tripoint.fields import make_field
+from tripoint.fields import Field, make_field
 
 
 def fmatmul(field, A, B):
@@ -243,3 +243,42 @@ def test_rref_rejects_other_ranks():
     for shape in ((4,), (2, 2, 2, 2)):
         with pytest.raises(ValueError):
             linalg.rref(f, f.zeros(shape))
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (7, 1), (2, 3), (2, 4), (3, 3),
+                                  (7, 2), (3, 7), (2, 12), (4093, 1)])
+def test_matmul_matches_scalar_reference(p, k):
+    # a fresh Field, so the tables of the large fields are freed afterwards
+    f = Field(p, k)
+    rng = np.random.default_rng(p ** k)
+    top = f.q - 1
+    cases = [rng.integers(0, f.q, (3, 4)), rng.integers(0, f.q, (2, 3, 4)),
+             rng.integers(0, f.q, (2, 2, 3, 5)), np.full((2, 6), top),
+             np.zeros((0, 4)), np.zeros((3, 0)), np.zeros((2, 0, 3)),
+             np.zeros((0, 3, 2))]
+    for A in cases:
+        A = f.array(A)
+        for c in (5, 1, 0):
+            B = f.array(rng.integers(0, f.q, (A.shape[-1], c)))
+            if A.max(initial=0) == top:
+                B[:] = top
+            got = linalg.matmul(f, A, B)
+            assert got.shape == (*A.shape[:-1], c) and got.dtype == A.dtype
+            want = f.zeros(got.shape)
+            for idx in np.ndindex(A.shape[:-2]):
+                want[idx] = fmatmul(f, A[idx], B)
+            assert np.array_equal(got, want)
+
+
+def test_matmul_row_blocks(monkeypatch):
+    # a product of more rows than one block holds is formed block by block
+    f = make_field(7, 2)
+    rng = np.random.default_rng(3)
+    A = random_matrix(f, rng, 11, 6)
+    B = random_matrix(f, rng, 6, 4)
+    want = linalg.matmul(f, A, B)
+    assert np.array_equal(want, fmatmul(f, A, B))
+    # three rows of the (11, 12) x (12, 8) digit product per block
+    monkeypatch.setattr(linalg, "_BLOCK_PRODUCTS", 3 * 12 * 8)
+    assert np.array_equal(linalg.matmul(f, A, B), want)
+    assert np.array_equal(linalg.matmul(f, A.reshape(1, 11, 6), B)[0], want)
