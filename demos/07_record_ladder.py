@@ -32,5 +32,5 @@ for length in range(113, 106, -1):
 print("\nexhaustive search over GF(2), n = 3 (8 members):")
 for hit in curve_search(make_field(2), 3):
     g = hit["curve"].g_coeffs
-    tag = "SINGULAR" if hit["singular"] else f"{len(hit['points'])} points"
+    tag = f"{len(hit['points'])} points" if hit["smooth"] else "SINGULAR"
     print(f"  G terms {sorted(g) if g else '0'}: {tag}")

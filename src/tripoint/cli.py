@@ -233,10 +233,10 @@ def _load_curve(cfg: dict, n: int | None = None) -> CurveSpec:
             if candidate.n == n:
                 return candidate
         curve = CurveSpec(make_field(2, 3), n)
-        if curve.smoothness_probe(1):
+        if not curve.is_smooth():
             raise UsageError(
                 f"no bundled curve with n = {n} and the G = 0 member over "
-                f"GF(8) has a rational singularity; pass --curve")
+                f"GF(8) is singular; pass --curve")
         return curve
     if name in builtins:
         curve = builtins[name]
@@ -490,6 +490,12 @@ def cmd_search(cfg: dict):
     predicate = None if floor is None else (lambda c: c >= int(floor))
     sample = None if cfg["sample"] is None else int(cfg["sample"])
     seed = int(cfg["seed"])
+    try:
+        hits = curve_search(field, n, predicate=predicate, sample=sample,
+                            seed=seed)
+    except CodesError as exc:
+        raise UsageError(f"{exc} with --sample N")
+    hits = (hit for hit in hits if cfg["keep_singular"] or hit["smooth"])
     header = _envelope(cfg, {"note": "JSON-lines follow, one per match"})
     stamp = header["generated_at"]
 
@@ -498,16 +504,11 @@ def cmd_search(cfg: dict):
     try:
         if cfg["format"] != "csv":
             sink.write(json.dumps(header, default=_jsonable) + "\n")
-        hits = (hit for hit in curve_search(field, n, predicate=predicate,
-                                            probe_ext=int(cfg["probe_ext"]),
-                                            sample=sample, seed=seed)
-                if cfg["keep_singular"] or not hit["singular"])
         for hit in islice(hits, cfg["limit"]):
             record = {
                 "spec": hit["curve"].to_json(),
                 "points": len(hit["points"]),
-                "singular": [[m, list(pt.coords)]
-                             for m, pt in hit["singular"]],
+                "smooth": hit["smooth"],
                 "seed": seed,
                 "timestamp": stamp,
             }
@@ -693,7 +694,6 @@ def build_parser() -> _Parser:
     p.add_argument("--min-points", type=int)
     p.add_argument("--sample", type=int,
                    help="random draws when the space is too big to exhaust")
-    p.add_argument("--probe-ext", type=int, default=1)
     p.add_argument("--limit", type=_count,
                    help="stop after this many matches")
     p.add_argument("--keep-singular", action="store_true")

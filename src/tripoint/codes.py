@@ -50,7 +50,8 @@ from itertools import product
 import numpy as np
 
 from . import linalg
-from .curves import CurveSpec, ProjectivePoint, _eval_forms
+from .curves import (CurveSpec, ProjectivePoint, _eval_forms,
+                     monomials_of_degree)
 from .fields import Field
 # dim_L_oracle is unused here; benchmarks/tracing.py patches it on this module
 from .riemann_roch import (ThreePointDivisor, _expansions, basis_L_oracle,
@@ -620,38 +621,40 @@ def low_weight_search(field: Field, gen: np.ndarray, trials: int = 200,
     return best_w, best_word
 
 
-def curve_search(field: Field, n: int, *, predicate=None, probe_ext: int = 1,
+def curve_search(field: Field, n: int, *, predicate=None,
                  sample: int | None = None, seed: int = 0):
     """Iterate members of the family over `field`, counting points.
 
-    Yields dicts {curve, points, singular}.  When the G-coefficient space
-    q^(#monomials) is at most 4096 the sweep is exhaustive (and
-    deterministic); otherwise `sample` random coefficient draws are made
-    with the given seed.  predicate filters on the point count.
+    Returns an iterator of dicts {curve, points, smooth}, the last from
+    `CurveSpec.is_smooth`.  When the G-coefficient space q^(#monomials) is
+    at most 4096 the sweep is exhaustive (and deterministic); otherwise
+    `sample` random coefficient draws are made with the given seed, and
+    without `sample` the call itself raises.  predicate filters on the
+    point count.
     """
-    monos = [(e1, e2, n - 2 - e1 - e2)
-             for e1 in range(n - 1) for e2 in range(n - 1 - e1)]
+    monos = monomials_of_degree(n - 2)
     space = field.q ** len(monos)
     if space <= 4096:
         # base-q digits of 0, 1, ..., space - 1, least significant first
         source = (digits[::-1] for digits in
                   product(range(field.q), repeat=len(monos)))
+    elif sample is None:
+        raise CodesError(f"coefficient space {space} is too large to "
+                         f"exhaust (more than 4096 members); draw a sample")
     else:
-        if sample is None:
-            raise CodesError(
-                f"coefficient space {space} too large for exhaustion; "
-                f"pass sample=")
         rng = np.random.default_rng(seed)
         source = (list(map(int, rng.integers(0, field.q, len(monos))))
                   for _ in range(sample))
-    for digits in source:
-        g = {e: c for e, c in zip(monos, digits) if c}
-        curve = CurveSpec(field, n, g)
-        pts = curve.rational_points()
-        if predicate is not None and not predicate(len(pts)):
-            continue
-        singular = curve.smoothness_probe(probe_ext)
-        yield {"curve": curve, "points": pts, "singular": singular}
+
+    def members():
+        for digits in source:
+            curve = CurveSpec(field, n,
+                              {e: c for e, c in zip(monos, digits) if c})
+            pts = curve.rational_points()
+            if predicate is None or predicate(len(pts)):
+                yield {"curve": curve, "points": pts,
+                       "smooth": curve.is_smooth()}
+    return members()
 
 
 # ---------------------------------------------------------------------------

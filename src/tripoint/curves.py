@@ -9,16 +9,17 @@ always lie on the curve, the tangent there is a coordinate line, and that
 line meets the curve only in fundamental points (Z=0 cuts n*P1 + P2, X=0
 cuts n*P2 + P3, Y=0 cuts n*P3 + P1).  Every member of the family is
 automatically nonsingular at the three fundamental points; smoothness
-elsewhere is probed, not proved.
+elsewhere is decided exactly by `CurveSpec.is_smooth`, a rank certificate
+over the algebraic closure.
 
 Polynomials are dicts mapping exponent triples (e1, e2, e3) to coefficient
 codes of the base field.
 
-Rational points and singular points come from one table-driven sweep,
-`_common_zeros`, over the disjoint charts (x:y:1), (x:1:0) and (1:0:0).
-Its forms are evaluated by `_eval_forms`, which `codes.build_CL` also uses
-at the evaluation points.  `eval_terms` is the scalar evaluator, the only
-one that runs on fields above `fields.TABLE_LIMIT`.
+Rational points come from one table-driven sweep, `rational_points_raw`,
+over the disjoint charts (x:y:1), (x:1:0) and (1:0:0).  Its form is
+evaluated by `_eval_forms`, which `codes.build_CL` also uses at the
+evaluation points.  `eval_terms` is the scalar evaluator, the only one
+that runs on fields above `fields.TABLE_LIMIT`.
 """
 
 from __future__ import annotations
@@ -27,13 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (CODE_DTYPE, TABLE_LIMIT, Field, FieldElement, embed,
-                     make_field)
+from . import linalg
+from .fields import CODE_DTYPE, Field, FieldElement, embed, make_field
 from .series import _CHART_EXPS
 
 __all__ = [
     "CurveError", "ProjectivePoint", "CurveSpec", "rational_points_raw",
-    "CheckResult",
+    "CheckResult", "monomials_of_degree",
 ]
 
 
@@ -215,24 +216,28 @@ class CurveSpec:
 
     # -- smoothness -------------------------------------------------------------
 
-    def smoothness_probe(self, max_ext: int = 1) -> list:
-        """Search for singular rational points over GF(q^m), m <= max_ext.
+    def is_smooth(self) -> bool:
+        """Whether the curve is nonsingular over the algebraic closure.
 
-        Returns a list of (m, ProjectivePoint) where F and all three
-        partials vanish.  Empty list means no singularity was found in the
-        probed range; it is not a smoothness proof.
+        F, F_X, F_Y, F_Z have no common projective zero iff their monomial
+        multiples span every form of degree D = 3n - 1, Lazard's bound
+        d1 + d2 + d3 - 2 for degrees n + 1, n, n (Macaulay 1916; Lazard,
+        EUROCAL 1983).  So the curve is smooth iff that Macaulay matrix has
+        rank C(D + 2, 2); its rank over GF(q) is its rank over the closure.
         """
-        if self.field.q ** max_ext > TABLE_LIMIT:
-            raise CurveError(
-                f"smoothness probe needs q^m <= TABLE_LIMIT = {TABLE_LIMIT} "
-                f"(q={self.field.q}, max_ext={max_ext})")
-        bad = []
-        for m in range(1, max_ext + 1):
-            cur = self.extension(m)
-            sing = _common_zeros(cur.field,
-                                 [cur.F_terms, *cur.partials().values()])
-            bad.extend((m, p) for p in sing)
-        return bad
+        D = 3 * self.n - 1
+        cols = (D + 1) * (D + 2) // 2
+        blocks = []
+        for form in (self.F_terms, *self.partials().values()):
+            E = np.array(list(form))
+            S = np.array(monomials_of_degree(D - int(E[0].sum())))
+            a, b = (S[:, None, :2] + E[:, :2]).transpose(2, 0, 1)
+            block = self.field.zeros((len(S), cols))
+            # the column of X^a Y^b Z^c is its place in monomials_of_degree(D)
+            block[np.arange(len(S))[:, None],
+                  a * (D + 1) - a * (a - 1) // 2 + b] = list(form.values())
+            blocks.append(block)
+        return linalg.rank(self.field, np.concatenate(blocks)) == cols
 
     # -- serialization --------------------------------------------------------------
 
@@ -294,26 +299,24 @@ def _eval_forms(field: Field, forms, X, Y, Z):
         yield acc
 
 
-def _common_zeros(field: Field, polys: list) -> list:
-    """All projective points where every form in polys vanishes, sorted.
+def rational_points_raw(field: Field, F_terms: dict) -> list:
+    """All projective zeros of the form given by F_terms, sorted canonically.
 
-    The charts (x:y:1), (x:1:0) and (1:0:0) are disjoint and cover P^2.
-    The grid goes in row chunks of about 2^22 cells; a chunk stops at the
-    first form that leaves no common zero.  The found points are scaled to
-    a leading 1 with the INV/MUL tables.
+    Works for any homogeneous form (used directly for the n = 2 counting
+    cross-checks that CurveSpec's n >= 3 domain excludes).  The charts
+    (x:y:1), (x:1:0) and (1:0:0) are disjoint and cover P^2.  The grid goes
+    in row chunks of about 2^22 cells.  The found points are scaled to a
+    leading 1 with the INV/MUL tables.
     """
     codes = np.arange(field.q, dtype=CODE_DTYPE)
     chunk = max(1, (1 << 22) // field.q)
     found = [field.zeros((0, 3))]
 
     def sweep(X, Y, Z):
-        mask = True
-        for vals in _eval_forms(field, polys, X, Y, Z):
-            mask = np.logical_and(mask, vals == 0)
-            if not mask.any():
-                return
-        found.append(np.stack([np.broadcast_to(v, mask.shape)[mask]
-                               for v in (X, Y, Z)], axis=1))
+        mask = next(_eval_forms(field, [F_terms], X, Y, Z)) == 0
+        if mask.any():
+            found.append(np.stack([np.broadcast_to(v, mask.shape)[mask]
+                                   for v in (X, Y, Z)], axis=1))
 
     for lo in range(0, field.q, chunk):
         sweep(codes[lo:lo + chunk, None], codes[None, :], 1)
@@ -326,10 +329,7 @@ def _common_zeros(field: Field, polys: list) -> list:
     return [ProjectivePoint(field, x, y, z) for x, y, z in P.tolist()]
 
 
-def rational_points_raw(field: Field, F_terms: dict) -> list:
-    """All projective zeros of the form given by F_terms, sorted canonically.
-
-    Works for any homogeneous form (used directly for the n = 2 counting
-    cross-checks that CurveSpec's n >= 3 domain excludes).
-    """
-    return _common_zeros(field, [F_terms])
+def monomials_of_degree(N: int) -> list:
+    """Canonical (lexicographic) ordering of exponent triples of degree N."""
+    return [(e1, e2, N - e1 - e2)
+            for e1 in range(N + 1) for e2 in range(N - e1 + 1)]

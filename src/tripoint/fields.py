@@ -239,7 +239,8 @@ class _Tables:
         if self.char2:
             return np.bitwise_xor.reduce(x, axis=axis)
         x = np.asarray(x)
-        digits = self.DIGITS[x].sum(axis=axis % x.ndim, dtype=np.int64)
+        digits = self.DIGITS.take(x, axis=0).sum(axis=axis % x.ndim,
+                                                 dtype=np.int64)
         return (digits % self.p @ self.PLACE).astype(CODE_DTYPE)
 
     def neg(self, a):

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .curves import CurveSpec
+from .curves import CurveSpec, monomials_of_degree
 # solve_chart is unused here; benchmarks/tracing.py patches it on this module
 from .series import (_CHART_EXPS, POINT_IDS, chart_powers, monomial_orders,
                      solve_chart)
@@ -148,12 +148,6 @@ class RRSpace:
             "monomials": [list(e) for e in self.monomials],
             "basis": self.basis.tolist(),
         }
-
-
-def monomials_of_degree(N: int) -> list:
-    """Canonical (lexicographic) ordering of exponent triples of degree N."""
-    return [(e1, e2, N - e1 - e2)
-            for e1 in range(N + 1) for e2 in range(N - e1 + 1)]
 
 
 # ---------------------------------------------------------------------------

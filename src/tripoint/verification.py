@@ -301,13 +301,13 @@ def riemann_roch_suite(curve: CurveSpec, divisors: int = 50) -> list:
 
 
 def curve_suite(curve: CurveSpec) -> list:
-    """The structural checks, a smoothness probe over the base field, and
-    the base points inside the points over the quadratic extension."""
+    """The structural checks, the smoothness certificate, and the base
+    points inside the points over the quadratic extension."""
     out = list(validate_curve(curve))
-    sing = curve.smoothness_probe(1)
+    D = 3 * curve.n - 1
     out.append(CheckResult(
-        "smoothness probe to extension degree 1", not sing,
-        f"singular points: {sing[:3]}"))
+        "smooth: Macaulay matrix of F, F_X, F_Y, F_Z has full rank",
+        curve.is_smooth(), f"degree {D}, {(D + 1) * (D + 2) // 2} columns"))
     base = {p.coords for p in curve.rational_points()}
     if curve.field.q ** 2 <= TABLE_LIMIT:
         big = curve.extension(2)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from tripoint import cli, verification
+from tripoint import CurveSpec, cli, make_field, verification
 from tripoint.cli import build_parser, main
 
 
@@ -50,6 +50,11 @@ def test_usage_errors(capsys, tmp_path):
                    ("1", "field order must be >= 2, got 1")):
         code, out, err = run(capsys, "search", "--q", q, "--n", "3")
         assert code == 1 and out == "" and why in err
+    # 4^10 members are too many to exhaust: refused before the header
+    code, out, err = run(capsys, "search", "--q", "4", "--n", "5")
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: coefficient space 1048576 ")
+    assert "--sample N" in err
     # --budget is a non-negative integer, written out or in exponent form
     for value in ("1.5", "2.5e-1", "-1", "-1e3", "1e-3", "1e400", "nan",
                   "ten", ""):
@@ -60,10 +65,18 @@ def test_usage_errors(capsys, tmp_path):
     # the removed flags are unknown arguments
     for argv, extra in ((("reproduce", "--rows", "counts"), ("--jobs", "2")),
                         (("verify", "--n-max", "3"), ("--skip-oracle-sweeps",)),
-                        (("verify", "--n-max", "3"), ("--inject-bug",))):
+                        (("verify", "--n-max", "3"), ("--inject-bug",)),
+                        (("search", "--q", "2", "--n", "3"),
+                         ("--probe-ext", "2"))):
         code, out, err = run(capsys, *argv, *extra)
         assert code == 1 and out == ""
         assert f"unrecognized arguments: {' '.join(extra)}" in err
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps({"probe_ext": 1}))
+    code, out, err = run(capsys, "search", "--q", "2", "--n", "3",
+                         "--config", str(path))
+    assert code == 1 and out == ""
+    assert "unknown config keys: ['probe_ext']" in err
     # a selection that names nothing checks nothing: refused, not passed
     for argv in (("reproduce", "--rows", ","), ("reproduce", "--rows", ""),
                  ("dims", "--n", "3", "--families", ","),
@@ -142,6 +155,19 @@ def test_gaps_check_against_oracle(capsys):
     assert "closed-form = oracle: PASS" in err
     assert doc["oracle_check"]["points"]["P1"]["oracle"] == [1, 2, 4]
     assert doc["oracle_check"]["passed"] is True
+
+
+def test_gaps_check_fallback_curve(capsys, monkeypatch):
+    # no bundled curve has n = 6: the certified G = 0 member over GF(8) is
+    # checked instead, and an uncertified one is refused
+    curve = cli._load_curve({"curve": None}, 6)
+    assert curve == CurveSpec(make_field(2, 3), 6)
+    code, doc, err = run_json(capsys, "gaps", "--n", "6", "--check")
+    assert code == 0 and err == "closed-form = oracle: PASS\n"
+    assert doc["oracle_check"]["passed"] is True
+    monkeypatch.setattr(CurveSpec, "is_smooth", lambda self: False)
+    code, out, err = run(capsys, "gaps", "--n", "6", "--check")
+    assert code == 1 and out == "" and "GF(8) is singular" in err
 
 
 def test_pure_gaps_payload(capsys):
@@ -513,10 +539,13 @@ _PINNED = (
      "e3392b840bd86a4b99cf37e54baf816553bc8e305af6275287ee1eaa73943b1d",
      "", 0),
     ("verify --n-max 3",
-     "8add0c0dba7f3595717bd6afaae868e502a47d7927cd1feb2212136341bebea0",
+     "5a4adc060420ad082a6c02e637c2e7a4790e4941ed81a75962e1d6384b051dd4",
      "", 0),
     ("search --q 2 --n 3",
-     "404d3250178179d7c5a7a735d336e8ee6b7a8567796d96034110a0227fd17038",
+     "7937d7a0562e71a4824a1461a9afeea882811cccf1c383d01fcceec256978564",
+     "", 0),
+    ("search --q 2 --n 3 --keep-singular",
+     "b648521ac4743d93773db363353a028dc402142678a50a7c0dbd3d69f3c6f643",
      "", 0),
     ("gaps --config conf.json",
      "d58cedbc84c73162bc60cbe51e266da2a43baf0517f8a74b83ef05d5257ecd64",
@@ -587,8 +616,10 @@ def test_search_json_lines(capsys):
     assert header["command"] == "search"
     matches = [json.loads(line) for line in lines[1:]]
     assert len(matches) == 8
-    sing = [m for m in matches if m["singular"]]
-    assert len(sing) == 1 and sing[0]["singular"][0][1] == [1, 1, 1]
+    # G = X + Y + Z, singular at (1:1:1), is the one singular member
+    assert {type(m["smooth"]) for m in matches} == {bool}
+    assert [m["spec"]["g_coeffs"] for m in matches if not m["smooth"]] == [
+        [[[0, 0, 1], 1], [[0, 1, 0], 1], [[1, 0, 0], 1]]]
     code, out, _ = run(capsys, "search", "--q", "2", "--n", "3",
                        "--min-points", "7", "--limit", "2")
     lines = out.strip().splitlines()

@@ -470,14 +470,25 @@ def test_curve_search_exhaustive():
     results = list(curve_search(f2, 3))
     assert len(results) == 8           # 2^3 linear G over GF(2)
     by_g = {tuple(sorted(r["curve"].g_coeffs)): r for r in results}
-    assert by_g[()]["singular"] == []
-    sing = by_g[((0, 0, 1), (0, 1, 0), (1, 0, 0))]
-    assert sing["singular"] and sing["singular"][0][1].coords == (1, 1, 1)
+    # G = X + Y + Z, singular at (1:1:1), is the one singular member
+    assert [g for g, r in by_g.items() if not r["smooth"]] == [
+        ((0, 0, 1), (0, 1, 0), (1, 0, 0))]
     counts = {len(r["points"]) for r in results}
     filtered = list(curve_search(f2, 3, predicate=lambda c: c == max(counts)))
     assert all(len(r["points"]) == max(counts) for r in filtered)
+    # 32^6 members need sample=; the call itself refuses, before any member
     with pytest.raises(CodesError):
-        next(curve_search(make_field(2, 5), 4))   # 32^6 needs sample=
+        curve_search(make_field(2, 5), 4)
+
+
+@pytest.mark.parametrize("q, n, singular, members",
+                         ((3, 4, 138, 729), (2, 5, 224, 1024)))
+def test_curve_search_family_smoothness(q, n, singular, members):
+    # exhaustive families; over GF(q) alone only 99 and 128 of the singular
+    # members have a rational singular point
+    hits = list(curve_search(make_field(q), n))
+    assert len(hits) == members
+    assert sum(not hit["smooth"] for hit in hits) == singular
 
 
 def test_curve_search_sampled():

@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from tripoint.catalog import builtin_curves
 from tripoint.curves import (CurveError, CurveSpec, ProjectivePoint,
                              eval_terms, rational_points_raw)
 from tripoint.fields import embed, make_field
@@ -94,28 +95,44 @@ def test_extension_points_contain_base(klein):
     assert len(ext_pts) >= len(base_lifted)
 
 
-def test_smoothness_probe_clean(klein, c16):
-    assert klein.smoothness_probe(3) == []
-    assert c16.smoothness_probe(2) == []
+def test_is_smooth_certifies_smooth_curves():
+    # every bundled curve, and G = 0 over GF(8) for n = 3..8
+    for curve in builtin_curves().values():
+        assert curve.is_smooth(), curve
+    for n in range(3, 9):
+        assert CurveSpec(make_field(2, 3), n).is_smooth(), n
 
 
-def test_smoothness_probe_finds_singularity():
-    # scanning the eight linear G over GF(2) turns up exactly one member
-    # with a rational singular point: G = X + Y + Z, singular at (1:1:1)
-    f2 = make_field(2)
-    bad = CurveSpec(f2, 3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
-    hits = bad.smoothness_probe(1)
-    assert hits
-    ext_degree, pt = hits[0]
-    assert ext_degree == 1
-    assert pt.coords == (1, 1, 1)
+def _ones(*monomials):
+    return dict.fromkeys(monomials, 1)
 
 
-def test_smoothness_probe_range_guard(c16):
-    with pytest.raises(CurveError):
-        c16.smoothness_probe(6)   # 16^6 = 2^24 beyond the probe cap
-    with pytest.raises(CurveError):
-        c16.smoothness_probe(4)   # 16^4 > TABLE_LIMIT: no table sweep
+# singular members whose singular points lie only over GF(81) (q = 3) and
+# GF(128) (q = 2): a sweep of F and its partials over GF(q^m) finds none
+# for m <= 3 and m <= 6 respectively
+_FAR_SINGULAR = (
+    (3, 4, {(0, 1, 1): 1, (0, 2, 0): 1, (1, 0, 1): 2, (1, 1, 0): 1}),
+    (3, 4, {(0, 0, 2): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 2}),
+    (3, 4, {(0, 1, 1): 2, (1, 0, 1): 1, (1, 1, 0): 1, (2, 0, 0): 1}),
+    (2, 5, _ones((0, 0, 3), (0, 1, 2), (0, 2, 1), (0, 3, 0), (1, 1, 1),
+                 (2, 1, 0))),
+    (2, 5, _ones((0, 0, 3), (0, 2, 1), (1, 0, 2), (1, 1, 1), (2, 0, 1),
+                 (3, 0, 0))),
+    (2, 5, _ones((0, 3, 0), (1, 0, 2), (1, 1, 1), (1, 2, 0), (2, 1, 0),
+                 (3, 0, 0))),
+)
+
+
+def test_is_smooth_flags_singular_members():
+    # G = X + Y + Z over GF(2): singular at the rational point (1:1:1)
+    assert not CurveSpec(make_field(2), 3,
+                         _ones((1, 0, 0), (0, 1, 0), (0, 0, 1))).is_smooth()
+    # G = 0 where p divides n^2 - n + 1
+    for p, k, n in ((7, 1, 3), (13, 1, 4), (7, 2, 5)):
+        assert (n * n - n + 1) % p == 0
+        assert not CurveSpec(make_field(p, k), n).is_smooth(), (p, k, n)
+    for q, n, g in _FAR_SINGULAR:
+        assert not CurveSpec(make_field(q), n, g).is_smooth(), g
 
 
 def test_validate_curve_reference(klein, c16):
@@ -176,6 +193,7 @@ def _random_member(field, n, rng):
 
 def test_sweeps_match_scalar_scan():
     rng = np.random.default_rng(2024)
+    refuted = 0
     for p, k in ((2, 2), (5, 1), (7, 1), (2, 3), (3, 2)):
         field = make_field(p, k)
         curves = [_random_member(field, n, rng) for n in (3, 4)]
@@ -184,17 +202,17 @@ def test_sweeps_match_scalar_scan():
             curves.append(CurveSpec(field, 3, {(1, 0, 0): 1, (0, 1, 0): 1,
                                                (0, 0, 1): 1}))
         for curve in curves:
-            want_sing = []
+            singular = False
             for m in (1, 2):
                 cur = curve.extension(m)
                 zeros = _scalar_zeros(cur.field, [cur.F_terms])
                 got = rational_points_raw(cur.field, cur.F_terms)
                 assert [pt.coords for pt in got] == zeros, curve
                 parts = list(cur.partials().values())
-                want_sing += [(m, pt) for pt in zeros
-                              if _vanish(cur.field, parts, pt)]
-            got_sing = [(m, pt.coords) for m, pt in curve.smoothness_probe(2)]
-            assert got_sing == want_sing, curve
+                singular |= any(_vanish(cur.field, parts, pt) for pt in zeros)
+            # a singular point found by the sweep refutes smoothness
+            assert not (singular and curve.is_smooth()), curve
+            refuted += singular
         # forms outside the family: no Z-free term, so the whole line Z = 0
         # is a zero; and a form that is nonzero at (1:0:0)
         a, b = (int(v) for v in rng.integers(1, field.q, 2))
@@ -203,3 +221,4 @@ def test_sweeps_match_scalar_scan():
                       (1, 1, 1): 1}):
             got = rational_points_raw(field, form)
             assert [pt.coords for pt in got] == _scalar_zeros(field, [form])
+    assert refuted

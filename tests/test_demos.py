@@ -17,7 +17,7 @@ _STDOUT_SHA256 = {
     "01_field_arithmetic":
         "fddf1b4553b41f0f6f781babab13d95e186d37ddc9ddc1bb79a3fe5b295e5ef4",
     "02_curves_and_points":
-        "20830c26876de1fcd102e354059da33c8598347cbc7d1322f28b82d7268326b9",
+        "5065df5aed8e1695a7a1601eaf03e789264f181cfee6a22a73e683554c29e915",
     "03_gap_sequences":
         "0c26741b2ae748930bae9afe301dca2b69d3ac8611fbbe75ab9775487ce8c5e7",
     "04_pure_gaps":
