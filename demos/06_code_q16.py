@@ -27,7 +27,7 @@ ok, witness, checked = verify_distance_floor(c16.field, report.parity_check,
 print(f"\nall 5-column subsets independent: {ok} "
       f"({checked} subsets checked) => d >= 6")
 
-best_w, word = low_weight_search(c16.field, report.generator, trials=50)
+best_w, word = low_weight_search(c16.field, report.parity_check, trials=50)
 print(f"lightest codeword found: weight {best_w} => d = 6 exactly")
 
 ok6, witness6, _ = verify_distance_floor(c16.field, report.parity_check, 6,

@@ -7,7 +7,7 @@ that uses none of the dimension formulas; the orders of X, Y and Z that
 both read (series.monomial_orders) are checked by validate_curve.
 """
 
-from .fields import Field, FieldElement, FieldError, embed, make_field
+from .fields import Field, FieldError, embed, make_field
 from .curves import (CheckResult, CurveError, CurveSpec, ProjectivePoint,
                      rational_points_raw)
 from .series import SeriesError, monomial_orders
@@ -34,7 +34,7 @@ from .verification import validate_curve
 __version__ = "0.1.0"
 
 __all__ = [
-    "Field", "FieldElement", "FieldError", "embed", "make_field",
+    "Field", "FieldError", "embed", "make_field",
     "CheckResult", "CurveError", "CurveSpec", "ProjectivePoint",
     "rational_points_raw", "validate_curve", "SeriesError",
     "OracleError", "RRSpace", "ThreePointDivisor", "basis_L_oracle",

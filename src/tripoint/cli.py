@@ -432,7 +432,7 @@ def cmd_code(cfg: dict):
         else:
             report.floor_witness = certification["witness"]
     if int(cfg["estimate_trials"]) > 0:
-        best_w, _ = low_weight_search(curve.field, report.generator,
+        best_w, _ = low_weight_search(curve.field, report.parity_check,
                                       trials=int(cfg["estimate_trials"]),
                                       seed=int(cfg["seed"]))
         report.weight_upper = best_w
@@ -674,7 +674,9 @@ def build_parser() -> _Parser:
                        help="build a differential code and its bounds")
     p.add_argument("--curve")
     p.add_argument("--design", help="i,j (two-point) or i,j,k (three-point)")
-    p.add_argument("--divisor", help="explicit G as a,b,c")
+    p.add_argument("--divisor",
+                   help="explicit G as a,b,c; a negative first coefficient "
+                        "needs the = form, --divisor=-3,0,0")
     p.add_argument("--length", type=int, help="truncate the evaluation set")
     p.add_argument("--certify", type=int, metavar="W",
                    help="prove every W parity-check columns independent")

@@ -25,20 +25,20 @@ not walked one node at a time: a (w-4)-column node tests all of its
 column, so that each group carries only the columns after it.
 
 low_weight_search bounds the distance from above with random information
-sets.  Each trial wants the systematic generator of one column order; it
-row-reduces the (n-k)-row parity check in the reversed order instead of the
-k-row generator.  By matroid duality the dual's first information set in
-reversed order is the complement of the code's first one in forward order,
-so both reductions give the same words.  The r-row parity check H is not
-reduced at full width.  The trials go in chunks whose product has a
-bounded number of cells.  In each chunk one stacked rref reduces a panel
-per trial, the first r + 2 columns of its order next to I_r (2r + 2
-columns in all), which yields the trial's transform E.  One field product
-E H (linalg.matmul, a BLAS product over base-p digits) then gives every
-trial's reduced parity check.  A trial whose panel has rank < r reduces
-its panel again at full width.  A tie inside a trial goes to the first
-column in its order, and a tie between trials to the first trial, so the
-words do not depend on the chunking.
+sets, read from the code's parity check H.  Each trial wants the systematic
+generator of one column order; it row-reduces the (n-k)-row parity check in
+the reversed order instead of the k-row generator.  By matroid duality the
+dual's first information set in reversed order is the complement of the
+code's first one in forward order, so both reductions give the same words.
+The r-row parity check H is not reduced at full width.  The trials go in
+chunks whose product has a bounded number of cells.  In each chunk one
+stacked rref reduces a panel per trial, the first r + 2 columns of its
+order next to I_r (2r + 2 columns in all), which yields the trial's
+transform E.  One field product E H (linalg.matmul, a BLAS product over
+base-p digits) then gives every trial's reduced parity check.  A trial
+whose panel has rank < r reduces its panel again at full width.  A tie
+inside a trial goes to the first column in its order, and a tie between
+trials to the first trial, so the words do not depend on the chunking.
 """
 
 from __future__ import annotations
@@ -545,28 +545,32 @@ def _transforms(field: Field, H: np.ndarray, orders: np.ndarray):
     return R[:, :, w:], P[:, :w]
 
 
-def low_weight_search(field: Field, gen: np.ndarray, trials: int = 200,
+def low_weight_search(field: Field, H: np.ndarray, trials: int = 200,
                       seed: int = 0):
-    """Random information-set search for low-weight codewords.
+    """Random information-set search for low-weight codewords of the code
+    whose parity check is H.
 
-    Returns (best_weight, best_word), or (None, None) for a zero code or
-    no trials.  Any weight found is an upper bound for the true minimum
-    distance.  gen must span the code; its rows need not be independent.
+    Returns (best_weight, best_word), or (None, None) for a zero code
+    (H square of full rank) or no trials.  Any weight found is an upper
+    bound for the true minimum distance.  The r rows of H must be
+    independent: a trial that finds fewer than r pivots at full width
+    raises CodesError.
 
     Each trial draws a column order perm and takes the rows of the
-    systematic generator R = rref(gen[:, perm]): the row with pivot i has a
-    1 at i, zeros at the other pivots, and the fewest nonzeros wins (the
-    first in perm order on a tie).  R is found from the parity check H,
-    which has r = n - k rows instead of k.  The pivots of R are the
-    lexicographically first information set I in perm order; with distinct
-    weights the minimum basis of a matroid is unique, and its complement is
-    the maximum basis of the dual.  So J = complement of I is the first
-    information set of the dual code in reversed perm order: the pivots of
-    S = rref(H[:, perm[::-1]]).  A codeword c with c_I = e_i satisfies
-    S c = 0, so c_J = -S[:, i] (the column of S at i), and the row of R at
-    pivot i has weight 1 + nnz(S[:, i]).  Rows are compared in perm order,
-    so the tie rule is the one of R: inside a trial the highest column of
-    S wins, which is the first in perm order.
+    systematic generator R = rref(gen[:, perm]), for any gen spanning the
+    code: the row with pivot i has a 1 at i, zeros at the other pivots,
+    and the fewest nonzeros wins (the first in perm order on a tie).  R is
+    found from H, which has r = n - k rows instead of k.  The pivots of R
+    are the lexicographically first information set I in perm order; with
+    distinct weights the minimum basis of a matroid is unique, and its
+    complement is the maximum basis of the dual.  So J = complement of I
+    is the first information set of the dual code in reversed perm order:
+    the pivots of S = rref(H[:, perm[::-1]]), which depends only on the
+    row space of H.  A codeword c with c_I = e_i satisfies S c = 0, so
+    c_J = -S[:, i] (the column of S at i), and the row of R at pivot i has
+    weight 1 + nnz(S[:, i]).  Rows are compared in perm order, so the tie
+    rule is the one of R: inside a trial the highest column of S wins,
+    which is the first in perm order.
 
     S is not reduced at full width.  The first r + _PANEL_SLACK columns of
     the reversed order hold all r pivots in almost every trial, and then
@@ -583,11 +587,9 @@ def low_weight_search(field: Field, gen: np.ndarray, trials: int = 200,
     with a strictly smaller weight wins, and only the winner's word is
     built.
     """
-    gen = np.asarray(gen)
-    m = gen.shape[1]
-    H = linalg.nullspace(field, gen)
-    r = H.shape[0]
-    if r == m:
+    H = np.asarray(H)
+    r, m = H.shape
+    if r == m and linalg.rank(field, H) == r:
         return None, None
     NEG = field.tables().NEG
     rng = np.random.default_rng(seed)
@@ -602,6 +604,8 @@ def low_weight_search(field: Field, gen: np.ndarray, trials: int = 200,
         P = np.pad(P, ((0, 0), (0, m - width)))
         if short.any():
             E[short], P[short] = _transforms(field, H, orders[short])
+            if (P[short].sum(axis=1) < r).any():
+                raise CodesError(f"the {r} rows of H are dependent")
         S = linalg.matmul(field, E, H)
         # H has independent rows, so every row of S has a pivot and the
         # non-pivots are the information set; reversed, the first minimum

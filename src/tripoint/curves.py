@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .fields import CODE_DTYPE, Field, FieldElement, embed, make_field
+from .fields import CODE_DTYPE, Field, embed, make_field
 from .series import _CHART_EXPS
 
 __all__ = [
@@ -104,12 +104,7 @@ class CurveSpec:
             if len(e) != 3 or min(e) < 0 or sum(e) != n - 2:
                 raise CurveError(
                     f"G monomial {e} is not of homogeneous degree n-2 = {n - 2}")
-            if isinstance(c, FieldElement):
-                if c.field != field:
-                    raise CurveError("G coefficient from a different field")
-                code = c.code
-            else:
-                code = field.check_code(int(c))
+            code = field.check_code(c)
             if code:
                 coeffs[e] = code
         self.g_coeffs = coeffs
@@ -192,8 +187,7 @@ class CurveSpec:
         if m == 1:
             return self
         big = make_field(self.field.p, self.field.k * m)
-        g = {e: embed(FieldElement(self.field, c), big).code
-             for e, c in self.g_coeffs.items()}
+        g = {e: embed(self.field, c, big) for e, c in self.g_coeffs.items()}
         return CurveSpec(big, self.n, g)
 
     # -- point enumeration ------------------------------------------------------

@@ -6,8 +6,8 @@ basis of a monic irreducible modulus, packed into one integer code
     code = c0 + c1*p + ... + c_{k-1}*p^(k-1),
 
 so codes run over range(p**k) and the prime subfield occupies codes 0..p-1.
-Scalar arithmetic works directly on the digit vectors.  Bulk work (series
-convolution, Gaussian elimination, point sweeps) goes through lazily built
+Scalar arithmetic works directly on the digit vectors.  Bulk work (chart
+power series, Gaussian elimination, point sweeps) goes through lazily built
 numpy lookup tables; the tables are constructed internally with discrete logs
 of a multiplicative generator, but that is a memoization detail - the element
 representation itself stays coefficient-based, which is what serialization
@@ -31,7 +31,8 @@ CODE_DTYPE = np.int16
 
 
 class FieldError(ValueError):
-    """Invalid field construction, bad element, or mismatched operands."""
+    """Invalid field construction, a code out of range, division by zero,
+    or an embedding into a field that is not an extension."""
 
 
 def _factorise(n: int) -> dict:
@@ -411,34 +412,6 @@ class Field:
                 return cand
         raise FieldError("no multiplicative generator found")  # unreachable
 
-    # -- element wrapper -----------------------------------------------------
-
-    def element(self, value) -> "FieldElement":
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise FieldError(f"element of {value.field!r} is not in {self!r}")
-            return FieldElement(self, value.code)
-        if isinstance(value, (int, np.integer)):
-            return FieldElement(self, self.check_code(int(value)))
-        try:
-            digits = [int(d) for d in value]
-        except TypeError:
-            raise FieldError(f"cannot build a field element from {value!r}")
-        if len(digits) > self.k:
-            raise FieldError(f"coefficient vector longer than k={self.k}")
-        return FieldElement(self, self.pack(digits + [0] * (self.k - len(digits))))
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def elements(self):
-        return (FieldElement(self, c) for c in range(self.q))
-
     # -- vectorized arithmetic -------------------------------------------------
 
     def tables(self) -> _Tables:
@@ -475,94 +448,6 @@ class Field:
                           tuple(int(c) for c in data["modulus"]))
 
 
-class FieldElement:
-    """One element of a Field; thin wrapper over the integer code."""
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field: Field, code: int):
-        self.field = field
-        self.code = code
-
-    @property
-    def coeffs(self) -> tuple:
-        return self.field.digits(self.code)
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldError("operands live in different fields")
-            return other.code
-        if isinstance(other, (int, np.integer)):
-            return self.field.from_int(int(other))
-        return NotImplemented
-
-    def __add__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add(self.code, c))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.code, c))
-
-    def __rsub__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(c, self.code))
-
-    def __mul__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.code, c))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(self.code, c))
-
-    def __rtruediv__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(c, self.code))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.code))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.code, int(e)))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.code == other.code
-        if isinstance(other, (int, np.integer)):
-            return self.code == self.field.from_int(int(other))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.code))
-
-    def __bool__(self):
-        return self.code != 0
-
-    def __int__(self):
-        return self.code
-
-    def __repr__(self):
-        return f"{self.field!r}[{self.code}]"
-
-
 @lru_cache(maxsize=None)
 def _cached_field(p: int, k: int, modulus: tuple) -> Field:
     return Field(p, k, modulus)
@@ -585,16 +470,17 @@ def make_field(p: int, k: int = 1, modulus=None) -> Field:
     return _cached_field(p, k, modulus)
 
 
-def embed(e: FieldElement, target: Field) -> FieldElement:
-    """Embed e into an extension field with the same characteristic.
+def embed(src: Field, code: int, target: Field) -> int:
+    """The code in target of the element of src with the given code; target
+    must be an extension of src with the same characteristic.
 
     The embedding sends the source generator to the smallest root (by code)
     of the source modulus in the target, so it is deterministic and, for a
     fixed (source, target) pair, a single consistent field homomorphism.
     """
-    src = e.field
+    code = src.check_code(code)
     if src == target:
-        return FieldElement(target, e.code)
+        return code
     if target.p != src.p or target.k % src.k != 0:
         raise FieldError(f"{target!r} is not an extension of {src!r}")
     key = (target.p, target.k, target.modulus)
@@ -603,9 +489,9 @@ def embed(e: FieldElement, target: Field) -> FieldElement:
         root = _find_embedding_root(src, target)
         src._embed_roots[key] = root
     out = 0
-    for d in reversed(src.digits(e.code)):
+    for d in reversed(src.digits(code)):
         out = target.add(target.mul(out, root), d)
-    return FieldElement(target, out)
+    return out
 
 
 def _find_embedding_root(src: Field, target: Field) -> int:

@@ -311,8 +311,8 @@ def curve_suite(curve: CurveSpec) -> list:
     base = {p.coords for p in curve.rational_points()}
     if curve.field.q ** 2 <= TABLE_LIMIT:
         big = curve.extension(2)
-        lift = {tuple(embed(curve.field.element(c), big.field).code
-                      for c in coords) for coords in base}
+        lift = {tuple(embed(curve.field, c, big.field) for c in coords)
+                for coords in base}
         ext = {p.coords for p in big.rational_points()}
         out.append(CheckResult(
             "rational points embed into the quadratic extension",

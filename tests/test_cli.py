@@ -311,6 +311,21 @@ def test_code_exclude_p3(capsys):
     assert doc["report"]["length"] == 36
 
 
+def test_code_divisor_negative_first_coefficient(capsys):
+    # argparse reads a value that starts with '-' as a flag; the = form
+    # passes it.  G = -3 P1 has L(G) = 0, so the code is the full space
+    # (an empty parity check) and the search finds a weight-1 word
+    code, _, err = run(capsys, "code", "--curve", "q16-n4",
+                       "--divisor", "-3,0,0")
+    assert code == 1 and "argument --divisor: expected one argument" in err
+    code, doc, _ = run_json(capsys, "code", "--curve", "q16-n4",
+                            "--divisor=-3,0,0", "--estimate-trials", "3")
+    assert code == 0
+    assert doc["rows"][0]["dimension"] == 37
+    assert doc["rows"][0]["weight_upper"] == 1
+    assert doc["report"]["parity_check"] == []
+
+
 def test_code_budget_note(capsys):
     code, doc, _ = run_json(capsys, "code", "--curve", "q16-n4",
                             "--design", "2,1", "--certify", "5",

@@ -274,7 +274,7 @@ def test_q16_distance_certification(c16):
     sub = rep.parity_check[:, witness6]
     assert linalg.rank(c16.field, sub) < 6
     # and the searcher exhibits a weight-6 word, closing the gap
-    best_w, word = low_weight_search(c16.field, rep.generator, trials=40)
+    best_w, word = low_weight_search(c16.field, rep.parity_check, trials=40)
     assert best_w == 6
     assert int((word != 0).sum()) == 6
     assert not _fmm(c16.field, rep.parity_check, word[:, None]).any()
@@ -506,13 +506,19 @@ def test_counting_formulas():
     assert hermitian_maximal_count(3) == 892
 
 
+def _record_code(record, length=113):
+    """C_Omega of the design (3, 1) on the record curve, truncated to
+    length points: the [113, 95] code and the rest of the ladder."""
+    spec = predict_pair_params(5, 3, 1)
+    pts = evaluation_points(record, spec.G, length=length)
+    return build_COmega(record, pts, spec.G, boxes=spec.boxes)
+
+
 def test_record_code_search_pinned(record):
     # the [113, 95] record code over GF(49): a fixed seed finds a fixed word
-    spec = predict_pair_params(5, 3, 1)
-    pts = evaluation_points(record, spec.G, length=113)
-    rep = build_COmega(record, pts, spec.G, boxes=spec.boxes)
-    best_w, word = low_weight_search(record.field, rep.generator, trials=10,
-                                     seed=2021)
+    rep = _record_code(record)
+    best_w, word = low_weight_search(record.field, rep.parity_check,
+                                     trials=10, seed=2021)
     want = {10: 27, 15: 34, 34: 33, 43: 26, 51: 3, 55: 1, 57: 48, 64: 21,
             65: 2, 69: 29, 71: 3, 78: 18, 80: 20, 84: 10, 102: 23, 103: 3}
     assert best_w == 16
@@ -523,7 +529,8 @@ def test_record_code_search_pinned(record):
 
 def _primal_search(field, gen, trials, seed):
     """The information-set search on the generator itself: rref of every
-    column permutation of gen, lightest row first in permuted order."""
+    column permutation of gen, lightest row first in permuted order.  It is
+    the reference for low_weight_search on the code's parity check."""
     gen = np.asarray(gen)
     m = gen.shape[1]
     rng = np.random.default_rng(seed)
@@ -564,40 +571,55 @@ def test_low_weight_search_matches_primal_reference(p, k):
                 gen[1] = field.vmul(field.array(rows % (field.q - 1) + 1),
                                     gen[0])
             seed = int(rng.integers(1 << 16))
-            _same_search(low_weight_search(field, gen, trials=6, seed=seed),
+            H = linalg.nullspace(field, gen)
+            _same_search(low_weight_search(field, H, trials=6, seed=seed),
                          _primal_search(field, gen, 6, seed))
 
 
 def test_low_weight_search_matches_primal_reference_record(record):
-    spec = predict_pair_params(5, 3, 1)
-    pts = evaluation_points(record, spec.G, length=113)
-    gen = build_COmega(record, pts, spec.G, boxes=spec.boxes).generator
+    rep = _record_code(record)
     for seed in (0, 7, 113):
-        _same_search(low_weight_search(record.field, gen, trials=20,
-                                       seed=seed),
-                     _primal_search(record.field, gen, 20, seed))
+        _same_search(low_weight_search(record.field, rep.parity_check,
+                                       trials=20, seed=seed),
+                     _primal_search(record.field, rep.generator, 20, seed))
 
 
 def test_low_weight_search_zero_code():
     f = make_field(2)
-    assert low_weight_search(f, f.zeros((0, 5))) == (None, None)
-    assert low_weight_search(f, f.zeros((2, 5))) == (None, None)
-    # a full-rank code has weight-1 words: the search still runs
-    w, word = low_weight_search(f, np.eye(3, dtype=np.int16), trials=3)
-    assert w == 1 and word.sum() == 1
+    # r = m: H = I checks the zero code
+    assert low_weight_search(f, np.eye(5, dtype=np.int16)) == (None, None)
+    assert low_weight_search(f, f.zeros((0, 0))) == (None, None)
+    # r = 0: the full space has weight-1 words, and the search still runs
+    w, word = low_weight_search(f, f.zeros((0, 3)), trials=3)
+    assert w == 1 and word.tolist() == [0, 0, 1]
+    _same_search((w, word),
+                 _primal_search(f, np.eye(3, dtype=np.int16), 3, 0))
+
+
+def test_low_weight_search_dependent_rows(record):
+    # H with dependent rows: the full-width fallback still finds fewer than
+    # r pivots, and the search refuses instead of building a wrong word
+    f = make_field(7)
+    H = f.array([[1, 2, 3, 4], [0, 0, 0, 0]])
+    H[1] = f.vmul(f.array(3), H[0])
+    for bad in (H, f.zeros((3, 3)), f.array([[1, 0], [0, 1], [1, 1]])):
+        with pytest.raises(CodesError, match="rows of H are dependent"):
+            low_weight_search(f, bad, trials=4)
+    # the record check with its first row repeated
+    H = _record_code(record).parity_check
+    with pytest.raises(CodesError, match="the 19 rows of H are dependent"):
+        low_weight_search(record.field, np.concatenate([H, H[:1]]),
+                          trials=2)
 
 
 def test_low_weight_search_across_chunks(record, monkeypatch):
-    spec = predict_pair_params(5, 3, 1)
-    pts = evaluation_points(record, spec.G, length=113)
-    gen = build_COmega(record, pts, spec.G, boxes=spec.boxes).generator
-    H = linalg.nullspace(record.field, gen)
+    rep = _record_code(record)
     # three trials per stacked rref: 20 trials end in a short chunk
-    monkeypatch.setattr(codes, "_CHUNK_CELLS", 3 * H.size)
+    monkeypatch.setattr(codes, "_CHUNK_CELLS", 3 * rep.parity_check.size)
     for seed in (0, 7, 113):
-        _same_search(low_weight_search(record.field, gen, trials=20,
-                                       seed=seed),
-                     _primal_search(record.field, gen, 20, seed))
+        _same_search(low_weight_search(record.field, rep.parity_check,
+                                       trials=20, seed=seed),
+                     _primal_search(record.field, rep.generator, 20, seed))
 
 
 @pytest.mark.parametrize("trials_per_chunk", [1, 2, 5])
@@ -607,21 +629,21 @@ def test_low_weight_search_ties_across_chunks(trials_per_chunk, monkeypatch):
     # scales it to 1 at its first column in perm order, so the word tells
     # which trial won; the first one must
     gen = f.array([[1, 2, 3, 4, 5, 6]])
-    first = low_weight_search(f, gen, trials=1, seed=4)
+    H = linalg.nullspace(f, gen)
+    first = low_weight_search(f, H, trials=1, seed=4)
     # random codes: ties inside a trial and between trials
     rng = np.random.default_rng(9)
     gens = [f.array(rng.integers(0, 3, (rows, 9))) for rows in (2, 4, 7)]
     want = [_primal_search(f, g, 11, 5) for g in gens]
-    cells = linalg.nullspace(f, gen).size
-    monkeypatch.setattr(codes, "_CHUNK_CELLS", trials_per_chunk * cells)
-    got = low_weight_search(f, gen, trials=7, seed=4)
+    monkeypatch.setattr(codes, "_CHUNK_CELLS", trials_per_chunk * H.size)
+    got = low_weight_search(f, H, trials=7, seed=4)
     assert got[0] == 6
     _same_search(got, first)
     _same_search(got, _primal_search(f, gen, 7, 4))
     for g, w in zip(gens, want):
         H = linalg.nullspace(f, g)
         monkeypatch.setattr(codes, "_CHUNK_CELLS", trials_per_chunk * H.size)
-        _same_search(low_weight_search(f, g, trials=11, seed=5), w)
+        _same_search(low_weight_search(f, H, trials=11, seed=5), w)
 
 
 def test_low_weight_search_full_rank_and_no_trials(monkeypatch):
@@ -629,7 +651,7 @@ def test_low_weight_search_full_rank_and_no_trials(monkeypatch):
     gen = np.eye(4, dtype=np.int16)
     # H has 0 rows and 0 cells: one trial per chunk, no division by zero
     monkeypatch.setattr(codes, "_CHUNK_CELLS", 1)
-    _same_search(low_weight_search(f, gen, trials=5, seed=2),
+    _same_search(low_weight_search(f, f.zeros((0, 4)), trials=5, seed=2),
                  _primal_search(f, gen, 5, 2))
     assert low_weight_search(f, f.array([[1, 2, 0]]), trials=0) == (None,
                                                                      None)
@@ -664,12 +686,13 @@ def test_low_weight_search_short_panels(p, k, monkeypatch):
             for j in range(4, m):
                 H[:, j] = f.vmul(f.array(int(rng.integers(1, f.q))),
                                  H[:, j % 4])
-        r = linalg.rank(f, H)
+        H = linalg.row_space_basis(f, H)
+        r = H.shape[0]
         gen = linalg.nullspace(f, H)
         for seed in (1, 2):
             want = _primal_search(f, gen, 30, seed)
             shapes = _counting_rref(monkeypatch)
-            got = low_weight_search(f, gen, trials=30, seed=seed)
+            got = low_weight_search(f, H, trials=30, seed=seed)
             monkeypatch.undo()
             _same_search(got, want)
             assert shapes[0] == (30, r, (r + 2) + r)
@@ -691,11 +714,9 @@ _LADDER_SEARCH = {
 
 
 def test_low_weight_search_ladder_pinned(record):
-    spec = predict_pair_params(5, 3, 1)
     for length, (weight, sha) in _LADDER_SEARCH.items():
-        pts = evaluation_points(record, spec.G, length=length)
-        gen = build_COmega(record, pts, spec.G, boxes=spec.boxes).generator
-        best_w, word = low_weight_search(record.field, gen, trials=200,
+        H = _record_code(record, length).parity_check
+        best_w, word = low_weight_search(record.field, H, trials=200,
                                          seed=length)
         assert word.dtype == np.int16
         assert (best_w, hashlib.sha256(word.tobytes()).hexdigest()) == (
@@ -705,11 +726,9 @@ def test_low_weight_search_ladder_pinned(record):
 def test_low_weight_search_panel_width(record, monkeypatch):
     # every trial of the record code reduces a panel of 2r + 2 columns:
     # its first r + 2 columns hold all r pivots, so nothing is redone
-    spec = predict_pair_params(5, 3, 1)
-    pts = evaluation_points(record, spec.G, length=113)
-    gen = build_COmega(record, pts, spec.G, boxes=spec.boxes).generator
-    r = 113 - gen.shape[0]
+    H = _record_code(record).parity_check
+    r = H.shape[0]
     shapes = _counting_rref(monkeypatch)
-    low_weight_search(record.field, gen, trials=200, seed=3)
+    low_weight_search(record.field, H, trials=200, seed=3)
     assert shapes and sum(s[0] for s in shapes) == 200
     assert all(s[1:] == (r, 2 * r + 2) for s in shapes), shapes

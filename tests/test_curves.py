@@ -87,8 +87,7 @@ def test_extension_points_contain_base(klein):
     big = klein.extension(2)
     base_lifted = set()
     for p in klein.rational_points():
-        coords = tuple(embed(klein.field.element(c), big.field).code
-                       for c in p.coords)
+        coords = tuple(embed(klein.field, c, big.field) for c in p.coords)
         base_lifted.add(coords)
     ext_pts = {p.coords for p in big.rational_points()}
     assert base_lifted <= ext_pts

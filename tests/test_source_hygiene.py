@@ -1,7 +1,7 @@
-"""Source hygiene of the package, read with `ast`: every module uses the
-names it imports, every module-level private function or class is
-referenced somewhere in the package, and every name a module exports in
-`__all__` exists."""
+"""Source hygiene of the package, read with `ast`: every module and demo
+script uses the names it imports, every module-level private function or
+class is referenced somewhere in the package, and every name a module
+exports in `__all__` exists."""
 
 import ast
 import importlib
@@ -11,9 +11,17 @@ import pytest
 
 from test_benchmark_hooks import tracing
 
-_SRC = Path(__file__).resolve().parents[1] / "src" / "tripoint"
-_TREES = {path.stem: ast.parse(path.read_text(), str(path))
-          for path in sorted(_SRC.glob("*.py"))}
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _parse(paths) -> dict:
+    return {path.stem: ast.parse(path.read_text(), str(path))
+            for path in sorted(paths)}
+
+
+_TREES = _parse((_ROOT / "src" / "tripoint").glob("*.py"))
+# the demo scripts, keyed by stem (01_field_arithmetic, ...)
+_DEMO_TREES = _parse((_ROOT / "demos").glob("*.py"))
 
 
 def _references(node) -> list:
@@ -29,9 +37,10 @@ def _references(node) -> list:
     return out
 
 
-@pytest.mark.parametrize("stem", sorted(set(_TREES) - {"__init__"}))
+@pytest.mark.parametrize(
+    "stem", sorted(set(_TREES) - {"__init__"}) + sorted(_DEMO_TREES))
 def test_no_unused_imports(stem):
-    tree = _TREES[stem]
+    tree = {**_TREES, **_DEMO_TREES}[stem]
     # the benchmark tracer patches these names on the module itself
     patched = {dotted.split(".")[0]
                for module, dotted, _ in tracing.PASS_PATCHES
