@@ -21,8 +21,8 @@ for name in ("q8-n3", "q16-n4", "q27-n4", "q49-n5-record"):
 # the record curve is within 4 of the Hasse-Weil ceiling over GF(49)
 record = curves["q49-n5-record"]
 print(f"\nfirst five points of {record!r}:")
-for p in record.rational_points()[:5]:
-    print(f"  {p}")
+for x, y, z in record.rational_points()[:5]:
+    print(f"  ({x}:{y}:{z})")
 
 # validation: on-curve checks, gradient checks, chart expansions,
 # tangent-line intersection orders

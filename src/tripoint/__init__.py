@@ -8,8 +8,7 @@ both read (series.monomial_orders) are checked by validate_curve.
 """
 
 from .fields import Field, FieldError, embed, make_field
-from .curves import (CheckResult, CurveError, CurveSpec, ProjectivePoint,
-                     rational_points_raw)
+from .curves import CheckResult, CurveError, CurveSpec, rational_points_raw
 from .series import SeriesError, monomial_orders
 from .riemann_roch import (OracleError, RRSpace, ThreePointDivisor,
                            basis_L_oracle, canonical_divisor, dim_L_oracle,
@@ -35,8 +34,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Field", "FieldError", "embed", "make_field",
-    "CheckResult", "CurveError", "CurveSpec", "ProjectivePoint",
-    "rational_points_raw", "validate_curve", "SeriesError",
+    "CheckResult", "CurveError", "CurveSpec", "rational_points_raw",
+    "validate_curve", "SeriesError",
     "OracleError", "RRSpace", "ThreePointDivisor", "basis_L_oracle",
     "canonical_divisor", "dim_L_oracle", "dim_mP_formula", "dim_Sd",
     "dim_shifted_formula", "divisor_of_x", "divisor_of_y",

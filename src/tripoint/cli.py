@@ -30,7 +30,8 @@ from .codes import (BudgetError, CodesError, build_COmega, curve_search,
                     evaluation_points, hermitian_maximal_count, hurwitz_count,
                     low_weight_search, predict_pair_params,
                     predict_triple_params, verify_distance_floor)
-from .curves import CurveError, CurveSpec, rational_points_raw
+from .curves import (FUNDAMENTAL_POINTS, CurveError, CurveSpec,
+                     rational_points_raw)
 from .fields import FieldError, _factorise, make_field
 from .riemann_roch import OracleError, ThreePointDivisor, dim_L_oracle
 from .series import SeriesError
@@ -410,8 +411,7 @@ def cmd_code(cfg: dict):
         G = ThreePointDivisor(*_parse_ints(divisor, "--divisor", (3,)))
     pts = evaluation_points(curve, G)
     if cfg["exclude_p3"]:
-        p3 = curve.fundamental_points()[2].coords
-        pts = [p for p in pts if p.coords != p3]
+        pts = [p for p in pts if p != FUNDAMENTAL_POINTS[2]]
     if cfg["length"] is not None:
         want = int(cfg["length"])
         if want > len(pts):
@@ -488,11 +488,10 @@ def cmd_search(cfg: dict):
     field = make_field(p, k)
     floor = cfg["min_points"]
     predicate = None if floor is None else (lambda c: c >= int(floor))
-    sample = None if cfg["sample"] is None else int(cfg["sample"])
     seed = int(cfg["seed"])
     try:
-        hits = curve_search(field, n, predicate=predicate, sample=sample,
-                            seed=seed)
+        hits = curve_search(field, n, predicate=predicate,
+                            sample=cfg["sample"], seed=seed)
     except CodesError as exc:
         raise UsageError(f"{exc} with --sample N")
     hits = (hit for hit in hits if cfg["keep_singular"] or hit["smooth"])
@@ -694,7 +693,7 @@ def build_parser() -> _Parser:
     p.add_argument("--q", type=int, help="field order (prime power)")
     p.add_argument("--n", type=int)
     p.add_argument("--min-points", type=int)
-    p.add_argument("--sample", type=int,
+    p.add_argument("--sample", type=_count,
                    help="random draws when the space is too big to exhaust")
     p.add_argument("--limit", type=_count,
                    help="stop after this many matches")

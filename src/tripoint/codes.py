@@ -50,7 +50,7 @@ from itertools import product
 import numpy as np
 
 from . import linalg
-from .curves import (CurveSpec, ProjectivePoint, _eval_forms,
+from .curves import (FUNDAMENTAL_POINTS, CurveSpec, _eval_forms,
                      monomials_of_degree)
 from .fields import Field
 # dim_L_oracle is unused here; benchmarks/tracing.py patches it on this module
@@ -164,15 +164,11 @@ def evaluation_points(curve: CurveSpec, G: ThreePointDivisor,
     """Canonical evaluation divisor: all rational points minus P1 and P2,
     keeping P3 only when no basis function can have a pole there.
 
-    Points come in canonical order; a requested length keeps the first
-    `length` of them.
+    Points are normalised code triples in sorted order; a requested length
+    keeps the first `length` of them.
     """
-    pts = curve.rational_points()
-    fund = curve.fundamental_points()
-    drop = {fund[0].coords, fund[1].coords}
-    if G.c > 0:
-        drop.add(fund[2].coords)
-    out = [p for p in pts if p.coords not in drop]
+    drop = FUNDAMENTAL_POINTS[:3 if G.c > 0 else 2]
+    out = [p for p in curve.rational_points() if p not in drop]
     if length is not None:
         if length < 0:
             raise CodesError(f"length must be >= 0, got {length}")
@@ -185,37 +181,40 @@ def evaluation_points(curve: CurveSpec, G: ThreePointDivisor,
 def build_CL(curve: CurveSpec, points: list, G: ThreePointDivisor):
     """Evaluation matrix of L(G) at the given points (rows = basis).
 
-    Points must avoid P1 and P2 (both lie on Z = 0) and may include P3
-    only when G.c <= 0, so that each basis function h / M is defined at
-    every point.  The standard monomials and M are evaluated as forms, and
+    Each point is a tuple (x, y, z) of the field's codes whose first
+    nonzero entry is 1, as `CurveSpec.rational_points` gives them.  Points
+    must avoid P1 and P2 (both lie on Z = 0) and may include P3 only when
+    G.c <= 0, so that each basis function h / M is defined at every point.
+    The standard monomials and M are evaluated as forms, and
     E = basis * V / M.  At P3 a monomial's value is the coefficient of
     t^ord_P3(M) (series.monomial_orders) in its chart expansion there.
     """
     field = curve.field
     rr = basis_L_oracle(curve, G)
-    p1, p2, p3 = (p.coords for p in curve.fundamental_points())
-    coords = []
+    p1, p2, p3 = FUNDAMENTAL_POINTS
     for p in points:
-        if not isinstance(p, ProjectivePoint) or p.field != field:
-            raise CodesError(f"bad evaluation point {p!r}")
-        if p.coords in (p1, p2):
+        if not (isinstance(p, tuple) and len(p) == 3
+                and all(isinstance(v, int) and 0 <= v < field.q for v in p)
+                and next((v for v in p if v), 0) == 1):
+            raise CodesError(f"bad evaluation point {p!r}: want a code "
+                             "triple whose first nonzero entry is 1")
+        if p in (p1, p2):
             raise CodesError(f"cannot evaluate at {p!r}: it lies on Z = 0")
-        if p.coords == p3 and G.c > 0:
+        if p == p3 and G.c > 0:
             raise CodesError("cannot evaluate at P3: basis functions may "
                              "have a pole there (G has positive P3 part)")
-        coords.append(p.coords)
-    m = len(coords)
+    m = len(points)
     # the denominator M may be non-standard, so it is one more form
     monos = [*rr.monomials, rr.denominator]
     forms = [curve.F_terms, *({e: 1} for e in monos)]
-    values = _eval_forms(field, forms, *field.array(coords).reshape(m, 3).T)
+    values = _eval_forms(field, forms, *field.array(points).reshape(m, 3).T)
     off = np.nonzero(next(values))[0]
     if off.size:
         raise CodesError(f"{points[int(off[0])]!r} is not on the curve")
     V = np.array(list(values))
-    if p3 in coords:
+    if p3 in points:
         ord_p3 = monomial_orders(curve.n, rr.denominator)[2]
-        V[:, [c == p3 for c in coords]] = _expansions(
+        V[:, [p == p3 for p in points]] = _expansions(
             curve, "P3", sum(rr.denominator), monos, ord_p3 + 1)[-1:].T
     denom = V[-1]
     if np.any(denom == 0):

@@ -13,13 +13,16 @@ elsewhere is decided exactly by `CurveSpec.is_smooth`, a rank certificate
 over the algebraic closure.
 
 Polynomials are dicts mapping exponent triples (e1, e2, e3) to coefficient
-codes of the base field.
+codes of the base field.  A point is a tuple (x, y, z) of codes whose first
+nonzero entry is 1; tuples compare and sort as the points do, and
+`FUNDAMENTAL_POINTS` holds P1, P2, P3 in this form over every field.
 
 Rational points come from one table-driven sweep, `rational_points_raw`,
-over the disjoint charts (x:y:1), (x:1:0) and (1:0:0).  Its form is
-evaluated by `_eval_forms`, which `codes.build_CL` also uses at the
-evaluation points.  `eval_terms` is the scalar evaluator, the only one
-that runs on fields above `fields.TABLE_LIMIT`.
+over the disjoint charts (x:y:1), (x:1:0) and (1:0:0); it is the one place
+that scales points to a leading 1.  Its form is evaluated by
+`_eval_forms`, which `codes.build_CL` also uses at the evaluation points.
+`eval_terms` is the scalar evaluator: `validate_curve` and the tests read
+it, and it is the only one that runs on fields above `fields.TABLE_LIMIT`.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .fields import CODE_DTYPE, Field, embed, make_field
 from .series import _CHART_EXPS
 
 __all__ = [
-    "CurveError", "ProjectivePoint", "CurveSpec", "rational_points_raw",
+    "CurveError", "FUNDAMENTAL_POINTS", "CurveSpec", "rational_points_raw",
     "CheckResult", "monomials_of_degree",
 ]
 
@@ -42,45 +45,8 @@ class CurveError(ValueError):
     """Invalid curve data or a failed structural requirement."""
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
-    """Point of P^2 over `field`, stored normalized.
-
-    The representative is scaled so the first nonzero coordinate is 1;
-    points then compare and sort by their code triple.
-    """
-    field: Field
-    x: int
-    y: int
-    z: int
-
-    @classmethod
-    def make(cls, field: Field, x: int, y: int, z: int) -> "ProjectivePoint":
-        x, y, z = int(x), int(y), int(z)
-        if x == y == z == 0:
-            raise CurveError("(0:0:0) is not a projective point")
-        for lead in (x, y, z):
-            if lead != 0:
-                inv = field.inv(lead)
-                return cls(field, field.mul(x, inv), field.mul(y, inv),
-                           field.mul(z, inv))
-        raise AssertionError  # unreachable
-
-    @property
-    def coords(self) -> tuple:
-        return (self.x, self.y, self.z)
-
-    def sort_key(self) -> tuple:
-        return (self.x, self.y, self.z)
-
-    def __repr__(self):
-        return f"({self.x}:{self.y}:{self.z})"
-
-
-def _fundamental(field: Field):
-    return (ProjectivePoint(field, 1, 0, 0),
-            ProjectivePoint(field, 0, 1, 0),
-            ProjectivePoint(field, 0, 0, 1))
+# P1, P2, P3 as normalised code triples; the same over every field
+FUNDAMENTAL_POINTS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 @dataclass(frozen=True)
@@ -126,9 +92,6 @@ class CurveSpec:
     def degree(self) -> int:
         return self.n + 1
 
-    def fundamental_points(self):
-        return _fundamental(self.field)
-
     def __eq__(self, other):
         return (isinstance(other, CurveSpec) and self.field == other.field
                 and self.n == other.n and self.g_coeffs == other.g_coeffs)
@@ -170,16 +133,6 @@ class CurveSpec:
             self._cache[key] = {e: c for e, c in poly.items() if c}
         return self._cache[key]
 
-    # -- evaluation -------------------------------------------------------------
-
-    def evaluate_poly(self, terms: dict, point: ProjectivePoint) -> int:
-        return eval_terms(self.field, terms, point.coords)
-
-    def evaluate_F(self, point: ProjectivePoint) -> int:
-        if point.field != self.field:
-            raise CurveError("point lives in a different field")
-        return self.evaluate_poly(self.F_terms, point)
-
     # -- extensions ---------------------------------------------------------------
 
     def extension(self, m: int) -> "CurveSpec":
@@ -193,7 +146,7 @@ class CurveSpec:
     # -- point enumeration ------------------------------------------------------
 
     def rational_points(self) -> list:
-        """All points over the base field, sorted canonically; the points
+        """All points over the base field as sorted code triples; the points
         over GF(q^m) are `extension(m).rational_points()`.
 
         The three fundamental points are always present.  The sweep runs
@@ -201,9 +154,7 @@ class CurveSpec:
         """
         if "points" not in self._cache:
             pts = rational_points_raw(self.field, self.F_terms)
-            fund = set(p.coords for p in _fundamental(self.field))
-            got = set(p.coords for p in pts)
-            if not fund <= got:
+            if not set(FUNDAMENTAL_POINTS) <= set(pts):
                 raise CurveError("fundamental points missing from sweep")
             self._cache["points"] = pts
         return list(self._cache["points"])
@@ -294,7 +245,8 @@ def _eval_forms(field: Field, forms, X, Y, Z):
 
 
 def rational_points_raw(field: Field, F_terms: dict) -> list:
-    """All projective zeros of the form given by F_terms, sorted canonically.
+    """All projective zeros of the form given by F_terms, as sorted
+    (x, y, z) code tuples.
 
     Works for any homogeneous form (used directly for the n = 2 counting
     cross-checks that CurveSpec's n >= 3 domain excludes).  The charts
@@ -320,7 +272,7 @@ def rational_points_raw(field: Field, F_terms: dict) -> list:
     lead = P[np.arange(len(P)), (P != 0).argmax(axis=1)]
     P = field.vmul(P, field.vinv(lead)[:, None])
     P = P[np.lexsort(P.T[::-1])]
-    return [ProjectivePoint(field, x, y, z) for x, y, z in P.tolist()]
+    return list(map(tuple, P.tolist()))
 
 
 def monomials_of_degree(N: int) -> list:

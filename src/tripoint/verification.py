@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .claims import FAMILIES, dimension_claims
-from .curves import CheckResult, CurveSpec
+from .curves import FUNDAMENTAL_POINTS, CheckResult, CurveSpec, eval_terms
 from .fields import TABLE_LIMIT, Field, FieldError, embed, make_field
 from .riemann_roch import (ThreePointDivisor, canonical_divisor, dim_L_oracle,
                            order_of_form)
@@ -39,14 +39,14 @@ def validate_curve(spec: CurveSpec) -> list:
     n = spec.n
     prec = 2 * n + 4
     results = []
-    pts = dict(zip(POINT_IDS, spec.fundamental_points()))
+    pts = dict(zip(POINT_IDS, FUNDAMENTAL_POINTS))
     for pid, pt in pts.items():
-        results.append(CheckResult(
-            f"{pid} on curve", spec.evaluate_F(pt) == 0,
-            f"F{pt!r} = {spec.evaluate_F(pt)}"))
+        value = eval_terms(spec.field, spec.F_terms, pt)
+        results.append(CheckResult(f"{pid} on curve", value == 0,
+                                   "F({}:{}:{}) = {}".format(*pt, value)))
     parts = spec.partials()
     for pid, pt in pts.items():
-        grad = tuple(spec.evaluate_poly(d, pt) for d in parts.values())
+        grad = tuple(eval_terms(spec.field, d, pt) for d in parts.values())
         results.append(CheckResult(
             f"gradient nonzero at {pid}", any(grad), f"grad = {grad}"))
     # tangent-line intersection orders as monomial_orders states them, each
@@ -308,12 +308,12 @@ def curve_suite(curve: CurveSpec) -> list:
     out.append(CheckResult(
         "smooth: Macaulay matrix of F, F_X, F_Y, F_Z has full rank",
         curve.is_smooth(), f"degree {D}, {(D + 1) * (D + 2) // 2} columns"))
-    base = {p.coords for p in curve.rational_points()}
+    base = set(curve.rational_points())
     if curve.field.q ** 2 <= TABLE_LIMIT:
         big = curve.extension(2)
-        lift = {tuple(embed(curve.field, c, big.field) for c in coords)
-                for coords in base}
-        ext = {p.coords for p in big.rational_points()}
+        lift = {tuple(embed(curve.field, c, big.field) for c in p)
+                for p in base}
+        ext = set(big.rational_points())
         out.append(CheckResult(
             "rational points embed into the quadratic extension",
             lift <= ext, f"{len(base)} -> {len(ext)} points"))

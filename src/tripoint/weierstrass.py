@@ -73,7 +73,6 @@ def _flat(curve: CurveSpec, D: ThreePointDivisor,
 @dataclass(frozen=True)
 class GapSet:
     n: int
-    point: str
     gaps: tuple
 
     def __post_init__(self):
@@ -84,15 +83,13 @@ class GapSet:
         return len(self.gaps)
 
 
-def gaps_closed_form(n: int, point: str = "P1") -> GapSet:
-    """The gap sequence at a fundamental point, by formula."""
+def gaps_closed_form(n: int) -> GapSet:
+    """The gap sequence by formula, the same at each fundamental point."""
     if n < 3:
         raise ValueError("n must be >= 3")
-    if point not in POINT_IDS:
-        raise ValueError(f"unknown point {point!r}")
     gaps = tuple((i - 1) * (n - 1) + j
                  for i in range(1, n) for j in range(i, n))
-    return GapSet(n=n, point=point, gaps=gaps)
+    return GapSet(n=n, gaps=gaps)
 
 
 def gap_index(n: int, a: int) -> tuple:
@@ -114,7 +111,7 @@ def gaps_oracle(curve: CurveSpec, point: str) -> GapSet:
     step = _divisor((point,), (1,))
     gaps = [m for m in range(1, 2 * curve.genus)
             if _flat(curve, step.scaled(m), step)]
-    return GapSet(n=curve.n, point=point, gaps=tuple(gaps))
+    return GapSet(n=curve.n, gaps=tuple(gaps))
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,17 @@ def test_usage_errors(capsys, tmp_path):
                              "--design", "2,1", f"--budget={value}")
         assert code == 1 and out == ""
         assert "argument --budget: expected a non-negative integer" in err
+    # so is --sample, as a flag and as a config value
+    code, out, err = run(capsys, "search", "--q", "64", "--n", "4",
+                         "--sample", "-2")
+    assert code == 1 and out == ""
+    assert "argument --sample: expected a non-negative integer" in err
+    path = tmp_path / "sample.json"
+    path.write_text(json.dumps({"sample": -2}))
+    code, out, err = run(capsys, "search", "--q", "64", "--n", "4",
+                         "--config", str(path))
+    assert code == 1 and out == ""
+    assert "expected a non-negative integer" in err and "'-2'" in err
     # the removed flags are unknown arguments
     for argv, extra in ((("reproduce", "--rows", "counts"), ("--jobs", "2")),
                         (("verify", "--n-max", "3"), ("--skip-oracle-sweeps",)),
@@ -549,6 +560,12 @@ _PINNED = (
      "", 0),
     ("code --curve q16-n4 --design 2,1 --certify 5 --estimate-trials 20",
      "c9c542ee561621300354fc34104ba0e8d458f606396e6a8c4e65bbc7f811a714",
+     "", 0),
+    ("code --curve q16-n4 --design 2,1 --exclude-p3",
+     "3f4a898696f7a22b0ea348f2da1729557e8b41e32ee244bf14e38edf32e311c5",
+     "", 0),
+    ("code --curve q27-n4 --divisor=12,5,-3 --estimate-trials 20",
+     "50e67a4251f098164cdc7facc2cfb5fb438f6809c79d83ca149bdad0d808e3ca",
      "", 0),
     ("reproduce --rows counts --format csv",
      "e3392b840bd86a4b99cf37e54baf816553bc8e305af6275287ee1eaa73943b1d",

@@ -15,7 +15,7 @@ from tripoint.codes import (BudgetError, CodesError, build_CL, build_COmega,
                             hermitian_maximal_count, hurwitz_count,
                             low_weight_search, predict_pair_params,
                             predict_triple_params, verify_distance_floor)
-from tripoint.curves import CurveSpec, ProjectivePoint, eval_terms
+from tripoint.curves import FUNDAMENTAL_POINTS, CurveSpec, eval_terms
 from tripoint.fields import make_field
 from tripoint.riemann_roch import (ThreePointDivisor, basis_L_oracle,
                                    dim_L_oracle, order_of_form)
@@ -105,10 +105,10 @@ def test_evaluation_points(c16):
     G = ThreePointDivisor(9, 4, 0)
     pts = evaluation_points(c16, G)
     assert len(pts) == 37              # 39 points minus P1, P2; P3 stays
-    fund = c16.fundamental_points()
-    assert fund[2] in pts and fund[0] not in pts and fund[1] not in pts
+    p1, p2, p3 = FUNDAMENTAL_POINTS
+    assert p3 in pts and p1 not in pts and p2 not in pts
     with_pole = evaluation_points(c16, ThreePointDivisor(2, 2, 1))
-    assert len(with_pole) == 36 and fund[2] not in with_pole
+    assert len(with_pole) == 36 and p3 not in with_pole
     assert len(evaluation_points(c16, G, length=20)) == 20
     with pytest.raises(CodesError):
         evaluation_points(c16, G, length=38)
@@ -119,18 +119,23 @@ def test_evaluation_points(c16):
 
 def test_build_CL_validation(c16):
     G = ThreePointDivisor(9, 4, 0)
-    fund = c16.fundamental_points()
+    p1, _, p3 = FUNDAMENTAL_POINTS
     with pytest.raises(CodesError):
-        build_CL(c16, [fund[0]], G)    # P1 lies on Z = 0
+        build_CL(c16, [p1], G)    # P1 lies on Z = 0
     with pytest.raises(CodesError):
-        build_CL(c16, [fund[2]], ThreePointDivisor(2, 2, 1))  # pole at P3
+        build_CL(c16, [p3], ThreePointDivisor(2, 2, 1))  # pole at P3
     f = c16.field
-    off = next(ProjectivePoint.make(f, 1, y, 1) for y in range(f.q)
-               if c16.evaluate_F(ProjectivePoint.make(f, 1, y, 1)) != 0)
+    off = next((1, y, 1) for y in range(f.q)
+               if eval_terms(f, c16.F_terms, (1, y, 1)) != 0)
     with pytest.raises(CodesError):
         build_CL(c16, [off], G)
-    with pytest.raises(CodesError):
-        build_CL(c16, [ProjectivePoint.make(make_field(5), 1, 1, 1)], G)
+    # only normalised code triples of the field are points: not a scaled
+    # copy of a curve point, a code out of range, (0, 0, 0) or a pair
+    on = next(p for p in c16.rational_points() if p[0] == 1 and p[2] != 0)
+    for bad in (tuple(f.mul(2, v) for v in on), (1, f.q, 1), (0, 0, 0),
+                (1, 1)):
+        with pytest.raises(CodesError, match="bad evaluation point"):
+            build_CL(c16, [bad], G)
 
 
 def test_build_CL_values_match_scalar_evaluation(c16, c27):
@@ -141,7 +146,7 @@ def test_build_CL_values_match_scalar_evaluation(c16, c27):
     # which characteristic 2 cannot show
     for curve in (c16, c27):
         f = curve.field
-        p3 = curve.fundamental_points()[2]
+        p3 = FUNDAMENTAL_POINTS[2]
         cases = [predict_pair_params(4, 2, 1).G,    # the design (2, 1)
                  predict_pair_params(4, 1, 2).G,    # (1, 2): M = X^2 Z^2
                  ThreePointDivisor(12, 5, -3),       # G.c < 0: P3 is used
@@ -158,8 +163,8 @@ def test_build_CL_values_match_scalar_evaluation(c16, c27):
                 h = {e: int(c) for e, c in zip(rr.monomials, row) if c}
                 for p, got in zip(pts, E[r]):
                     if p != p3:
-                        assert int(got) == f.div(eval_terms(f, h, p.coords),
-                                                 eval_terms(f, M, p.coords))
+                        assert int(got) == f.div(eval_terms(f, h, p),
+                                                 eval_terms(f, M, p))
                         continue
                     rest = dict(h)
                     rest[rr.denominator] = f.sub(h.get(rr.denominator, 0),
@@ -497,7 +502,7 @@ def test_curve_search_sampled():
     assert len(results) == 5
     for r in results:
         assert r["curve"].n == 4
-        assert all(len(p.coords) == 3 for p in r["points"])
+        assert all(len(p) == 3 for p in r["points"])
 
 
 def test_counting_formulas():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tripoint.catalog import builtin_curves
-from tripoint.curves import (CurveError, CurveSpec, ProjectivePoint,
+from tripoint.curves import (FUNDAMENTAL_POINTS, CurveError, CurveSpec,
                              eval_terms, rational_points_raw)
 from tripoint.fields import embed, make_field
 from tripoint.verification import validate_curve
@@ -28,23 +28,25 @@ def test_spec_validation():
     assert CurveSpec(f8, 4, {(2, 0, 0): 0}).g_coeffs == {}
 
 
-def test_point_normalization():
-    f = make_field(5)
-    p = ProjectivePoint.make(f, 2, 4, 1)
-    q = ProjectivePoint.make(f, 4, 3, 2)   # same point, scaled by 2
-    assert p == q and p.coords == q.coords
-    assert p.coords[0] == 1
-    with pytest.raises(CurveError):
-        ProjectivePoint.make(f, 0, 0, 0)
+def test_point_normalization(c27):
+    # odd characteristic, where scaling by -1 is not the identity: every
+    # point has a leading 1, and the q - 1 scalings of the points are
+    # pairwise distinct, so no point is a scaled copy of another
+    f = c27.field
+    pts = rational_points_raw(f, c27.F_terms)
+    assert all(next(v for v in p if v) == 1 for p in pts)
+    scaled = {tuple(f.mul(s, v) for v in p)
+              for p in pts for s in range(1, f.q)}
+    assert len(scaled) == len(pts) * (f.q - 1)
 
 
-def test_evaluate_F():
+def test_eval_terms_F():
     # the Klein member over the prime field: F(1,1,1) = 3 = 1 in GF(2)
     f2 = make_field(2)
     c = CurveSpec(f2, 3)
-    for pt in c.fundamental_points():
-        assert c.evaluate_F(pt) == 0
-    assert c.evaluate_F(ProjectivePoint.make(f2, 1, 1, 1)) == 1
+    for pt in FUNDAMENTAL_POINTS:
+        assert eval_terms(f2, c.F_terms, pt) == 0
+    assert eval_terms(f2, c.F_terms, (1, 1, 1)) == 1
 
 
 def test_point_counts(klein, c16, c27, record):
@@ -56,12 +58,11 @@ def test_point_counts(klein, c16, c27, record):
 
 def test_points_sorted_and_on_curve(c16):
     pts = c16.rational_points()
-    assert pts == sorted(pts, key=lambda p: p.sort_key())
+    assert pts == sorted(pts)
     assert len(set(pts)) == len(pts)
     for p in pts:
-        assert c16.evaluate_F(p) == 0
-    fund = set(c16.fundamental_points())
-    assert fund <= set(pts)
+        assert eval_terms(c16.field, c16.F_terms, p) == 0
+    assert set(FUNDAMENTAL_POINTS) <= set(pts)
     # the sweep is memoised, but each call hands out its own list
     pts.clear()
     assert len(c16.rational_points()) == 39
@@ -71,9 +72,12 @@ def test_cyclic_symmetry_for_invariant_G(klein):
     # G = 0: (X:Y:Z) -> (Y:Z:X) maps the curve to itself
     field = klein.field
     pts = set(klein.rational_points())
-    rotated = {ProjectivePoint.make(field, p.coords[1], p.coords[2],
-                                    p.coords[0]) for p in pts}
-    assert rotated == pts
+
+    def normalised(p):
+        inv = field.inv(next(v for v in p if v))
+        return tuple(field.mul(v, inv) for v in p)
+
+    assert {normalised((y, z, x)) for x, y, z in pts} == pts
 
 
 def test_hasse_weil_sanity(klein, c16, c27, record):
@@ -87,9 +91,8 @@ def test_extension_points_contain_base(klein):
     big = klein.extension(2)
     base_lifted = set()
     for p in klein.rational_points():
-        coords = tuple(embed(klein.field, c, big.field) for c in p.coords)
-        base_lifted.add(coords)
-    ext_pts = {p.coords for p in big.rational_points()}
+        base_lifted.add(tuple(embed(klein.field, c, big.field) for c in p))
+    ext_pts = set(big.rational_points())
     assert base_lifted <= ext_pts
     assert len(ext_pts) >= len(base_lifted)
 
@@ -206,7 +209,7 @@ def test_sweeps_match_scalar_scan():
                 cur = curve.extension(m)
                 zeros = _scalar_zeros(cur.field, [cur.F_terms])
                 got = rational_points_raw(cur.field, cur.F_terms)
-                assert [pt.coords for pt in got] == zeros, curve
+                assert got == zeros, curve
                 parts = list(cur.partials().values())
                 singular |= any(_vanish(cur.field, parts, pt) for pt in zeros)
             # a singular point found by the sweep refutes smoothness
@@ -219,5 +222,5 @@ def test_sweeps_match_scalar_scan():
                      {(3, 0, 0): 1, (0, 3, 0): a, (0, 0, 3): b,
                       (1, 1, 1): 1}):
             got = rational_points_raw(field, form)
-            assert [pt.coords for pt in got] == _scalar_zeros(field, [form])
+            assert got == _scalar_zeros(field, [form])
     assert refuted
