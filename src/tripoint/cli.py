@@ -487,7 +487,7 @@ def cmd_search(cfg: dict):
     p, k = _parse_prime_power(q)
     field = make_field(p, k)
     floor = cfg["min_points"]
-    predicate = None if floor is None else (lambda c: c >= int(floor))
+    predicate = None if floor is None else (lambda c: c >= floor)
     seed = int(cfg["seed"])
     try:
         hits = curve_search(field, n, predicate=predicate,
@@ -692,7 +692,7 @@ def build_parser() -> _Parser:
                        help="sweep G-coefficient space for many-point curves")
     p.add_argument("--q", type=int, help="field order (prime power)")
     p.add_argument("--n", type=int)
-    p.add_argument("--min-points", type=int)
+    p.add_argument("--min-points", type=_count)
     p.add_argument("--sample", type=_count,
                    help="random draws when the space is too big to exhaust")
     p.add_argument("--limit", type=_count,

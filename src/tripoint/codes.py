@@ -19,7 +19,9 @@ or returns the lexicographically first dependent subset (the support of a
 low-weight codeword).  Subsets sharing a (w-2)-column prefix P are tested
 together: H is reduced modulo span(P) once, and P + {a, b} is dependent
 exactly when residual columns a and b are zero or parallel, which one sort
-of exact normalised column keys detects.  The last two prefix columns are
+of exact normalised column keys detects.  Each elimination drops the pivot
+row it zeroes, so the residual of P has |P| fewer rows than H: an 8-row H
+at w = 5 leaves 5 rows for the keys.  The last two prefix columns are
 not walked one node at a time: a (w-4)-column node tests all of its
 (w-2)-column grandchildren in a few stacked calls, grouped by their last
 column, so that each group carries only the columns after it.
@@ -310,21 +312,34 @@ def _lex_rank(subset, m: int) -> int:
 
 
 def _eliminate(T, S: np.ndarray, own: np.ndarray):
-    """Residual of each matrix S[b] of a stack modulo its own column own[b].
+    """Residual of each matrix S[b] of a stack modulo its own column own[b],
+    without the pivot row.
 
     S is (B, rows, cols), or (1, rows, cols) for one matrix shared by all
-    B = len(own) members.  The column is eliminated at its first nonzero
-    row; that row cancels itself, so every residual keeps the shape.
-    Returns the (B, rows, cols) stack and a mask of the members whose own
-    column is zero (their residual is S[b] unchanged).
+    B = len(own) members.  The column is eliminated at its last nonzero
+    row p, which cancels itself and is dropped; the rows below p are zero
+    in the own column and stay as they are.  Row r < rows - 1 of the
+    residual is S[b, r] - (S[b, r, o] / S[b, p, o]) S[b, p], except that
+    row p holds the last row S[b, rows - 1] when p is above it.  Dropping
+    a zero row and reordering rows keep every column's zeroness and every
+    pair's parallelism, which is all the callers read.  Returns the
+    (B, rows - 1, cols) stack and a mask of the members whose own column
+    is zero.  Their residual is S[b] without its last row, and no caller
+    reads it: walk stops at the first zero child, grandchildren tests only
+    the children before it, and _first_bad answers (o + 1, o + 2) for it.
     """
-    b = np.arange(len(own))
-    S = np.broadcast_to(S, (len(own), *S.shape[1:]))
+    B, rows = len(own), S.shape[1]
+    b = np.arange(B)
+    S = np.broadcast_to(S, (B, rows, S.shape[2]))
     C = S[b, :, own]
-    piv = np.argmax(C != 0, axis=1)
+    piv = rows - 1 - np.argmax(C[:, ::-1] != 0, axis=1)
     lead = C[b, piv]
-    factors = T.MUL[C, T.INV[lead][:, None]]
-    res = T.submul(S, factors[:, :, None], S[b, piv][:, None, :])
+    # C[b, r] / lead[b] for r < rows - 1: one gather of the flat MUL table
+    factors = T.MUL.ravel().take(
+        np.multiply(T.INV[lead], T.q, dtype=np.intp)[:, None] + C[:, :-1])
+    res = T.submul(S[:, :-1], factors[:, :, None], S[b, piv][:, None, :])
+    high = np.nonzero(piv < rows - 1)[0]
+    res[high, piv[high]] = S[high, -1]
     return res, lead == 0
 
 
@@ -336,8 +351,13 @@ def _column_keys(T, S: np.ndarray) -> np.ndarray:
     packed base q into int64 words.  A column that needs several words gets
     its key from its rank among the distinct word tuples of the stack.
     """
-    lead = np.take_along_axis(S, np.argmax(S != 0, axis=1)[:, None, :], 1)
-    S = T.MUL[T.INV[lead], S]
+    # first nonzero entry of each column, one row at a time from the top
+    # (an argmax along the strided row axis takes about 3x as long)
+    lead = S[:, 0]
+    for row in S.swapaxes(0, 1)[1:]:
+        lead = np.where(lead == 0, row, lead)
+    S = T.MUL.ravel().take(
+        np.multiply(T.INV[lead], T.q, dtype=np.intp)[:, None, :] + S)
     B, rows, cols = S.shape
     per = 1                        # base-q digits per int64 word
     while T.q ** (per + 1) < 1 << 63:
@@ -400,7 +420,7 @@ def _first_bad(T, S: np.ndarray, own: np.ndarray):
 
 def _first_dependent(field: Field, H: np.ndarray, w: int):
     """Lexicographically first dependent w-subset of H's columns, or None."""
-    rows, m = H.shape
+    m = H.shape[1]
     T = field.tables()
     if w == 1:
         zero = np.nonzero(~H.any(axis=0))[0]
@@ -425,7 +445,7 @@ def _first_dependent(field: Field, H: np.ndarray, w: int):
             found = prefix + list(range(base + limit, base + limit + 4))
         lo = 1
         while lo <= width - 3 and limit:
-            per = rows * (width - lo)       # cells of one member
+            per = res.shape[1] * (width - lo)   # cells of one member
             hi, members = lo, min(lo, limit)
             while (hi < width - 3
                    and (members + min(hi + 1, limit)) * per <= _GROUP_CELLS):
@@ -484,9 +504,11 @@ def verify_distance_floor(field: Field, H: np.ndarray, w: int, *,
     for all of its extensions.  For an independent (w-2)-column P with
     residual R (H modulo span(P)), P + {a, b} is dependent exactly when
     R[:, a] or R[:, b] is zero or the two are parallel: the elimination is
-    a linear map whose kernel is span(P).  Parallel columns share one key
-    once each column is scaled to a leading 1, so a stack of prefixes is
-    tested with one sort.
+    a linear map whose kernel is span(P).  Each pivot row cancels itself
+    and is dropped (_eliminate), so R has |P| fewer rows than H; dropping
+    a zero row keeps every column's zeroness and every pair's parallelism.
+    Parallel columns share one key once each column is scaled to a
+    leading 1, so a stack of prefixes is tested with one sort.
 
     The walk stops at the (w-4)-column nodes (w >= 4).  Such a node P has
     children P + {c_i} with residuals R_i; its grandchild (i, j) is

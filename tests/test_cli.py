@@ -73,6 +73,26 @@ def test_usage_errors(capsys, tmp_path):
                          "--config", str(path))
     assert code == 1 and out == ""
     assert "expected a non-negative integer" in err and "'-2'" in err
+    # and --min-points: a negative floor is refused, 1e1 is read as 10
+    code, out, err = run(capsys, "search", "--q", "2", "--n", "3",
+                         "--min-points", "-5")
+    assert code == 1 and out == ""
+    assert "argument --min-points: expected a non-negative integer" in err
+    path = tmp_path / "min_points.json"
+    path.write_text(json.dumps({"min_points": -5}))
+    code, out, err = run(capsys, "search", "--q", "2", "--n", "3",
+                         "--config", str(path))
+    assert code == 1 and out == ""
+    assert "expected a non-negative integer" in err and "'-5'" in err
+    found = []
+    for floor in ("1e1", "10"):
+        code, out, err = run(capsys, "search", "--q", "8", "--n", "3",
+                             "--min-points", floor, "--limit", "3")
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert code == 0 and err == ""
+        assert lines[0]["config"]["min_points"] == 10
+        found.append([(m["spec"], m["points"]) for m in lines[1:]])
+    assert found[0] == found[1] and [p for _, p in found[0]] == [24, 12, 10]
     # the removed flags are unknown arguments
     for argv, extra in ((("reproduce", "--rows", "counts"), ("--jobs", "2")),
                         (("verify", "--n-max", "3"), ("--skip-oracle-sweeps",)),

@@ -339,23 +339,39 @@ def test_verify_distance_floor_matches_brute_force(p, k):
                                               want_checked), (H, w)
 
 
-def test_verify_distance_floor_multiword_keys():
-    # 24 rows over GF(7) need two int64 words per column (22 digits fit in
-    # one); the last column repeats column 1 with the two words' parts
-    # scaled differently, so the parts are parallel one by one while the
-    # whole columns are not
+def _lexsort_words(monkeypatch):
+    """Word counts of the multiword keys _column_keys ranks with lexsort."""
+    words, lexsort = [], np.lexsort
+
+    def spy(keys):
+        words.append(len(keys))
+        return lexsort(keys)
+    monkeypatch.setattr(np, "lexsort", spy)
+    return words
+
+
+def test_verify_distance_floor_multiword_keys(monkeypatch):
+    # 27 rows over GF(7) need two int64 words per column (22 digits fit in
+    # one), and so does the residual of 25 rows at the last level of w = 3;
+    # the last column repeats column 1 with the two words' parts scaled
+    # differently, so the parts are parallel one by one while the whole
+    # columns are not
     f = make_field(7)
     rng = np.random.default_rng(5)
-    H = rng.integers(0, 7, (24, 7)).astype(np.int16)
+    H = rng.integers(0, 7, (27, 7)).astype(np.int16)
     H[:, 6] = np.concatenate([f.vmul(f.array(2), H[:22, 1]),
                               f.vmul(f.array(3), H[22:, 1])])
+    words = _lexsort_words(monkeypatch)
     for w in (2, 3):
         assert verify_distance_floor(f, H, w) == (True, None,
                                                  math.comb(7, w))
+        assert words and set(words) == {2}, w
+        words.clear()
     H[:, 4] = f.vmul(f.array(5), H[:, 2])
     assert verify_distance_floor(f, H, 2) == (False, [2, 4], 6 + 5 + 1 + 1)
     H[:, 3] = 0
     assert verify_distance_floor(f, H, 3)[:2] == (False, [0, 1, 3])
+    assert words and set(words) == {2}
 
 
 @pytest.mark.parametrize("p, k", [(2, 1), (7, 1), (3, 2), (2, 4)])
@@ -400,25 +416,97 @@ def test_verify_distance_floor_across_group_chunks(p, k, monkeypatch):
                 want is None, want, want_checked), (H, w, cells)
 
 
+@pytest.mark.parametrize("p, k", [(2, 1), (2, 2), (3, 2), (3, 3)])
+def test_verify_distance_floor_pivot_rows(p, k, monkeypatch):
+    # Each elimination drops its pivot row, the last nonzero entry of the
+    # own column.  H with exactly w rows leaves a 2-row last level; an own
+    # column whose only nonzero entry is in the first or in the last row
+    # pivots there; a column in the span of d earlier ones is a zero own
+    # column at level d of any prefix that holds those d.  Random H over a
+    # small field has an early witness, so the other cases start from a
+    # spread H, in which any m - 1 of the m = w + 4 columns are
+    # independent, and the walk goes deep.
+    f = make_field(p, k)
+    rng = np.random.default_rng(10 * p + k)
+
+    def nonzero():
+        return int(rng.integers(1, f.q))
+
+    def spread(rows):
+        # [I | 1] under a random invertible row transform
+        A = f.array(rng.integers(0, f.q, (rows, rows)))
+        while linalg.rank(f, A) < rows:
+            A = f.array(rng.integers(0, f.q, (rows, rows)))
+        return linalg.matmul(f, A, f.array(np.hstack(
+            [np.eye(rows, dtype=int), np.ones((rows, 1), dtype=int)])))
+
+    cases = []
+    for w in range(3, 7):
+        m = w + 4
+        cases += [f.array(rng.integers(0, f.q, (w, m))), spread(m - 1)]
+        for H in (f.array(rng.integers(0, f.q, (w, m))), spread(m - 1)):
+            H[:, 1] = 0
+            H[0, 1] = nonzero()
+            H[:, 3] = 0
+            H[-1, 3] = nonzero()
+            cases.append(H)
+        for d in range(w - 1):
+            H = spread(m - 1)
+            t = int(rng.integers(d + 1, m))
+            H[:, t] = 0
+            for c in rng.choice(t, d, replace=False):
+                H[:, t] = f.vadd(H[:, t], f.vmul(f.array(nonzero()),
+                                                 H[:, int(c)]))
+            cases.append(H)
+    for H in cases:
+        w = H.shape[1] - 4
+        want, want_checked = _first_dependent_brute(f, H, w)
+        for cells in (1, 200, 1000):
+            monkeypatch.setattr(codes, "_GROUP_CELLS", cells)
+            assert verify_distance_floor(f, H, w) == (
+                want is None, want, want_checked), (H, w, cells)
+
+
+def test_certification_keys_see_only_live_rows(c16, monkeypatch):
+    # q16-n4 at w = 5: H has 8 rows, and the three prefix columns of every
+    # last-level test have dropped three pivot rows, so each key call sees 5
+    spec = predict_pair_params(4, 2, 1)
+    rep = build_COmega(c16, evaluation_points(c16, spec.G), spec.G)
+    assert rep.parity_check.shape == (8, 37)
+    rows, keys = [], codes._column_keys
+
+    def spy(T, S):
+        rows.append(S.shape[1])
+        return keys(T, S)
+    monkeypatch.setattr(codes, "_column_keys", spy)
+    assert verify_distance_floor(c16.field, rep.parity_check, 5) == (
+        True, None, 435_897)
+    assert rows and set(rows) == {5}
+
+
 def test_verify_distance_floor_multiword_keys_across_group_chunks(
         monkeypatch):
-    # 24 rows over GF(7): two key words per column, ranked per stack, so a
-    # key is only meaningful inside the call that made it
+    # 27 rows over GF(7): two key words per column, ranked per stack, so a
+    # key is only meaningful inside the call that made it.  The last level
+    # keeps 25 rows at w = 4 and 24 at w = 5, still two words.
     f = make_field(7)
     rng = np.random.default_rng(11)
-    H = rng.integers(0, 7, (24, 10)).astype(np.int16)
+    H = rng.integers(0, 7, (27, 10)).astype(np.int16)
     H[:, 9] = np.concatenate([f.vmul(f.array(2), H[:22, 1]),
                               f.vmul(f.array(3), H[22:, 1])])
     cases = [(H.copy(), 4), (H.copy(), 5)]
     # columns 2, 5, 7, 8 dependent
     H[:, 8] = f.vadd(f.vadd(H[:, 2], f.vmul(f.array(4), H[:, 5])), H[:, 7])
     cases += [(H.copy(), 4), (H.copy(), 5)]
+    words = _lexsort_words(monkeypatch)
     for H, w in cases:
         want, want_checked = _first_dependent_brute(f, H, w)
         for cells in (1, 300, 3000):
             monkeypatch.setattr(codes, "_GROUP_CELLS", cells)
+            words.clear()
             assert verify_distance_floor(f, H, w) == (
                 want is None, want, want_checked), (w, cells)
+            assert words and set(words) == {2}, (w, cells)
 
 
 def test_verify_distance_floor_fewer_rows_than_w():
@@ -447,8 +535,8 @@ def test_certification_memory_stays_bounded(c27):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # measured 845,948 bytes (the depth-first last level took 526,262);
-    # the bound leaves about 1.8x headroom
+    # measured 736,695 bytes (the depth-first last level took 526,262);
+    # the bound leaves about 2x headroom
     assert peak < 1_500_000, peak
 
 

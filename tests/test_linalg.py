@@ -183,29 +183,37 @@ def test_eliminate_matches_scalar_residuals(p, k):
     rng = np.random.default_rng(11 * p + k)
     for rows, cols in ((5, 9), (1, 4), (6, 6)):
         R = random_matrix(f, rng, rows, cols)
-        R[:, 1] = 0                      # a zero column keeps R unchanged
+        R[:, 1] = 0                      # a zero column sets the flag
+        R[1:, 2] = 0                     # the pivot is the first row
+        R[-1, 3] = 0                     # the pivot is above the last row
         count = cols - 1
         # one matrix shared by every member, member i eliminating column
         # i; then a stack of distinct matrices, each with its own column
         S = random_matrix(f, rng, 3 * rows, cols).reshape(3, rows, cols)
+        S[0][-1, cols - 1] = 0
         S[1][:, 2] = 0
+        S[2][1:, 0] = 0
         for stack, own in ((R[None], np.arange(count)),
                            (S, np.array([cols - 1, 2, 0]))):
             res, zero = _eliminate(f.tables(), stack, own)
-            assert res.shape == (len(own), rows, cols)
+            # the pivot row is dropped: rows = 1 leaves a 0-row residual
+            assert res.shape == (len(own), rows - 1, cols)
             for i, o in enumerate(own):
                 M = stack[min(i, len(stack) - 1)]
                 col = [int(v) for v in M[:, o]]
                 assert zero[i] == (not any(col))
                 if zero[i]:
-                    assert np.array_equal(res[i], M)
+                    assert np.array_equal(res[i], M[:-1])
                     continue
-                piv = next(r for r, v in enumerate(col) if v)
-                for r in range(rows):
+                # the pivot is the last nonzero row; the last row, when
+                # below it, takes the pivot's slot
+                piv = max(r for r, v in enumerate(col) if v)
+                for slot in range(rows - 1):
+                    r = rows - 1 if slot == piv else slot
                     c = f.div(col[r], col[piv])
                     want = [f.sub(int(a), f.mul(c, int(b)))
                             for a, b in zip(M[r], M[piv])]
-                    assert list(map(int, res[i, r])) == want
+                    assert list(map(int, res[i, slot])) == want
 
 
 @pytest.mark.parametrize("p, k", [(2, 1), (7, 1), (2, 4), (3, 3), (7, 2)])
