@@ -383,10 +383,6 @@ def cmd_dims(cfg: dict):
 
 
 def cmd_code(cfg: dict):
-    for key in ("length", "estimate_trials"):
-        if cfg[key] is not None and int(cfg[key]) < 0:
-            flag = "--" + key.replace("_", "-")
-            raise UsageError(f"{flag} must be >= 0, got {cfg[key]}")
     curve = _load_curve(cfg)
     n = curve.n
     design = cfg["design"]
@@ -412,8 +408,8 @@ def cmd_code(cfg: dict):
     pts = evaluation_points(curve, G)
     if cfg["exclude_p3"]:
         pts = [p for p in pts if p != FUNDAMENTAL_POINTS[2]]
-    if cfg["length"] is not None:
-        want = int(cfg["length"])
+    want = cfg["length"]
+    if want is not None:
         if want > len(pts):
             raise UsageError(f"only {len(pts)} usable points, wanted {want}")
         pts = pts[:want]
@@ -431,9 +427,9 @@ def cmd_code(cfg: dict):
             notes.append("certification skipped: " + certification["skipped"])
         else:
             report.floor_witness = certification["witness"]
-    if int(cfg["estimate_trials"]) > 0:
+    if cfg["estimate_trials"] > 0:
         best_w, _ = low_weight_search(curve.field, report.parity_check,
-                                      trials=int(cfg["estimate_trials"]),
+                                      trials=cfg["estimate_trials"],
                                       seed=int(cfg["seed"]))
         report.weight_upper = best_w
     report.notes = tuple(notes)
@@ -676,10 +672,11 @@ def build_parser() -> _Parser:
     p.add_argument("--divisor",
                    help="explicit G as a,b,c; a negative first coefficient "
                         "needs the = form, --divisor=-3,0,0")
-    p.add_argument("--length", type=int, help="truncate the evaluation set")
+    p.add_argument("--length", type=_count,
+                   help="truncate the evaluation set")
     p.add_argument("--certify", type=int, metavar="W",
                    help="prove every W parity-check columns independent")
-    p.add_argument("--estimate-trials", type=int, default=0,
+    p.add_argument("--estimate-trials", type=_count, default=0,
                    help="random information sets for a weight upper bound")
     p.add_argument("--exclude-p3", action="store_true",
                    help="drop the third fundamental point from the "

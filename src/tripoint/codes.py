@@ -311,7 +311,7 @@ def _lex_rank(subset, m: int) -> int:
     return rank
 
 
-def _eliminate(T, S: np.ndarray, own: np.ndarray):
+def _eliminate(field: Field, S: np.ndarray, own: np.ndarray):
     """Residual of each matrix S[b] of a stack modulo its own column own[b],
     without the pivot row.
 
@@ -334,16 +334,16 @@ def _eliminate(T, S: np.ndarray, own: np.ndarray):
     C = S[b, :, own]
     piv = rows - 1 - np.argmax(C[:, ::-1] != 0, axis=1)
     lead = C[b, piv]
-    # C[b, r] / lead[b] for r < rows - 1: one gather of the flat MUL table
-    factors = T.MUL.ravel().take(
-        np.multiply(T.INV[lead], T.q, dtype=np.intp)[:, None] + C[:, :-1])
-    res = T.submul(S[:, :-1], factors[:, :, None], S[b, piv][:, None, :])
+    # C[b, r] / lead[b] for r < rows - 1
+    factors = field.vmul(field.vinv(lead)[:, None], C[:, :-1])
+    res = field.tables().submul(S[:, :-1], factors[:, :, None],
+                                S[b, piv][:, None, :])
     high = np.nonzero(piv < rows - 1)[0]
     res[high, piv[high]] = S[high, -1]
     return res, lead == 0
 
 
-def _column_keys(T, S: np.ndarray) -> np.ndarray:
+def _column_keys(field: Field, S: np.ndarray) -> np.ndarray:
     """Exact keys for the columns of each (rows, cols) matrix in a stack:
     0 for a zero column, and equal positive keys for parallel columns.
 
@@ -356,13 +356,12 @@ def _column_keys(T, S: np.ndarray) -> np.ndarray:
     lead = S[:, 0]
     for row in S.swapaxes(0, 1)[1:]:
         lead = np.where(lead == 0, row, lead)
-    S = T.MUL.ravel().take(
-        np.multiply(T.INV[lead], T.q, dtype=np.intp)[:, None, :] + S)
+    S = field.vmul(field.vinv(lead)[:, None, :], S)
     B, rows, cols = S.shape
     per = 1                        # base-q digits per int64 word
-    while T.q ** (per + 1) < 1 << 63:
+    while field.q ** (per + 1) < 1 << 63:
         per += 1
-    place = np.power(T.q, np.arange(per), dtype=np.int64)
+    place = np.power(field.q, np.arange(per), dtype=np.int64)
     words = np.stack([np.matmul(place[:rows - lo], S[:, lo:lo + per])
                       for lo in range(0, rows, per)], axis=-1)
     words = words.reshape(B * cols, -1)
@@ -391,7 +390,7 @@ def _first_pair(keys: np.ndarray, start: int):
     return None
 
 
-def _first_bad(T, S: np.ndarray, own: np.ndarray):
+def _first_bad(field: Field, S: np.ndarray, own: np.ndarray):
     """The last prefix level for a stack: the first member b, in stack
     order, whose own column own[b] and two later columns x < y of S[b] are
     dependent.  Returns (b, x, y) with the lexicographically first such
@@ -401,8 +400,8 @@ def _first_bad(T, S: np.ndarray, own: np.ndarray):
     one residual column is zero or the two are parallel.  A zero own
     column makes every triple dependent, so its first one wins.
     """
-    res, zero = _eliminate(T, S, own)
-    keys = _column_keys(T, res)
+    res, zero = _eliminate(field, S, own)
+    keys = _column_keys(field, res)
     col = np.arange(keys.shape[1])
     # columns up to the own one get distinct negative keys: never a pair
     keys = np.where(col <= own[:, None], -1 - col, keys)
@@ -421,15 +420,14 @@ def _first_bad(T, S: np.ndarray, own: np.ndarray):
 def _first_dependent(field: Field, H: np.ndarray, w: int):
     """Lexicographically first dependent w-subset of H's columns, or None."""
     m = H.shape[1]
-    T = field.tables()
     if w == 1:
         zero = np.nonzero(~H.any(axis=0))[0]
         return [int(zero[0])] if zero.size else None
     if w == 2:
-        pair = _first_pair(_column_keys(T, H[None])[0], 0)
+        pair = _first_pair(_column_keys(field, H[None])[0], 0)
         return list(pair) if pair else None
     if w == 3:
-        hit = _first_bad(T, H[None], np.arange(m - 2))
+        hit = _first_bad(field, H[None], np.arange(m - 2))
         return list(hit) if hit else None
 
     def grandchildren(res, zero, base, prefix):
@@ -455,7 +453,7 @@ def _first_dependent(field: Field, H: np.ndarray, w: int):
             i, j = np.nonzero(np.arange(limit)[:, None]
                               < np.arange(lo, hi + 1)[None, :])
             j += lo
-            hit = _first_bad(T, res[i, :, lo:], j - lo)
+            hit = _first_bad(field, res[i, :, lo:], j - lo)
             if hit:
                 b, a, c = hit
                 # every later grandchild that comes first has i < i[b]
@@ -470,7 +468,7 @@ def _first_dependent(field: Field, H: np.ndarray, w: int):
         # are prefix + [c] for the c that leave room for w - d - 1 more
         d = len(prefix)
         count = m - (w - d) + 1 - base
-        res, zero = _eliminate(T, R[None], np.arange(count))
+        res, zero = _eliminate(field, R[None], np.arange(count))
         if d == w - 4:
             return grandchildren(res, zero, base, prefix)
         for i in range(count):
@@ -612,7 +610,6 @@ def low_weight_search(field: Field, H: np.ndarray, trials: int = 200,
     r, m = H.shape
     if r == m and linalg.rank(field, H) == r:
         return None, None
-    NEG = field.tables().NEG
     rng = np.random.default_rng(seed)
     chunk = max(1, _CHUNK_CELLS // max(1, H.size))
     width = min(m, r + _PANEL_SLACK)
@@ -641,7 +638,7 @@ def low_weight_search(field: Field, H: np.ndarray, trials: int = 200,
             col = order[pos[b]]
             word = field.zeros(m)
             word[col] = 1
-            word[order[J]] = NEG[S[b, :, col]]
+            word[order[J]] = field.vneg(S[b, :, col])
             best_w, best_word = int(wgts[b]), word
     return best_w, best_word
 

@@ -251,11 +251,11 @@ def rational_points_raw(field: Field, F_terms: dict) -> list:
     Works for any homogeneous form (used directly for the n = 2 counting
     cross-checks that CurveSpec's n >= 3 domain excludes).  The charts
     (x:y:1), (x:1:0) and (1:0:0) are disjoint and cover P^2.  The grid goes
-    in row chunks of about 2^22 cells.  The found points are scaled to a
-    leading 1 with the INV/MUL tables.
+    in row chunks of about _SWEEP_CELLS cells.  The found points are scaled
+    to a leading 1 by one vmul with their leading entries' inverses.
     """
     codes = np.arange(field.q, dtype=CODE_DTYPE)
-    chunk = max(1, (1 << 22) // field.q)
+    chunk = max(1, _SWEEP_CELLS // field.q)
     found = [field.zeros((0, 3))]
 
     def sweep(X, Y, Z):
@@ -273,6 +273,12 @@ def rational_points_raw(field: Field, F_terms: dict) -> list:
     P = field.vmul(P, field.vinv(lead)[:, None])
     P = P[np.lexsort(P.T[::-1])]
     return list(map(tuple, P.tolist()))
+
+
+# grid cells of one chunk of the zero sweep.  Each product and sum over a
+# chunk gathers through an 8-byte intp index per cell, so the chunk bounds
+# the sweep's memory: 2^16 cells keep every index under 1 MB.
+_SWEEP_CELLS = 1 << 16
 
 
 def monomials_of_degree(N: int) -> list:

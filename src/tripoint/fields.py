@@ -8,8 +8,10 @@ basis of a monic irreducible modulus, packed into one integer code
 so codes run over range(p**k) and the prime subfield occupies codes 0..p-1.
 Scalar arithmetic works directly on the digit vectors.  Bulk work (chart
 power series, Gaussian elimination, point sweeps) goes through lazily built
-numpy lookup tables; the tables are constructed internally with discrete logs
-of a multiplicative generator, but that is a memoization detail - the element
+numpy lookup tables, read only in this module: by the vector methods
+(vadd, vmul, vneg, vinv), whose q x q lookups share one gather, and by the
+fused kernels submul, sum and digit_mul.  The tables are built with discrete
+logs of a multiplicative generator, a memoization detail: the element
 representation itself stays coefficient-based, which is what serialization
 and subfield embeddings rely on.
 
@@ -142,10 +144,24 @@ def _reduction_rows(p: int, k: int, modulus) -> list:
 # lookup tables for bulk numpy arithmetic
 # ---------------------------------------------------------------------------
 
-class _Tables:
-    """Dense op tables for one field.  Built lazily, at most once per Field."""
+def _gather(table: np.ndarray, a, b):
+    """table[a, b] of a symmetric q x q table at broadcast code operands:
+    one row of it at a 0-d operand, else the flat view at a*q + b, formed
+    in intp (in the int16 code dtype a*q overflows once q >= 182)."""
+    a, b = np.asarray(a), np.asarray(b)
+    if not a.ndim:
+        return table[a].take(b)
+    if not b.ndim:
+        return table[b].take(a)
+    return table.ravel().take(np.multiply(a, len(table), dtype=np.intp) + b)
 
-    __slots__ = ("q", "p", "char2", "MUL", "ADD", "NEG", "NMUL", "INV", "EXP",
+
+class _Tables:
+    """Dense op tables for one field, built lazily, at most once per Field,
+    and the fused kernels over them.  Elementwise ops are Field's vector
+    methods."""
+
+    __slots__ = ("p", "char2", "MUL", "ADD", "NEG", "NMUL", "INV", "EXP",
                  "LOG", "DIGITS", "PLACE", "_digit_mul")
 
     def __init__(self, field: "Field"):
@@ -153,7 +169,6 @@ class _Tables:
         if q > TABLE_LIMIT:
             raise FieldError(
                 f"bulk table arithmetic unsupported for q={q} > {TABLE_LIMIT}")
-        self.q = q
         self.p = p
         self.char2 = p == 2
 
@@ -213,26 +228,13 @@ class _Tables:
                 self.DIGITS[self.MUL[self.PLACE]].transpose(1, 0, 2))
         return self._digit_mul
 
-    def add(self, a, b):
-        if self.char2:
-            return np.bitwise_xor(a, b)
-        return self.ADD[a, b]
-
-    def mul(self, a, b):
-        return self.MUL[a, b]
-
     def submul(self, a, c, b):
         """a - c * b elementwise (broadcasting): the row update of every
-        eliminator, two gathers in odd characteristic.
-
-        Each gather reads a flat view of its q x q table at the intp index
-        x*q + y: one take of a 1-D array instead of broadcast 2-D fancy
-        indexing, and no overflow where x*q exceeds the code dtype."""
-        q = self.q
-        t = self.NMUL.ravel().take(np.multiply(c, q, dtype=np.intp) + b)
+        eliminator, two gathers (_gather) in odd characteristic."""
+        t = _gather(self.NMUL, c, b)
         if self.char2:
             return np.bitwise_xor(a, t)
-        return self.ADD.ravel().take(np.multiply(a, q, dtype=np.intp) + t)
+        return _gather(self.ADD, a, t)
 
     def sum(self, x, axis):
         """Field sum of x along one axis: an XOR reduce in characteristic 2,
@@ -244,15 +246,6 @@ class _Tables:
                                                  dtype=np.int64)
         return (digits % self.p @ self.PLACE).astype(CODE_DTYPE)
 
-    def neg(self, a):
-        if self.char2:
-            return np.asarray(a)
-        return self.NEG[a]
-
-    def inv(self, a):
-        # INV[0] == 0 is a sentinel; callers must not divide by zero.
-        return self.INV[a]
-
 
 # ---------------------------------------------------------------------------
 # the field itself
@@ -262,8 +255,9 @@ class Field:
     """GF(p^k) with a fixed monic irreducible modulus.
 
     Scalar methods (add, mul, inv, ...) act on integer codes.  The vector
-    methods (vadd, vmul, ...) act elementwise on numpy arrays of codes and
-    require q <= TABLE_LIMIT.
+    methods vadd, vmul, vneg and vinv are the one elementwise API on numpy
+    arrays of codes: any broadcastable shapes, a 0-d operand included.
+    They require q <= TABLE_LIMIT.
     """
 
     __slots__ = ("p", "k", "q", "modulus", "_place", "_red_rows",
@@ -420,16 +414,19 @@ class Field:
         return self._tables
 
     def vadd(self, a, b):
-        return self.tables().add(a, b)
+        if self.p == 2:
+            return np.bitwise_xor(a, b)
+        return _gather(self.tables().ADD, a, b)
 
     def vmul(self, a, b):
-        return self.tables().mul(a, b)
+        return _gather(self.tables().MUL, a, b)
 
     def vneg(self, a):
-        return self.tables().neg(a)
+        return self.tables().NEG.take(a)
 
     def vinv(self, a):
-        return self.tables().inv(a)
+        # INV[0] == 0 is a sentinel; callers must not divide by zero.
+        return self.tables().INV.take(a)
 
     def array(self, values) -> np.ndarray:
         return np.asarray(values, dtype=CODE_DTYPE)

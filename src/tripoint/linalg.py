@@ -3,10 +3,10 @@
 All routines take the Field first and a 2-D numpy array of codes; rref
 and matmul also take a stack of matrices.  Row reduction is table-driven:
 each pivot step updates one block of rows, from the pivot column onwards,
-with the fused a - c*b update of the field's tables (submul), whose two
-gathers read flat views of the q x q tables, so cost is dominated by numpy
-gathers rather than Python loops.  rref reduces above and below each
-pivot; rank only eliminates below it.
+with the fused a - c*b update of the field's tables (submul), its factors
+from Field.vmul and vinv, so cost is dominated by numpy gathers rather
+than Python loops.  rref reduces above and below each pivot; rank only
+eliminates below it.
 
 rref reduces a stack in lockstep with one pivot loop: at each column,
 every matrix that has a nonzero at or below its own rank takes its first
@@ -65,7 +65,7 @@ def rref(field: Field, mat: np.ndarray):
         k = np.arange(r.size)
         top, low = blk[k, r], blk[k, piv]
         blk[k, piv] = top
-        low = T.MUL[T.INV[low[:, :1]], low]
+        low = field.vmul(field.vinv(low[:, :1]), low)
         blk[k, r] = low
         # every other row, as one block: a zero factor leaves a row as is
         factors = blk[:, :, 0].copy()
@@ -104,7 +104,7 @@ def rank(field: Field, mat: np.ndarray) -> int:
             A[[r, piv], col:] = A[[piv, r], col:]
         if nz.size > 1:
             # rows below r, as one block: a zero factor leaves a row as is
-            factors = T.MUL[A[r + 1:, col], T.INV[A[r, col]]]
+            factors = field.vmul(A[r + 1:, col], field.vinv(A[r, col]))
             A[r + 1:, col + 1:] = T.submul(A[r + 1:, col + 1:],
                                            factors[:, None], A[r, col + 1:])
         r += 1
@@ -129,7 +129,7 @@ def matmul(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     A, B = np.asarray(A), np.asarray(B)
     *stack, r, s = A.shape
     c = B.shape[1]
-    p, k = T.p, len(T.PLACE)
+    p, k = field.p, field.k
     # take along axis 0 gathers whole table rows, far faster than A as a
     # fancy index
     lhs = T.DIGITS.astype(np.float64).take(A, axis=0).reshape(
@@ -137,7 +137,7 @@ def matmul(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     rhs = T.digit_mul().take(B, axis=0).transpose(0, 2, 1, 3).reshape(
         s * k, c * k).astype(np.float64)
     # an integer type that holds every sum and every code
-    dtype = np.min_scalar_type(max(T.q, s * k * (p - 1) ** 2))
+    dtype = np.min_scalar_type(max(field.q, s * k * (p - 1) ** 2))
     out = np.empty((len(lhs), c), dtype=CODE_DTYPE)
     step = max(1, _BLOCK_PRODUCTS // max(1, s * k * c * k))
     for lo in range(0, len(lhs), step):
@@ -178,6 +178,6 @@ def nullspace(field: Field, mat: np.ndarray) -> np.ndarray:
     basis = field.zeros((len(free), n))
     basis[range(len(free)), free] = 1
     # pivot variable value = -R[i, j] for each pivot column
-    basis[:, pivots] = field.tables().NEG[R[:len(pivots), free]].T
+    basis[:, pivots] = field.vneg(R[:len(pivots), free]).T
     return basis
 

@@ -69,7 +69,7 @@ def chart_powers(field: Field, chart_poly: dict, degree: int,
     a, b = np.array(list(chart_poly), dtype=np.intp).T
     c = field.array(list(chart_poly.values()))
     rest = a >= 1
-    ra, rb, rnc = a[rest], b[rest], T.neg(c[rest])
+    ra, rb, rnc = a[rest], b[rest], field.vneg(c[rest])
     rows = max(degree, int(b.max()))
     # column shift + k holds t^k; the zero columns in front of it are the
     # t^(k - a) with k < a
@@ -78,11 +78,11 @@ def chart_powers(field: Field, chart_poly: dict, degree: int,
     if precision:
         W[0, shift] = 1
     for col in range(shift + 1, shift + precision):
-        W[1, col] = T.sum(T.mul(rnc, W[rb, col - ra]), 0)
-        W[2:, col] = T.sum(T.mul(W[1, shift + 1:col + 1],
-                                 W[1:rows, shift:col][:, ::-1]), 1)
+        W[1, col] = T.sum(field.vmul(rnc, W[rb, col - ra]), 0)
+        W[2:, col] = T.sum(field.vmul(W[1, shift + 1:col + 1],
+                                      W[1:rows, shift:col][:, ::-1]), 1)
     cols = np.arange(shift, shift + precision) - a[:, None]
-    if T.sum(T.mul(c[:, None], W[b[:, None], cols]), 0).any():
+    if T.sum(field.vmul(c[:, None], W[b[:, None], cols]), 0).any():
         raise SeriesError("the chart recurrence left a residual")
     return W[:degree + 1, shift:].copy()
 

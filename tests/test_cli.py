@@ -41,11 +41,23 @@ def test_usage_errors(capsys, tmp_path):
     for n_max in ("2", "6", "7"):   # outside the bundled check curves
         code, out, err = run(capsys, "verify", "--n-max", n_max)
         assert code == 1 and out == "" and "--n-max must be in 3..5" in err
-    # negative sizes are refused, not read as slices from the end
+    # negative sizes are refused, not read as slices from the end, as
+    # flags and as config values
     for flag, value in (("--length", "-3"), ("--estimate-trials", "-5")):
         code, out, err = run(capsys, "code", "--curve", "q16-n4",
                              "--design", "2,1", flag, value)
-        assert code == 1 and out == "" and f"{flag} must be >= 0" in err
+        assert code == 1 and out == ""
+        assert f"argument {flag}: expected a non-negative integer" in err
+    path = tmp_path / "length.json"
+    path.write_text(json.dumps({"length": -3}))
+    code, out, err = run(capsys, "code", "--curve", "q16-n4",
+                         "--design", "2,1", "--config", str(path))
+    assert code == 1 and out == ""
+    assert "length: expected a non-negative integer" in err and "'-3'" in err
+    # and --length 1e1 is read as 10
+    code, out, err = run(capsys, "code", "--curve", "q16-n4",
+                         "--design", "2,1", "--length", "1e1")
+    assert code == 0 and json.loads(out)["report"]["length"] == 10
     for q, why in (("6", "6 is not a prime power"),
                    ("1", "field order must be >= 2, got 1")):
         code, out, err = run(capsys, "search", "--q", q, "--n", "3")

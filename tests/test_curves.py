@@ -4,9 +4,9 @@ import itertools
 import numpy as np
 import pytest
 
-from tripoint.catalog import builtin_curves
-from tripoint.curves import (FUNDAMENTAL_POINTS, CurveError, CurveSpec,
-                             eval_terms, rational_points_raw)
+from tripoint.catalog import REFERENCE_ROWS, builtin_curves
+from tripoint.curves import (_SWEEP_CELLS, FUNDAMENTAL_POINTS, CurveError,
+                             CurveSpec, eval_terms, rational_points_raw)
 from tripoint.fields import embed, make_field
 from tripoint.verification import validate_curve
 
@@ -160,6 +160,22 @@ def test_json_roundtrip(c27):
 def test_raw_sweep_matches_curve_enumeration(klein):
     raw = rational_points_raw(klein.field, klein.F_terms)
     assert raw == klein.rational_points()
+
+
+@pytest.mark.parametrize("row", [r for r in REFERENCE_ROWS
+                                 if r.name in ("q27-n4", "q49-n4", "q81-n4")],
+                         ids=lambda r: r.name)
+def test_chunked_sweep_matches_one_chunk(monkeypatch, row):
+    # the whole grid fits one default chunk here; chunks of 1 row, and of
+    # 4 rows with a ragged last chunk (27, 49 and 81 are not multiples of 4)
+    curve = row.curve()
+    q = curve.field.q
+    assert _SWEEP_CELLS >= q * q
+    whole = rational_points_raw(curve.field, curve.F_terms)
+    assert len(whole) == row.expected_points
+    for rows in (1, 4):
+        monkeypatch.setattr("tripoint.curves._SWEEP_CELLS", rows * q + q - 1)
+        assert rational_points_raw(curve.field, curve.F_terms) == whole
 
 
 class _MemoArith:

@@ -57,19 +57,33 @@ def test_multiplicative_order():
         assert f.pow(a, 15) == 1
 
 
+def _agrees(got, scalar, *operands):
+    """got holds the scalar op applied to each element of the broadcast
+    operands, in the code dtype and the broadcast shape."""
+    ops = np.broadcast_arrays(*operands)
+    want = [scalar(*xs) for xs in zip(*(x.ravel().tolist() for x in ops))]
+    assert got.dtype == CODE_DTYPE and got.shape == ops[0].shape
+    assert got.ravel().tolist() == want
+
+
 def test_scalar_vs_vector_agreement():
+    # every operand shape the callers use, on int16 codes: 0-d by vector in
+    # both orders, column by row and a 3-D stack.  From GF(729) on, code * q
+    # overflows int16, so an index formed in the code dtype reads wrong cells
     rng = np.random.default_rng(3)
-    for (p, k) in ((2, 4), (3, 2), (7, 1), (5, 2)):
+    for (p, k) in ((2, 4), (3, 2), (7, 1), (5, 2), (3, 6), (3, 7), (2, 12)):
         f = make_field(p, k)
-        a = rng.integers(0, f.q, 300)
-        b = rng.integers(0, f.q, 300)
-        assert all(f.vadd(a, b)[i] == f.add(int(a[i]), int(b[i]))
-                   for i in range(300))
-        assert all(f.vmul(a, b)[i] == f.mul(int(a[i]), int(b[i]))
-                   for i in range(300))
-        nz = a.copy()
-        nz[nz == 0] = 1
-        assert all(f.vinv(nz)[i] == f.inv(int(nz[i])) for i in range(300))
+        a, b = (f.array(rng.integers(0, f.q, 300)) for _ in range(2))
+        s = f.array(rng.integers(1, f.q))
+        stack = a[:60].reshape(3, 4, 5)
+        for x, y in ((a, b), (s, a), (a, s), (a[:20, None], b[None, 20:40]),
+                     (stack, b[:15].reshape(3, 1, 5))):
+            _agrees(f.vadd(x, y), f.add, x, y)
+            _agrees(f.vmul(x, y), f.mul, x, y)
+        for x in (a, stack):
+            _agrees(f.vneg(x), f.neg, x)
+            nz = np.where(x == 0, f.array(1), x)
+            _agrees(f.vinv(nz), f.inv, nz)
 
 
 def _check_tables(f, a, b):
@@ -85,7 +99,7 @@ def _check_tables(f, a, b):
         assert T.ADD is None
     else:
         assert T.ADD.dtype == CODE_DTYPE and T.ADD.shape == (f.q, f.q)
-    add = T.add(a, b)
+    add = f.vadd(a, b)
     mul, nmul = T.MUL[a, b], T.NMUL[a, b]
     for x, y, s, m, nm in zip(a.tolist(), b.tolist(), add.tolist(),
                               mul.tolist(), nmul.tolist()):

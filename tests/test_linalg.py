@@ -195,7 +195,7 @@ def test_eliminate_matches_scalar_residuals(p, k):
         S[2][1:, 0] = 0
         for stack, own in ((R[None], np.arange(count)),
                            (S, np.array([cols - 1, 2, 0]))):
-            res, zero = _eliminate(f.tables(), stack, own)
+            res, zero = _eliminate(f, stack, own)
             # the pivot row is dropped: rows = 1 leaves a 0-row residual
             assert res.shape == (len(own), rows - 1, cols)
             for i, o in enumerate(own):

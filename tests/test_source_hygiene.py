@@ -1,7 +1,8 @@
 """Source hygiene of the package, read with `ast`: every module and demo
 script uses the names it imports, every module-level private function or
 class is referenced somewhere in the package, and every name a module
-exports in `__all__` exists."""
+exports in `__all__` exists, and no module but `fields` reads a lookup
+table."""
 
 import ast
 import importlib
@@ -83,3 +84,14 @@ def test_exported_names_resolve():
                     for name in getattr(module, "__all__", ())
                     if not hasattr(module, name)]
     assert not missing, f"exported but undefined: {missing}"
+
+
+def test_tables_read_only_in_fields():
+    # the q x q table layout is known to one module: every other module
+    # goes through the Field vector methods or the tables' fused kernels
+    tables = {"MUL", "ADD", "NMUL", "NEG", "INV"}
+    reads = [f"{stem}.py:{node.lineno} .{node.attr}"
+             for stem, tree in _TREES.items() if stem != "fields"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in tables]
+    assert not reads, f"table reads outside fields.py: {reads}"
