@@ -9,25 +9,23 @@ from tripoint import (builtin_curves, gaps_closed_form, gaps_oracle,
                       kim_image, kim_map, semigroup_generators)
 
 for n in (3, 4, 5):
-    gs = gaps_closed_form(n)
-    print(f"n={n}: gaps {gs.gaps}")
+    print(f"n={n}: gaps {gaps_closed_form(n)}")
     print(f"     semigroup generated by {semigroup_generators(n)}")
 
 # independent confirmation through Riemann-Roch dimensions
 klein = builtin_curves()["q8-n3"]
 for point in ("P1", "P2", "P3"):
-    print(f"oracle gaps at {point} on q8-n3: {gaps_oracle(klein, point).gaps}")
+    print(f"oracle gaps at {point} on q8-n3: {gaps_oracle(klein, point)}")
 
 # the Kim map for n = 4, with witnesses: x^u y^v has pole divisor
 # exactly gap * source + image * target
-table = kim_map(4, ("P1", "P2"))
 print("\nKim map P1 -> P2 at n = 4:")
-for a, b, (u, v) in table.entries:
+for a, b, (u, v) in kim_map(4, ("P1", "P2")):
     print(f"  {a} -> {b}   witness x^{u} y^{v}")
 
 # beta^3 = id, and the fixed points exist only for n = 2 mod 3
 for n in (4, 5, 8):
-    gaps = gaps_closed_form(n).gaps
+    gaps = gaps_closed_form(n)
     cube_ok = all(kim_image(n, kim_image(n, kim_image(n, a))) == a
                   for a in gaps)
     fixed = [a for a in gaps if kim_image(n, a) == a]

@@ -15,11 +15,10 @@ from .riemann_roch import (OracleError, RRSpace, ThreePointDivisor,
                            dim_mP_formula, dim_Sd, dim_shifted_formula,
                            divisor_of_x, divisor_of_y, order_of_form)
 from .claims import FAMILIES, Claim, dimension_claims
-from .weierstrass import (GapSet, KimMapTable, PureGapRecord, gap_index,
-                          gaps_closed_form, gaps_oracle, kim_image, kim_map,
-                          pure_gap_box, pure_gap_count_pair,
-                          pure_gap_count_triple, pure_gap_dimension,
-                          pure_gap_oracle, pure_gaps_pair,
+from .weierstrass import (PureGapRecord, gap_index, gaps_closed_form,
+                          gaps_oracle, kim_image, kim_map, pure_gap_box,
+                          pure_gap_count_pair, pure_gap_count_triple,
+                          pure_gap_dimension, pure_gap_oracle, pure_gaps_pair,
                           pure_gaps_pair_via_homma_kim, pure_gaps_triple,
                           semigroup_generators)
 from .codes import (BudgetError, CodeReport, CodesError, CodeSpec, build_CL,
@@ -41,7 +40,7 @@ __all__ = [
     "dim_shifted_formula", "divisor_of_x", "divisor_of_y",
     "monomial_orders", "order_of_form",
     "FAMILIES", "Claim", "dimension_claims",
-    "GapSet", "KimMapTable", "PureGapRecord", "gap_index",
+    "PureGapRecord", "gap_index",
     "gaps_closed_form", "gaps_oracle", "kim_image", "kim_map",
     "pure_gap_box", "pure_gap_count_pair", "pure_gap_count_triple",
     "pure_gap_dimension", "pure_gap_oracle", "pure_gaps_pair",

@@ -20,8 +20,6 @@ import sys
 import time
 from itertools import islice
 
-import numpy as np
-
 from . import __version__
 from .catalog import (RECORD_LENGTHS, RECORD_ROW, REFERENCE_ROWS,
                       builtin_curves)
@@ -161,16 +159,6 @@ def _resolve(args: argparse.Namespace, argv) -> dict:
     return {k: v for k, v in vars(args).items() if k != "func"}
 
 
-def _jsonable(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {obj!r}")
-
-
 def _csv_text(rows: list) -> str:
     names = []
     for row in rows:
@@ -182,7 +170,7 @@ def _csv_text(rows: list) -> str:
                             lineterminator="\n")
     writer.writeheader()
     for row in rows:
-        writer.writerow({k: (json.dumps(v, default=_jsonable)
+        writer.writerow({k: (json.dumps(v)
                              if isinstance(v, (list, tuple, dict)) else v)
                          for k, v in row.items()})
     return buf.getvalue()
@@ -192,7 +180,7 @@ def _emit(cfg: dict, envelope: dict) -> None:
     if cfg["format"] == "csv":
         text = _csv_text(envelope.get("rows") or [])
     else:
-        text = json.dumps(envelope, indent=2, default=_jsonable) + "\n"
+        text = json.dumps(envelope, indent=2) + "\n"
     if cfg["out"]:
         with open(cfg["out"], "w") as fh:
             fh.write(text)
@@ -299,20 +287,20 @@ def _oracle_check(payload: dict, curve: CurveSpec, passed: bool,
 
 def cmd_gaps(cfg: dict):
     n = _need_n(cfg)
-    gs = gaps_closed_form(n)
+    gaps = gaps_closed_form(n)
     rows = []
-    for a in gs.gaps:
+    for a in gaps:
         i, j = gap_index(n, a)
         rows.append({"gap": a, "i": i, "j": j, "kim_image": kim_image(n, a)})
     payload = {
         "n": n,
-        "genus": gs.genus,
-        "gaps": list(gs.gaps),
+        "genus": len(gaps),
+        "gaps": list(gaps),
         "semigroup_generators": list(semigroup_generators(n)),
         "kim_maps": {
             f"{pair[0]}->{pair[1]}": [
                 {"gap": a, "image": b, "witness_u": u, "witness_v": v}
-                for a, b, (u, v) in kim_map(n, pair).entries]
+                for a, b, (u, v) in kim_map(n, pair)]
             for pair in CYCLIC_PAIRS
         },
         "rows": rows,
@@ -322,8 +310,8 @@ def cmd_gaps(cfg: dict):
     curve = _load_curve(cfg, n)
     per_point = {}
     for point in ("P1", "P2", "P3"):
-        got = gaps_oracle(curve, point).gaps
-        per_point[point] = {"oracle": list(got), "match": got == gs.gaps}
+        got = gaps_oracle(curve, point)
+        per_point[point] = {"oracle": list(got), "match": got == gaps}
     passed = all(v["match"] for v in per_point.values())
     print(f"closed-form = oracle: {'PASS' if passed else 'FAIL'}",
           file=sys.stderr)
@@ -413,14 +401,17 @@ def cmd_code(cfg: dict):
         if want > len(pts):
             raise UsageError(f"only {len(pts)} usable points, wanted {want}")
         pts = pts[:want]
+    w = cfg["certify"]
+    if w is not None and not 1 <= w <= len(pts):
+        raise UsageError(f"--certify must be in 1..{len(pts)}, the code "
+                         f"length, got {w}")
     report = build_COmega(curve, pts, G,
                           boxes=spec.boxes if spec is not None else None)
     notes = list(report.notes)
     certification = None
-    if cfg["certify"] is not None:
-        w = int(cfg["certify"])
+    if w is not None:
         certification = _certify(curve.field, report.parity_check, w,
-                                 int(cfg["budget"]))
+                                 cfg["budget"])
         if certification["ok"]:
             report.verified_floor = w + 1
         elif certification["ok"] is None:
@@ -430,7 +421,7 @@ def cmd_code(cfg: dict):
     if cfg["estimate_trials"] > 0:
         best_w, _ = low_weight_search(curve.field, report.parity_check,
                                       trials=cfg["estimate_trials"],
-                                      seed=int(cfg["seed"]))
+                                      seed=cfg["seed"])
         report.weight_upper = best_w
     report.notes = tuple(notes)
     if cfg["matrix_csv"]:
@@ -484,7 +475,7 @@ def cmd_search(cfg: dict):
     field = make_field(p, k)
     floor = cfg["min_points"]
     predicate = None if floor is None else (lambda c: c >= floor)
-    seed = int(cfg["seed"])
+    seed = cfg["seed"]
     try:
         hits = curve_search(field, n, predicate=predicate,
                             sample=cfg["sample"], seed=seed)
@@ -498,7 +489,7 @@ def cmd_search(cfg: dict):
     rows = []
     try:
         if cfg["format"] != "csv":
-            sink.write(json.dumps(header, default=_jsonable) + "\n")
+            sink.write(json.dumps(header) + "\n")
         for hit in islice(hits, cfg["limit"]):
             record = {
                 "spec": hit["curve"].to_json(),
@@ -510,7 +501,7 @@ def cmd_search(cfg: dict):
             if cfg["format"] == "csv":
                 rows.append(record)
             else:
-                sink.write(json.dumps(record, default=_jsonable) + "\n")
+                sink.write(json.dumps(record) + "\n")
         if cfg["format"] == "csv":
             sink.write(_csv_text(rows))
     finally:
@@ -580,7 +571,7 @@ def _reproduce_counts() -> list:
 
 
 def cmd_reproduce(cfg: dict):
-    budget = int(cfg["budget"])
+    budget = cfg["budget"]
     wanted = None
     if cfg["rows"] is not None:
         known = sorted({row.name for row in REFERENCE_ROWS}
@@ -607,17 +598,11 @@ def cmd_verify(cfg: dict):
         raise UsageError(f"--n-max must be in {lo}..{hi}, the n of the "
                          f"bundled check curves, got {n_max}")
     report = default_verify_report(n_max)
-    rows = []
-    for section, checks in report["sections"].items():
-        for chk in checks:
-            rows.append({"section": section, **chk})
-    for row in rows:
+    for row in report["rows"]:
         if not row["passed"]:
             print(f"FAIL [{row['section']}] {row['name']}: {row['detail']}",
                   file=sys.stderr)
-    payload = {"passed": report["passed"], "checks": report["checks"],
-               "rows": rows}
-    return payload, EXIT_OK if report["passed"] else EXIT_INVARIANT
+    return report, EXIT_OK if report["passed"] else EXIT_INVARIANT
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +613,7 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the report here instead of stdout")
     common.add_argument("--format", choices=FORMATS, default="json")
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=_count, default=0)
     common.add_argument("--budget", type=_count, default=10_000_000,
                         help="max column subsets C(m, w) per certification, "
                              "an integer such as 10000000 or 1e7")
@@ -674,7 +659,7 @@ def build_parser() -> _Parser:
                         "needs the = form, --divisor=-3,0,0")
     p.add_argument("--length", type=_count,
                    help="truncate the evaluation set")
-    p.add_argument("--certify", type=int, metavar="W",
+    p.add_argument("--certify", type=_count, metavar="W",
                    help="prove every W parity-check columns independent")
     p.add_argument("--estimate-trials", type=_count, default=0,
                    help="random information sets for a weight upper bound")

@@ -18,11 +18,13 @@ nonzero entry is 1; tuples compare and sort as the points do, and
 `FUNDAMENTAL_POINTS` holds P1, P2, P3 in this form over every field.
 
 Rational points come from one table-driven sweep, `rational_points_raw`,
-over the disjoint charts (x:y:1), (x:1:0) and (1:0:0); it is the one place
-that scales points to a leading 1.  Its form is evaluated by
-`_eval_forms`, which `codes.build_CL` also uses at the evaluation points.
-`eval_terms` is the scalar evaluator: `validate_curve` and the tests read
-it, and it is the only one that runs on fields above `fields.TABLE_LIMIT`.
+over the disjoint charts (0:0:1), (0:1:z) and (1:y:z): every point of a
+chart already has its leading 1, and the charts and their rows are walked
+in lexicographic order, so the points come out normalised and sorted.  Its
+form is evaluated by `_eval_forms`, which `codes.build_CL` also uses at the
+evaluation points.  `eval_terms` is the scalar evaluator: `validate_curve`
+and the tests read it, and it is the only one that runs on fields above
+`fields.TABLE_LIMIT`.
 """
 
 from __future__ import annotations
@@ -246,13 +248,14 @@ def _eval_forms(field: Field, forms, X, Y, Z):
 
 def rational_points_raw(field: Field, F_terms: dict) -> list:
     """All projective zeros of the form given by F_terms, as sorted
-    (x, y, z) code tuples.
+    (x, y, z) code tuples with a leading 1.
 
     Works for any homogeneous form (used directly for the n = 2 counting
     cross-checks that CurveSpec's n >= 3 domain excludes).  The charts
-    (x:y:1), (x:1:0) and (1:0:0) are disjoint and cover P^2.  The grid goes
-    in row chunks of about _SWEEP_CELLS cells.  The found points are scaled
-    to a leading 1 by one vmul with their leading entries' inverses.
+    (0:0:1), (0:1:z) and (1:y:z) are disjoint, cover P^2 and hold only
+    normalised points; swept in that order, the last in row chunks of about
+    _SWEEP_CELLS cells in increasing y, their zeros come out in
+    lexicographic order, so nothing is rescaled or sorted afterwards.
     """
     codes = np.arange(field.q, dtype=CODE_DTYPE)
     chunk = max(1, _SWEEP_CELLS // field.q)
@@ -264,15 +267,11 @@ def rational_points_raw(field: Field, F_terms: dict) -> list:
             found.append(np.stack([np.broadcast_to(v, mask.shape)[mask]
                                    for v in (X, Y, Z)], axis=1))
 
+    sweep(0, 0, 1)
+    sweep(0, 1, codes)
     for lo in range(0, field.q, chunk):
-        sweep(codes[lo:lo + chunk, None], codes[None, :], 1)
-    sweep(codes, 1, 0)
-    sweep(1, 0, 0)
-    P = np.concatenate(found)
-    lead = P[np.arange(len(P)), (P != 0).argmax(axis=1)]
-    P = field.vmul(P, field.vinv(lead)[:, None])
-    P = P[np.lexsort(P.T[::-1])]
-    return list(map(tuple, P.tolist()))
+        sweep(1, codes[lo:lo + chunk, None], codes[None, :])
+    return list(map(tuple, np.concatenate(found).tolist()))
 
 
 # grid cells of one chunk of the zero sweep.  Each product and sum over a

@@ -140,15 +140,6 @@ class RRSpace:
     monomials: list
     basis: np.ndarray  # shape (dimension, len(monomials))
 
-    def to_json(self) -> dict:
-        return {
-            "divisor": list(self.divisor.coeffs()),
-            "dimension": self.dimension,
-            "denominator": list(self.denominator),
-            "monomials": [list(e) for e in self.monomials],
-            "basis": self.basis.tolist(),
-        }
-
 
 # ---------------------------------------------------------------------------
 # cached chart-power expansions

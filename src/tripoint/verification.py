@@ -3,10 +3,11 @@ independent computation.
 
 Each suite returns a list of CheckResult records.  `default_verify_report
 (n_max)` runs every suite on each bundled curve up to n_max, the pure-gap
-oracle sweeps always among them, and the CLI `verify` command turns that
-into a machine-readable report that fails (exit code 2) when any check
-fails.  The suites are deliberately redundant with the unit tests: they are
-the product surface for a user who wants to re-certify the mathematics on
+oracle sweeps always among them, and returns the payload of the CLI
+`verify` command: one row per check, tagged with its suite's section, and
+a verdict that fails the command (exit code 2) when any check fails.  The
+suites are deliberately redundant with the unit tests: they are the
+product surface for a user who wants to re-certify the mathematics on
 their own machine, possibly for larger n.
 """
 
@@ -136,9 +137,9 @@ def gap_suite(curve: CurveSpec) -> list:
     generators reproduce the complement."""
     n = curve.n
     out = []
-    formula = gaps_closed_form(n).gaps
+    formula = gaps_closed_form(n)
     for point in ("P1", "P2", "P3"):
-        got = gaps_oracle(curve, point).gaps
+        got = gaps_oracle(curve, point)
         out.append(CheckResult(
             f"gaps at {point} (n={n})", got == formula,
             f"oracle {got}, formula {formula}"))
@@ -161,7 +162,7 @@ def kim_suite() -> list:
     n = 3..8."""
     out = []
     for n in range(3, 9):
-        gaps = gaps_closed_form(n).gaps
+        gaps = gaps_closed_form(n)
         img = [kim_image(n, a) for a in gaps]
         ok_bij = sorted(img) == list(gaps)
         ok_cube = all(kim_image(n, kim_image(n, kim_image(n, a))) == a
@@ -225,7 +226,7 @@ def pure_gap_suite(curve: CurveSpec) -> list:
         f"pair oracle sweep (n={n})", detail is None,
         detail or f"oracle found {len(found)}"))
     want = {r.tuple_ for r in trips}
-    gaps = set(gaps_closed_form(n).gaps)
+    gaps = set(gaps_closed_form(n))
     found3 = {(a, b, c) for a in gaps for b in gaps for c in gaps
               if pure_gap_oracle(curve, (a, b, c))}
     out.append(CheckResult(
@@ -320,10 +321,6 @@ def curve_suite(curve: CurveSpec) -> list:
     return out
 
 
-def suite_passed(results: list) -> bool:
-    return all(r.passed for r in results)
-
-
 # the bundled curve each `verify` section runs on, by n
 VERIFY_CURVES = {3: "q8-n3", 4: "q16-n4", 5: "q49-n5-record"}
 
@@ -331,18 +328,23 @@ VERIFY_CURVES = {3: "q8-n3", 4: "q16-n4", 5: "q49-n5-record"}
 def default_verify_report(n_max: int) -> dict:
     """The standard bundle run by the CLI `verify` command: the field and
     Kim suites, then every curve suite, pure-gap oracle sweeps included, on
-    each bundled curve in VERIFY_CURVES with n <= n_max."""
+    each bundled curve in VERIFY_CURVES with n <= n_max.
+
+    Returns {"passed", "checks", "rows"}, one row {"section", "name",
+    "passed", "detail"} per check in the order the suites ran."""
     from .catalog import builtin_curves
     curves = builtin_curves()
-    sections = {}
+    rows = []
 
-    def run(name, suite, *args, **kwargs):
+    def run(section, suite, *args, **kwargs):
         # a suite that raises becomes one failed check, not an aborted report
         try:
-            sections[name] = suite(*args, **kwargs)
+            results = suite(*args, **kwargs)
         except Exception as exc:
-            sections[name] = [CheckResult(f"{name} suite raised", False,
-                                          f"{type(exc).__name__}: {exc}")]
+            results = [CheckResult(f"{section} suite raised", False,
+                                   f"{type(exc).__name__}: {exc}")]
+        rows.extend({"section": section, "name": r.name, "passed": r.passed,
+                     "detail": r.detail} for r in results)
 
     run("fields", lambda: (field_axiom_suite(make_field(2, 4))
                            + field_axiom_suite(make_field(3, 3))
@@ -359,13 +361,5 @@ def default_verify_report(n_max: int) -> dict:
         run(f"pure-gaps-{tag}", pure_gap_suite, curve)
         run(f"riemann-roch-{tag}", riemann_roch_suite, curve,
             divisors=25 if n >= 5 else 50)
-    report = {
-        "sections": {
-            name: [{"name": r.name, "passed": r.passed, "detail": r.detail}
-                   for r in results]
-            for name, results in sections.items()
-        },
-        "passed": all(suite_passed(res) for res in sections.values()),
-        "checks": sum(len(res) for res in sections.values()),
-    }
-    return report
+    return {"passed": all(row["passed"] for row in rows),
+            "checks": len(rows), "rows": rows}

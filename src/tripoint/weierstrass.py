@@ -4,7 +4,9 @@ Everything in here comes in two flavors: closed-form combinatorics in the
 parameter n alone (gaps_closed_form, kim_map, pure_gaps_pair, ...) and
 field-level oracles that recompute the same objects from Riemann-Roch
 dimensions of an actual curve (gaps_oracle, pair_membership_oracle,
-gap_pairs_oracle, pure_gap_oracle).  Every oracle is read off one flatness
+gap_pairs_oracle, pure_gap_oracle).  A gap sequence is the increasing
+tuple of its gaps, and a Kim map the tuple of its (gap, image, witness)
+entries.  Every oracle is read off one flatness
 test, ell(D) = ell(D - step), and pure_gap_problems is the one per-record
 check of a pure gap against the oracle.  The test suite pins the two
 flavors against each other.
@@ -37,7 +39,7 @@ from .riemann_roch import ThreePointDivisor, Sd_divisor, dim_L_oracle, dim_Sd
 from .series import POINT_IDS, monomial_orders
 
 __all__ = [
-    "GapSet", "KimMapTable", "PureGapRecord",
+    "PureGapRecord",
     "gaps_closed_form", "semigroup_generators", "gaps_oracle",
     "kim_map", "kim_image", "gap_index",
     "pure_gaps_pair", "pure_gaps_pair_via_homma_kim", "gap_pair_count",
@@ -70,26 +72,13 @@ def _flat(curve: CurveSpec, D: ThreePointDivisor,
     return dim_L_oracle(curve, D) == dim_L_oracle(curve, D - step)
 
 
-@dataclass(frozen=True)
-class GapSet:
-    n: int
-    gaps: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "gaps", tuple(sorted(self.gaps)))
-
-    @property
-    def genus(self) -> int:
-        return len(self.gaps)
-
-
-def gaps_closed_form(n: int) -> GapSet:
-    """The gap sequence by formula, the same at each fundamental point."""
+def gaps_closed_form(n: int) -> tuple:
+    """The gap sequence by formula, the same at each fundamental point: the
+    increasing tuple of the g = n(n-1)/2 gaps."""
     if n < 3:
         raise ValueError("n must be >= 3")
-    gaps = tuple((i - 1) * (n - 1) + j
+    return tuple((i - 1) * (n - 1) + j
                  for i in range(1, n) for j in range(i, n))
-    return GapSet(n=n, gaps=gaps)
 
 
 def gap_index(n: int, a: int) -> tuple:
@@ -106,12 +95,12 @@ def semigroup_generators(n: int) -> tuple:
     return tuple(s * (n - 1) + 1 for s in range(1, n + 1))
 
 
-def gaps_oracle(curve: CurveSpec, point: str) -> GapSet:
-    """Gap sequence recomputed from oracle dimensions ell(m*P), m <= 2g-1."""
+def gaps_oracle(curve: CurveSpec, point: str) -> tuple:
+    """The gap sequence at a point recomputed from oracle dimensions
+    ell(m*P), m <= 2g-1, as the increasing tuple of its gaps."""
     step = _divisor((point,), (1,))
-    gaps = [m for m in range(1, 2 * curve.genus)
-            if _flat(curve, step.scaled(m), step)]
-    return GapSet(n=curve.n, gaps=tuple(gaps))
+    return tuple(m for m in range(1, 2 * curve.genus)
+                 if _flat(curve, step.scaled(m), step))
 
 
 # ---------------------------------------------------------------------------
@@ -138,28 +127,21 @@ def _witness_monomial(pair: tuple, n: int, a: int) -> tuple:
     return u, v
 
 
-@dataclass(frozen=True)
-class KimMapTable:
-    """The Kim map of one ordered pair of fundamental points.
+def kim_map(n: int, pair: tuple) -> tuple:
+    """The Kim map of a cyclic ordered pair of fundamental points, as the
+    tuple of (gap, image, (u, v)) entries in increasing gap order.
 
-    entries[k] = (gap, image, witness) where witness = (u, v) gives the
-    monomial x^u y^v whose pole divisor is gap*source + image*target; the
-    witness certifies image as an upper bound for the Kim map value.
+    The witness (u, v) gives the monomial x^u y^v whose pole divisor is
+    gap*source + image*target; it certifies image as an upper bound for
+    the Kim map value.  Every witness's pole divisor is checked here
+    (AssertionError if one is wrong), and a pair that is not one of
+    CYCLIC_PAIRS is a ValueError.
     """
-    n: int
-    pair: tuple
-    entries: tuple
-
-    def mapping(self) -> dict:
-        return {a: b for a, b, _ in self.entries}
-
-
-def kim_map(n: int, pair: tuple) -> KimMapTable:
     pair = tuple(pair)
     if pair not in CYCLIC_PAIRS:
         raise ValueError(f"pair must be one of {CYCLIC_PAIRS}")
     rows = []
-    for a in gaps_closed_form(n).gaps:
+    for a in gaps_closed_form(n):
         b = kim_image(n, a)
         u, v = _witness_monomial(pair, n, a)
         vals = monomial_orders(n, (u, v, -u - v))
@@ -169,7 +151,7 @@ def kim_map(n: int, pair: tuple) -> KimMapTable:
             raise AssertionError(
                 f"witness x^{u} y^{v} has pole {pole}, wanted {expect}")
         rows.append((a, b, (u, v)))
-    return KimMapTable(n=n, pair=pair, entries=tuple(rows))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +164,6 @@ class PureGapRecord:
     tuple_: tuple
     params: dict = dc_field(compare=False)
     predicted_dimension: int = dc_field(compare=False, default=0)
-
-    def to_json(self) -> dict:
-        return {"tuple": list(self.tuple_), "params": dict(self.params),
-                "predicted_dimension": self.predicted_dimension}
 
 
 def _box_kind(n: int, params: tuple) -> int:
@@ -286,7 +264,7 @@ def pure_gaps_pair_via_homma_kim(n: int) -> list:
     pairs are exactly (n_i, m_sigma(j)) over the inversions i < j,
     sigma(i) > sigma(j).
     """
-    gaps = gaps_closed_form(n).gaps
+    gaps = gaps_closed_form(n)
     pos = {a: idx for idx, a in enumerate(gaps, start=1)}
     sigma = {i: pos[kim_image(n, a)] for i, a in enumerate(gaps, start=1)}
     g = len(gaps)

@@ -26,7 +26,7 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
-def test_usage_errors(capsys, tmp_path):
+def test_usage_errors(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "gaps", "--n", "2")
     assert code == 1 and "n must be >= 3" in err
     code, _, err = run(capsys, "code", "--curve", "q16-n4")
@@ -105,6 +105,49 @@ def test_usage_errors(capsys, tmp_path):
         assert lines[0]["config"]["min_points"] == 10
         found.append([(m["spec"], m["points"]) for m in lines[1:]])
     assert found[0] == found[1] and [p for _, p in found[0]] == [24, 12, 10]
+    # --certify W is a count in 1..length (37 here), refused before the
+    # code is built
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("build_COmega ran")
+
+    path = tmp_path / "certify.json"
+    path.write_text(json.dumps({"certify": 0}))
+    with monkeypatch.context() as m:
+        m.setattr(cli, "build_COmega", unbuilt)
+        for extra, why in (
+                (("--certify", "-1"),
+                 "argument --certify: expected a non-negative integer"),
+                (("--certify", "0"), "--certify must be in 1..37, the code "
+                                     "length, got 0"),
+                (("--certify", "38"), "--certify must be in 1..37, the code "
+                                      "length, got 38"),
+                (("--config", str(path)), "--certify must be in 1..37")):
+            code, out, err = run(capsys, "code", "--curve", "q16-n4",
+                                 "--design", "2,1", *extra)
+            assert code == 1 and out == "" and why in err, extra
+    # and --certify 1e1 is --certify 10
+    outs = []
+    for w in ("1e1", "10"):
+        code, out, err = run(capsys, "code", "--curve", "q16-n4",
+                             "--design", "2,1", "--certify", w)
+        assert code == 0 and err == ""
+        outs.append(_STAMP.sub("", out))
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["certification"]["w"] == 10
+    # --seed is a count too, as a flag and as a config value
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps({"seed": -1}))
+    for argv in (("code", "--curve", "q16-n4", "--design", "2,1",
+                  "--estimate-trials", "5", "--seed", "-1"),
+                 ("gaps", "--n", "3", "--seed", "-1"),
+                 ("search", "--q", "2", "--n", "3", "--sample", "3",
+                  "--seed", "-1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "argument --seed: expected a non-negative integer" in err
+    code, out, err = run(capsys, "gaps", "--n", "3", "--config", str(path))
+    assert code == 1 and out == ""
+    assert "seed: expected a non-negative integer" in err and "'-1'" in err
     # the removed flags are unknown arguments
     for argv, extra in ((("reproduce", "--rows", "counts"), ("--jobs", "2")),
                         (("verify", "--n-max", "3"), ("--skip-oracle-sweeps",)),
@@ -604,6 +647,9 @@ _PINNED = (
      "", 0),
     ("verify --n-max 3",
      "5a4adc060420ad082a6c02e637c2e7a4790e4941ed81a75962e1d6384b051dd4",
+     "", 0),
+    ("verify --n-max 3 --format csv",
+     "234dd897fcf478f0643aaf3aaec48587f50d5638d4cc4dfa75645e763e9f9d52",
      "", 0),
     ("search --q 2 --n 3",
      "7937d7a0562e71a4824a1461a9afeea882811cccf1c383d01fcceec256978564",

@@ -162,6 +162,23 @@ def test_raw_sweep_matches_curve_enumeration(klein):
     assert raw == klein.rational_points()
 
 
+@pytest.mark.parametrize("name, count", [("q16-n4", 39), ("q27-n4", 59),
+                                         ("hermitian-q64-n2", 81)])
+def test_raw_sweep_sorted_and_normalised(name, count):
+    curves = builtin_curves()
+    if name in curves:
+        field, F_terms = curves[name].field, curves[name].F_terms
+    else:   # the n = 2 Hermitian form over GF(64): 8^3 + 1 points
+        field = make_field(2, 6)
+        F_terms = {(1, 2, 0): 1, (0, 1, 2): 1, (2, 0, 1): 1}
+    # the sweep's charts hold only points with a leading 1, walked in
+    # lexicographic order: nothing is rescaled or sorted after it
+    pts = rational_points_raw(field, F_terms)
+    assert len(pts) == len(set(pts)) == count
+    assert pts == sorted(pts)
+    assert all(next(v for v in p if v) == 1 for p in pts)
+
+
 @pytest.mark.parametrize("row", [r for r in REFERENCE_ROWS
                                  if r.name in ("q27-n4", "q49-n4", "q81-n4")],
                          ids=lambda r: r.name)

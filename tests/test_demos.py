@@ -1,15 +1,19 @@
 """Every demo script runs to the end in-process and prints, byte for byte,
-the output pinned below."""
+the output pinned below; the README's library quick start prints what its
+comments say."""
 
 import contextlib
 import hashlib
 import io
+import re
 import runpy
+import sys
 from pathlib import Path
 
 import pytest
 
-_DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+_ROOT = Path(__file__).resolve().parents[1]
+_DEMOS = sorted((_ROOT / "demos").glob("*.py"))
 
 # SHA-256 of each demo's stdout (UTF-8); every demo is deterministic, so a
 # change here is a change in what the package computes or prints
@@ -43,3 +47,24 @@ def test_demo_runs(path):
     assert out.getvalue().strip()
     digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
     assert digest == _STDOUT_SHA256[path.stem]
+
+
+def test_readme_quick_start():
+    # each `print(...)  # value` line prints value, the comment up to any
+    # " =>"; the block runs as written, other prints unchecked
+    readme = (_ROOT / "README.md").read_text()
+    block = readme.split("## Library quick start", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    want = {}
+    for k, line in enumerate(block.splitlines(), start=1):
+        m = re.match(r"print\(.*\)\s+# (.*?)(?:\s+=>.*)?$", line)
+        if m:
+            want[k] = m.group(1)
+    printed = {}
+
+    def record(*args):
+        printed[sys._getframe(1).f_lineno] = " ".join(map(str, args))
+
+    exec(compile(block, "README.md", "exec"), {"print": record})
+    assert len(want) == 3
+    assert {k: printed.get(k) for k in want} == want

@@ -310,9 +310,6 @@ def test_basis_oracle(klein, c16):
         assert space.dimension == dim_L_oracle(curve, D)
         assert len(space.basis) == space.dimension
         assert _divisor_constraint_ok(curve, space)
-    js = space.to_json()
-    assert js["dimension"] == space.dimension
-    assert len(js["basis"]) == space.dimension
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,14 @@ def test_kim_suite():
 def test_default_report_shape():
     report = default_verify_report(n_max=3)
     assert report["passed"] is True
-    assert report["checks"] == sum(len(v) for v in report["sections"].values())
-    assert {"fields", "kim"} <= set(report["sections"])
-    assert any(key.startswith("dims-") for key in report["sections"])
+    rows = report["rows"]
+    assert report["checks"] == len(rows)
+    assert all(row["passed"] is True for row in rows)
+    assert all(set(row) == {"section", "name", "passed", "detail"}
+               for row in rows)
+    sections = list(dict.fromkeys(row["section"] for row in rows))
+    assert sections[:2] == ["fields", "kim"]
+    assert any(key.startswith("dims-") for key in sections)
 
 
 def test_curve_suite_beyond_table_limit():

@@ -13,18 +13,20 @@ CYCLIC = (("P1", "P2"), ("P2", "P3"), ("P3", "P1"))
 
 
 def test_gap_sets_closed_form():
-    assert gaps_closed_form(3).gaps == (1, 2, 4)
-    assert gaps_closed_form(4).gaps == (1, 2, 3, 5, 6, 9)
-    assert gaps_closed_form(5).gaps == (1, 2, 3, 4, 6, 7, 8, 11, 12, 16)
+    assert gaps_closed_form(3) == (1, 2, 4)
+    assert gaps_closed_form(4) == (1, 2, 3, 5, 6, 9)
+    assert gaps_closed_form(5) == (1, 2, 3, 4, 6, 7, 8, 11, 12, 16)
     for n in range(3, 10):
-        gs = gaps_closed_form(n)
-        assert gs.genus == n * (n - 1) // 2
-        assert max(gs.gaps) == 2 * gs.genus - 2 + 1 - (n - 2)  # (n-1)^2
+        gaps = gaps_closed_form(n)
+        g = len(gaps)
+        assert g == n * (n - 1) // 2
+        assert list(gaps) == sorted(set(gaps))   # increasing
+        assert max(gaps) == 2 * g - 2 + 1 - (n - 2)  # (n-1)^2
 
 
 def test_gap_index_roundtrip():
     for n in range(3, 9):
-        for a in gaps_closed_form(n).gaps:
+        for a in gaps_closed_form(n):
             i, j = gap_index(n, a)
             assert 1 <= i <= j <= n - 1
             assert (i - 1) * (n - 1) + j == a
@@ -43,14 +45,14 @@ def test_semigroup_complement_is_gap_set():
             if any(v - s in reach for s in gens if v >= s):
                 reach.add(v)
         complement = set(range(1, 2 * g + 1)) - reach
-        assert complement == set(gaps_closed_form(n).gaps)
+        assert complement == set(gaps_closed_form(n))
 
 
 def test_gaps_oracle_matches(klein, c16, record):
     for curve in (klein, c16, record):
-        want = gaps_closed_form(curve.n).gaps
+        want = gaps_closed_form(curve.n)
         for point in POINTS:
-            assert gaps_oracle(curve, point).gaps == want
+            assert gaps_oracle(curve, point) == want
     for bad in ("P4", "p1", ""):
         with pytest.raises(ValueError):
             gaps_oracle(klein, bad)
@@ -58,7 +60,7 @@ def test_gaps_oracle_matches(klein, c16, record):
 
 def test_kim_bijection_and_cube():
     for n in range(3, 13):
-        gaps = gaps_closed_form(n).gaps
+        gaps = gaps_closed_form(n)
         image = [kim_image(n, a) for a in gaps]
         assert sorted(image) == list(gaps)   # bijection on the gap set
         for a in gaps:
@@ -69,7 +71,7 @@ def test_kim_fixed_points():
     # beta(a) = a forces j = (2n-1)/3 and i = n-j: one fixed gap when
     # n = 2 mod 3, none otherwise
     for n in range(3, 13):
-        fixed = [a for a in gaps_closed_form(n).gaps if kim_image(n, a) == a]
+        fixed = [a for a in gaps_closed_form(n) if kim_image(n, a) == a]
         if n % 3 == 2:
             j = (2 * n - 1) // 3
             assert fixed == [(n - j - 1) * (n - 1) + j]
@@ -83,9 +85,8 @@ def test_kim_map_witness_tables():
     # the constructor checks every witness pole divisor; run all pairs
     for n in (3, 4, 5, 6):
         for pair in CYCLIC:
-            table = kim_map(n, pair)
-            assert table.mapping() == {a: kim_image(n, a)
-                                       for a in gaps_closed_form(n).gaps}
+            assert [(a, b) for a, b, _ in kim_map(n, pair)] == [
+                (a, kim_image(n, a)) for a in gaps_closed_form(n)]
     with pytest.raises(ValueError):
         kim_map(4, ("P1", "P3"))
 
