@@ -19,6 +19,7 @@ import os
 import sys
 import time
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .catalog import (RECORD_LENGTHS, RECORD_ROW, REFERENCE_ROWS,
@@ -88,7 +89,7 @@ def _need(cfg: dict, key: str, flag: str):
 
 
 def _need_n(cfg: dict) -> int:
-    n = int(_need(cfg, "n", "--n"))
+    n = _need(cfg, "n", "--n")
     if n < 3:
         raise UsageError(f"n must be >= 3, got {n}")
     return n
@@ -176,11 +177,46 @@ def _csv_text(rows: list) -> str:
     return buf.getvalue()
 
 
+# writers of the scalars that reports hold, by exact type; json.dumps
+# writes any other scalar, subclasses included.  A json.dumps call for
+# each true, false and null made small reports slower than json.dumps
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
+            bool: {True: "true", False: "false"}.__getitem__,
+            type(None): lambda _: "null"}
+
+
+def _dump(obj, indent: str = "") -> str:
+    """json.dumps(obj, indent=2), byte for byte.  Python's json indents
+    with its pure-Python encoder; here the layout is built directly.
+    Strings go through json's C string encoder, ints through int.__repr__,
+    true, false and null are written as such, and any other scalar goes
+    through json.dumps.  A list of exact ints is joined in one go."""
+    write = _SCALARS.get(type(obj))
+    if write is not None:
+        return write(obj)
+    if not isinstance(obj, (list, tuple, dict)):
+        return json.dumps(obj)
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict):
+        body = sep.join([
+            encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k))
+            + ": " + _dump(v, inner) for k, v in obj.items()])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    if all(type(v) is int for v in obj):
+        body = sep.join(map(int.__repr__, obj))
+    else:
+        body = sep.join([_dump(v, inner) for v in obj])
+    return f"[\n{inner}{body}\n{indent}]"
+
+
 def _emit(cfg: dict, envelope: dict) -> None:
     if cfg["format"] == "csv":
         text = _csv_text(envelope.get("rows") or [])
     else:
-        text = json.dumps(envelope, indent=2) + "\n"
+        text = _dump(envelope) + "\n"
     if cfg["out"]:
         with open(cfg["out"], "w") as fh:
             fh.write(text)
@@ -320,7 +356,7 @@ def cmd_gaps(cfg: dict):
 
 def cmd_pure_gaps(cfg: dict):
     n = _need_n(cfg)
-    points = int(cfg["points"])
+    points = cfg["points"]
     records = pure_gaps_pair(n) if points == 2 else pure_gaps_triple(n)
     rows = []
     for rec in records:
@@ -469,7 +505,7 @@ def _write_matrix_csv(directory: str, curve: CurveSpec, report) -> None:
 
 
 def cmd_search(cfg: dict):
-    q = int(_need(cfg, "q", "--q"))
+    q = _need(cfg, "q", "--q")
     n = _need_n(cfg)
     p, k = _parse_prime_power(q)
     field = make_field(p, k)
@@ -592,7 +628,7 @@ def cmd_reproduce(cfg: dict):
 
 
 def cmd_verify(cfg: dict):
-    n_max = int(cfg["n_max"])
+    n_max = cfg["n_max"]
     lo, hi = min(VERIFY_CURVES), max(VERIFY_CURVES)
     if not lo <= n_max <= hi:
         raise UsageError(f"--n-max must be in {lo}..{hi}, the n of the "
@@ -626,7 +662,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gaps", parents=[common],
                        help="gap sequence, semigroup, and the gap bijections")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_count)
     p.add_argument("--check", action="store_true",
                    help="compare against the linear-algebra computation")
     p.add_argument("--curve", help="bundled curve name or JSON file")
@@ -634,8 +670,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("pure-gaps", parents=[common],
                        help="pure gap pairs or triples with parameters")
-    p.add_argument("--n", type=int)
-    p.add_argument("--points", type=int, choices=(2, 3), default=2)
+    p.add_argument("--n", type=_count)
+    p.add_argument("--points", type=_count, choices=(2, 3), default=2)
     p.add_argument("--check", action="store_true")
     p.add_argument("--curve")
     p.set_defaults(func=cmd_pure_gaps)
@@ -643,7 +679,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("dims", parents=[common],
                        help="closed-form dimension tables, optionally "
                             "checked against the oracle")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_count)
     p.add_argument("--families", default=",".join(FAMILIES),
                    help=f"comma list from {','.join(FAMILIES)}")
     p.add_argument("--check", action="store_true")
@@ -672,8 +708,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("search", parents=[common],
                        help="sweep G-coefficient space for many-point curves")
-    p.add_argument("--q", type=int, help="field order (prime power)")
-    p.add_argument("--n", type=int)
+    p.add_argument("--q", type=_count, help="field order (prime power)")
+    p.add_argument("--n", type=_count)
     p.add_argument("--min-points", type=_count)
     p.add_argument("--sample", type=_count,
                    help="random draws when the space is too big to exhaust")
@@ -689,7 +725,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="run the full formula-vs-oracle check suite")
-    p.add_argument("--n-max", type=int, default=4)
+    p.add_argument("--n-max", type=_count, default=4)
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -34,13 +34,14 @@ dual's first information set in reversed order is the complement of the
 code's first one in forward order, so both reductions give the same words.
 The r-row parity check H is not reduced at full width.  The trials go in
 chunks whose product has a bounded number of cells.  In each chunk one
-stacked rref reduces a panel per trial, the first r + 2 columns of its
-order next to I_r (2r + 2 columns in all), which yields the trial's
-transform E.  One field product E H (linalg.matmul, a BLAS product over
-base-p digits) then gives every trial's reduced parity check.  A trial
-whose panel has rank < r reduces its panel again at full width.  A tie
-inside a trial goes to the first column in its order, and a tie between
-trials to the first trial, so the words do not depend on the chunking.
+stacked Gauss-Jordan exchange (linalg.rref_transform) inverts a panel per
+trial in place, the first r + 2 columns of its order, which yields the
+trial's transform E.  One field product E H (linalg.matmul, a BLAS
+product over base-p digits) then gives every trial's reduced parity
+check.  A trial whose panel has rank < r inverts its panel again at full
+width.  A tie inside a trial goes to the first column in its order, and a
+tie between trials to the first trial, so the words do not depend on the
+chunking.
 """
 
 from __future__ import annotations
@@ -187,7 +188,9 @@ def build_CL(curve: CurveSpec, points: list, G: ThreePointDivisor):
     nonzero entry is 1, as `CurveSpec.rational_points` gives them.  Points
     must avoid P1 and P2 (both lie on Z = 0) and may include P3 only when
     G.c <= 0, so that each basis function h / M is defined at every point.
-    The standard monomials and M are evaluated as forms, and
+    The standard monomials and M are evaluated in one product: a table of
+    each coordinate's powers at every point is indexed by the exponent
+    arrays, and V = X^a * Y^b * Z^c is two Field.vmul calls; then
     E = basis * V / M.  At P3 a monomial's value is the coefficient of
     t^ord_P3(M) (series.monomial_orders) in its chart expansion there.
     """
@@ -206,14 +209,20 @@ def build_CL(curve: CurveSpec, points: list, G: ThreePointDivisor):
             raise CodesError("cannot evaluate at P3: basis functions may "
                              "have a pole there (G has positive P3 part)")
     m = len(points)
-    # the denominator M may be non-standard, so it is one more form
-    monos = [*rr.monomials, rr.denominator]
-    forms = [curve.F_terms, *({e: 1} for e in monos)]
-    values = _eval_forms(field, forms, *field.array(points).reshape(m, 3).T)
-    off = np.nonzero(next(values))[0]
+    coords = field.array(points).reshape(m, 3).T
+    off = np.nonzero(next(_eval_forms(field, [curve.F_terms], *coords)))[0]
     if off.size:
         raise CodesError(f"{points[int(off[0])]!r} is not on the curve")
-    V = np.array(list(values))
+    # the denominator M may be non-standard, so it is one more row
+    monos = [*rr.monomials, rr.denominator]
+    exps = np.array(monos)
+    # powers[e, axis, i]: coordinate axis of point i to the e (v^0 = 1)
+    powers = [np.ones_like(coords), coords]
+    while len(powers) <= exps.max():
+        powers.append(field.vmul(powers[-1], coords))
+    powers = np.stack(powers)
+    V = field.vmul(field.vmul(powers[exps[:, 0], 0], powers[exps[:, 1], 1]),
+                   powers[exps[:, 2], 2])
     if p3 in points:
         ord_p3 = monomial_orders(curve.n, rr.denominator)[2]
         V[:, [p == p3 for p in points]] = _expansions(
@@ -265,14 +274,17 @@ def build_COmega(curve: CurveSpec, points: list, G: ThreePointDivisor,
                  boxes=None) -> CodeReport:
     """The differential code C_Omega(D, G) = dual of C_L(D, G).
 
-    The parity-check matrix is a full-rank reduction of the evaluation
-    matrix; the dimension m - rank is cross-checked against the
+    The evaluation matrix is row-reduced once.  The nonzero rows of its
+    rref are the parity-check matrix, and the generator is read from the
+    same reduced form (linalg.reduced_nullspace), whose pivots it shares.
+    The dimension m - rank is cross-checked against the
     index-of-specialty identity when deg(G - D) < 0:
     dim = i(G - D) - i(G) = m - ell(G).
     """
     E, rr = build_CL(curve, points, G)
     field = curve.field
-    H = linalg.row_space_basis(field, E)
+    R, pivots = linalg.rref(field, E)
+    H = R[:len(pivots)]
     m = E.shape[1]
     k = m - H.shape[0]
     notes = []
@@ -283,7 +295,7 @@ def build_COmega(curve: CurveSpec, points: list, G: ThreePointDivisor,
                 f"dimension {k} disagrees with index-of-specialty value {expect}")
     else:
         notes.append("deg G >= length: dimension identity not checkable")
-    gen = linalg.nullspace(field, H)
+    gen = linalg.reduced_nullspace(field, R, pivots)
     genus = curve.genus
     return CodeReport(
         field_json=field.to_json(), curve_json=curve.to_json(),
@@ -541,27 +553,11 @@ def verify_distance_floor(field: Field, H: np.ndarray, w: int, *,
 # larger than this is tested alone)
 _GROUP_CELLS = 1 << 15
 # trials per chunk of low_weight_search: each chunk's product has at most
-# this many cells, about 128 trials of the 18 x 113 record check
-_CHUNK_CELLS = 1 << 18
+# this many cells, about 257 trials of the 18 x 113 record check
+_CHUNK_CELLS = 1 << 19
 # columns of a trial's panel beyond the r pivots it needs: at slack 0, 118
 # of 5,600 trials on the record ladder had a short panel; at 2, none did
 _PANEL_SLACK = 2
-
-
-def _transforms(field: Field, H: np.ndarray, orders: np.ndarray):
-    """For each row of orders, the r x r matrix E that brings
-    H[:, order] to reduced row echelon form, and the pivot mask of that
-    form over the columns of order.
-
-    One stacked rref of the panels [H[:, order] | I_r] gives both: row
-    operations turn I_r into E.  E is the transform of the whole of
-    H[:, order] when order holds all r of its pivots.
-    """
-    r, w = H.shape[0], orders.shape[1]
-    eye = np.broadcast_to(np.eye(r, dtype=H.dtype), (len(orders), r, r))
-    R, P = linalg.rref(field, np.concatenate(
-        [H[:, orders].swapaxes(0, 1), eye], axis=2))
-    return R[:, :, w:], P[:, :w]
 
 
 def low_weight_search(field: Field, H: np.ndarray, trials: int = 200,
@@ -593,12 +589,14 @@ def low_weight_search(field: Field, H: np.ndarray, trials: int = 200,
 
     S is not reduced at full width.  The first r + _PANEL_SLACK columns of
     the reversed order hold all r pivots in almost every trial, and then
-    the rref of the panel [those columns | I_r] gives the transform E with
-    S = E H[:, order] (linalg.rref is unique, and E is fixed by the
-    pivots).  A trial whose panel has rank < r reduces its panel again at
-    full width.  S = linalg.matmul(E, H) is then one field product for all
-    trials of a chunk, in H's own column order, and the column weights are
-    permuted by each trial's order.
+    E, the inverse of the panel's pivot columns, gives S = E H[:, order]:
+    rref is unique, and E is fixed by the pivots.  linalg.rref_transform
+    inverts every panel of a chunk in place, in one stacked Gauss-Jordan
+    exchange, and it also gives the pivot mask.  A trial whose panel has
+    rank < r inverts its panel again at full width.
+    S = linalg.matmul(E, H) is then one field product for all trials of a
+    chunk, in H's own column order, and the column weights are permuted by
+    each trial's order.
 
     The permutations are drawn one trial after another, and the trials are
     handled in chunks whose product has about _CHUNK_CELLS cells, so memory
@@ -617,11 +615,13 @@ def low_weight_search(field: Field, H: np.ndarray, trials: int = 200,
     for start in range(0, trials, chunk):
         orders = np.array([rng.permutation(m)[::-1]
                            for _ in range(min(chunk, trials - start))])
-        E, P = _transforms(field, H, orders[:, :width])
+        E, P = linalg.rref_transform(
+            field, H[:, orders[:, :width]].swapaxes(0, 1))
         short = P.sum(axis=1) < r
         P = np.pad(P, ((0, 0), (0, m - width)))
         if short.any():
-            E[short], P[short] = _transforms(field, H, orders[short])
+            E[short], P[short] = linalg.rref_transform(
+                field, H[:, orders[short]].swapaxes(0, 1))
             if (P[short].sum(axis=1) < r).any():
                 raise CodesError(f"the {r} rows of H are dependent")
         S = linalg.matmul(field, E, H)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -199,6 +200,9 @@ def test_usage_errors(capsys, tmp_path, monkeypatch):
                                 "format": None}))
     code, doc, _ = run_json(capsys, "gaps", "--n", "3", "--config", str(path))
     assert code == 0 and doc["n"] == 3
+    # the integer settings are counts, checked by test_count_flags
+    assert {"--n", "--q", "--points", "--n-max"} <= {
+        flag for _, flag, _ in _count_actions()}
 
 
 def test_module_entry_point():
@@ -595,7 +599,7 @@ def test_config_file_precedence(capsys, tmp_path):
     for bad, why in (({"check": "no"}, "check: must be true or false"),
                      ({"check": 1}, "check: must be true or false"),
                      ({"points": 5}, "points: invalid choice: 5"),
-                     ({"n": "four"}, "n: invalid literal for int()")):
+                     ({"n": "four"}, "n: expected a non-negative integer")):
         conf.write_text(json.dumps(bad))
         code, out, err = run(capsys, "pure-gaps", "--n", "4",
                              "--config", str(conf))
@@ -741,3 +745,76 @@ def test_search_json_lines(capsys):
     code, out, err = run(capsys, "search", "--q", "2", "--n", "3",
                          "--keep-singular", "--limit", "-1")
     assert code == 1 and out == "" and "--limit" in err
+
+
+def _count_actions():
+    """(subcommand, flag, dest) of every action of build_parser() whose
+    type is cli._count."""
+    sub = next(a.choices for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(name, a.option_strings[0], a.dest)
+            for name, parser in sub.items() for a in parser._actions
+            if a.type is cli._count]
+
+
+@pytest.mark.parametrize("command, flag, dest", _count_actions(),
+                         ids=[" ".join(c[:2]) for c in _count_actions()])
+def test_count_flags(capsys, tmp_path, command, flag, dest):
+    # every count reads 1e1 as 10, and refuses -1, 4.5 and true with a usage
+    # error naming the flag, as a flag and as a config value
+    path = tmp_path / "conf.json"
+
+    def read(*argv):
+        try:
+            return cli._resolve(build_parser().parse_args(argv), argv)[dest]
+        except cli.UsageError as exc:    # e.g. --points 10: not a choice
+            return str(exc)
+
+    flags = [read(command, flag, value) for value in ("1e1", "10")]
+    confs = []
+    for value in ('"1e1"', "1e1", "10"):
+        path.write_text(f'{{"{dest}": {value}}}')
+        confs.append(read(command, "--config", str(path)))
+    assert flags[0] == flags[1] and confs[0] == confs[1] == confs[2]
+    # 10 is the value, or a value its flag's choices refuse
+    assert flags[0] == confs[0] == 10 or all(
+        "invalid choice: 10 " in why for why in (flags[0], confs[0]))
+    for value, text in (("-1", "-1"), ("4.5", "4.5"), ("true", "True")):
+        code, out, err = run(capsys, command, flag, value)
+        assert code == 1 and out == ""
+        assert err == (f"usage error: argument {flag}: expected a "
+                       f"non-negative integer such as 10000000 or 1e7, "
+                       f"got {value!r}\n")
+        path.write_text(f'{{"{dest}": {value}}}')
+        code, out, err = run(capsys, command, "--config", str(path))
+        assert code == 1 and out == ""
+        assert err == (f"usage error: config file {path}: {dest}: expected "
+                       f"a non-negative integer such as 10000000 or 1e7, "
+                       f"got {text!r}\n")
+
+
+def test_dump_matches_json_indent(capsys, tmp_path, monkeypatch):
+    # the report writer against json.dumps(indent=2): every JSON report the
+    # pinned invocations emit, then the corners of json's encoder
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "conf.json").write_text(json.dumps(_CONF))
+    dump, seen = cli._dump, []
+
+    def recorded(obj, indent=""):
+        if not indent:
+            seen.append(obj)
+        return dump(obj, indent)
+
+    monkeypatch.setattr(cli, "_dump", recorded)
+    for command, *_ in _PINNED:
+        run(capsys, *command.split())
+    monkeypatch.undo()
+    assert len(seen) == 7
+    for obj in seen + [
+            {}, [], [[]], (), (1, (2, "x")), {"t": (True, None)}, [1, True],
+            [True, 1], [False, 0, None], None, True, 0.1, -0.0, 1e300,
+            float("nan"), float("-inf"), 10 ** 40, -(10 ** 40), [10 ** 40, -1],
+            "quote \" backslash \\ tab \t, non-ASCII: é ∑ \U0001d11e",
+            {"ключ": {"": []}, "b": [{}, [{}], ""]},
+            {1: "int key", 2.5: "float key", None: 0, False: [0.5]}]:
+        assert dump(obj) == json.dumps(obj, indent=2), obj

@@ -138,18 +138,19 @@ def test_build_CL_validation(c16):
             build_CL(c16, [bad], G)
 
 
-def test_build_CL_values_match_scalar_evaluation(c16, c27):
+def test_build_CL_values_match_scalar_evaluation(klein, c16, c27):
     # E[r, i] = h_r(p_i) / M(p_i), with h_r and M evaluated one point at a
     # time by eval_terms and divided with scalar Field arithmetic.  At P3
     # both vanish when M has an X or a Y; there the value c is the one
     # with ord_P3(h_r - c*M) > ord_P3(M).  GF(27) catches sign errors,
     # which characteristic 2 cannot show
-    for curve in (c16, c27):
+    for curve in (klein, c16, c27):
         f = curve.field
         p3 = FUNDAMENTAL_POINTS[2]
         cases = [predict_pair_params(4, 2, 1).G,    # the design (2, 1)
                  predict_pair_params(4, 1, 2).G,    # (1, 2): M = X^2 Z^2
                  ThreePointDivisor(12, 5, -3),       # G.c < 0: P3 is used
+                 ThreePointDivisor(4, 3, -1),        # on q8-n3, M = Z^3
                  ThreePointDivisor(4, 3, 5)]         # M is not a power of Z
         for G in cases:
             pts = evaluation_points(curve, G)
@@ -630,7 +631,8 @@ def _primal_search(field, gen, trials, seed):
     best_w, best_word = None, None
     for _ in range(trials):
         perm = rng.permutation(m)
-        R = linalg.row_space_basis(field, gen[:, perm])
+        R, pivots = linalg.rref(field, gen[:, perm])
+        R = R[:len(pivots)]
         weights = (R != 0).sum(axis=1)
         pos = int(np.argmin(weights))
         wgt = int(weights[pos])
@@ -749,16 +751,21 @@ def test_low_weight_search_full_rank_and_no_trials(monkeypatch):
                                                                      None)
 
 
-def _counting_rref(monkeypatch):
-    """Patch linalg.rref to record the shape of every stack it reduces."""
-    shapes, rref = [], linalg.rref
+def _counting_transforms(monkeypatch):
+    """Patch linalg.rref_transform to record the shape of every stack it
+    reduces, and linalg.rref to record any call at all."""
+    shapes, transform, rref = [], linalg.rref_transform, linalg.rref
 
-    def counted(field, mat):
-        if np.ndim(mat) == 3:
-            shapes.append(np.shape(mat))
+    def counted(field, stack):
+        shapes.append(np.shape(stack))
+        return transform(field, stack)
+
+    def spied(field, mat):
+        shapes.append(("rref", np.shape(mat)))
         return rref(field, mat)
 
-    monkeypatch.setattr(linalg, "rref", counted)
+    monkeypatch.setattr(linalg, "rref_transform", counted)
+    monkeypatch.setattr(linalg, "rref", spied)
     return shapes
 
 
@@ -778,18 +785,23 @@ def test_low_weight_search_short_panels(p, k, monkeypatch):
             for j in range(4, m):
                 H[:, j] = f.vmul(f.array(int(rng.integers(1, f.q))),
                                  H[:, j % 4])
-        H = linalg.row_space_basis(f, H)
+        R, pivots = linalg.rref(f, H)
+        H = R[:len(pivots)]
         r = H.shape[0]
         gen = linalg.nullspace(f, H)
         for seed in (1, 2):
             want = _primal_search(f, gen, 30, seed)
-            shapes = _counting_rref(monkeypatch)
+            # the trials whose first r + 2 columns, reversed, have rank < r
+            draw = np.random.default_rng(seed)
+            short = sum(linalg.rank(f, H[:, draw.permutation(m)[::-1][:r + 2]])
+                        < r for _ in range(30))
+            shapes = _counting_transforms(monkeypatch)
             got = low_weight_search(f, H, trials=30, seed=seed)
             monkeypatch.undo()
             _same_search(got, want)
-            assert shapes[0] == (30, r, (r + 2) + r)
-            # the full-width redos: [H[:, order] | I_r] for each short trial
-            assert len(shapes) == 2 and shapes[1][1:] == (r, m + r), shapes
+            # one panel call for the chunk, then one full-width call for
+            # its short trials only; no rref at all
+            assert short and shapes == [(30, r, r + 2), (short, r, m)], shapes
 
 
 # (weight, SHA-256 of the word's bytes) of a 200-trial search with seed =
@@ -816,11 +828,11 @@ def test_low_weight_search_ladder_pinned(record):
 
 
 def test_low_weight_search_panel_width(record, monkeypatch):
-    # every trial of the record code reduces a panel of 2r + 2 columns:
-    # its first r + 2 columns hold all r pivots, so nothing is redone
+    # the 200 trials of the record code are one chunk, one panel of r + 2
+    # columns each: its first r + 2 columns hold all r pivots, so nothing
+    # is redone
     H = _record_code(record).parity_check
     r = H.shape[0]
-    shapes = _counting_rref(monkeypatch)
+    shapes = _counting_transforms(monkeypatch)
     low_weight_search(record.field, H, trials=200, seed=3)
-    assert shapes and sum(s[0] for s in shapes) == 200
-    assert all(s[1:] == (r, 2 * r + 2) for s in shapes), shapes
+    assert shapes == [(200, r, r + 2)], shapes

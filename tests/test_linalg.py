@@ -59,15 +59,18 @@ def test_rank_transpose_invariant():
 
 
 def test_row_space_basis():
+    # the nonzero rows of rref are a canonical basis of the row space
     f = make_field(2, 4)
     rng = np.random.default_rng(3)
     M = random_matrix(f, rng, 5, 8)
     # duplicate and scale rows; the row space must not change
     doubled = np.vstack([M, M, f.vmul(M, f.array(3))])
-    B1 = linalg.row_space_basis(f, M)
-    B2 = linalg.row_space_basis(f, doubled)
-    assert B1.shape == B2.shape
+    R1, piv1 = linalg.rref(f, M)
+    R2, piv2 = linalg.rref(f, doubled)
+    assert piv1 == piv2
+    B1, B2 = R1[:len(piv1)], R2[:len(piv2)]
     assert np.array_equal(B1, B2)  # rref canonical form
+    assert not R2[len(piv2):].any()
     assert linalg.rank(f, B1) == B1.shape[0]
 
 
@@ -170,10 +173,10 @@ def test_elimination_matches_scalar_reference(p, k):
         assert np.array_equal(R, R0) and piv == piv0, M
         assert linalg.rank(f, M) == len(piv0)
         assert linalg.rank(f, M.T) == len(piv0)
-        assert np.array_equal(linalg.row_space_basis(f, M), R0[:len(piv0)])
         N = linalg.nullspace(f, M)
         N0 = scalar_nullspace(f, M)
         assert N.dtype == N0.dtype and np.array_equal(N, N0), M
+        assert np.array_equal(linalg.reduced_nullspace(f, R, piv), N0)
 
 
 @pytest.mark.parametrize("p, k", [(3, 3), (2, 4)])
@@ -244,6 +247,41 @@ def test_stacked_rref_matches_each_matrix(p, k):
             assert all(type(c) is int for c in piv1)
             assert piv1 == piv0 == np.flatnonzero(P[b]).tolist()
             assert np.array_equal(R1, R0) and np.array_equal(R[b], R0)
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (7, 1), (2, 4), (7, 2)])
+def test_rref_transform_matches_augmented_rref(p, k):
+    # the in-place exchange against the rref of [A | I_r]: the same pivot
+    # mask always, and the same transform wherever A has rank r; below
+    # rank r it is still an invertible E with E @ A = rref(A)
+    f = make_field(p, k)
+    rng = np.random.default_rng(13 * p + k)
+    full_rank = []
+    for B, r, w in ((40, 4, 6), (40, 6, 8), (20, 3, 12), (20, 5, 3),
+                    (5, 0, 4), (5, 3, 0), (0, 3, 5)):
+        for shape in ("random", "zero columns", "repeated columns"):
+            A = f.array(rng.integers(0, f.q, (B, r, w)))
+            if shape == "zero columns":
+                A[:, :, rng.choice(w, w // 2, replace=False)] = 0
+            elif shape == "repeated columns" and w > 2:
+                # columns 1, 2 and the last are multiples of column 0
+                for j, c in ((1, 1), (2, f.q - 1), (w - 1, 1 % (f.q - 1) + 1)):
+                    A[:, :, j] = f.vmul(f.array(c), A[:, :, 0])
+            E, P = linalg.rref_transform(f, A)
+            assert E.shape == (B, r, r) and E.dtype == A.dtype
+            eye = np.broadcast_to(np.eye(r, dtype=A.dtype), (B, r, r))
+            R, P0 = linalg.rref(f, np.concatenate([A, eye], axis=2))
+            assert np.array_equal(P, P0[:, :w])
+            full = P.sum(axis=1) == r
+            assert np.array_equal(E[full], R[full][:, :, w:])
+            RA, PA = linalg.rref(f, A)
+            assert np.array_equal(P, PA)
+            for b in range(B):
+                assert linalg.rank(f, E[b]) == r
+                assert np.array_equal(fmatmul(f, E[b], A[b]), RA[b])
+            full_rank += full.tolist()
+    # both branches of the comparison ran
+    assert True in full_rank and False in full_rank
 
 
 def test_rref_rejects_other_ranks():

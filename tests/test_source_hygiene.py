@@ -1,8 +1,8 @@
 """Source hygiene of the package, read with `ast`: every module and demo
 script uses the names it imports, every module-level private function or
 class is referenced somewhere in the package, and every name a module
-exports in `__all__` exists, and no module but `fields` reads a lookup
-table."""
+exports in `__all__` exists, no module but `fields` reads a lookup
+table, and no module indents JSON through json.dumps."""
 
 import ast
 import importlib
@@ -95,3 +95,15 @@ def test_tables_read_only_in_fields():
              for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr in tables]
     assert not reads, f"table reads outside fields.py: {reads}"
+
+
+def test_one_indenting_json_writer():
+    # json indents with its pure-Python encoder; reports go through
+    # cli._dump, which writes the same bytes, so no json call indents
+    calls = [f"{stem}.py:{node.lineno}"
+             for stem, tree in _TREES.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None))
+             in ("dump", "dumps")
+             and any(kw.arg == "indent" for kw in node.keywords)]
+    assert not calls, f"json.dumps(indent=...) in {calls}"
