@@ -62,8 +62,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _count(text: str) -> int:
-    """A non-negative integer, written out (10000000) or in exponent form
-    (1e7, read as a float); anything else is a usage error."""
+    """A non-negative integer, written out (12) or in exponent form (1e3,
+    read as a float); anything else is a usage error."""
     try:
         value = int(text)
     except ValueError:
@@ -74,8 +74,8 @@ def _count(text: str) -> int:
         value = int(value) if value.is_integer() else -1
     if value < 0:
         raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer such as 10000000 or 1e7, "
-            f"got {text!r}")
+            f"expected a non-negative integer, written out (12) or in "
+            f"exponent form (1e3), got {text!r}")
     return value
 
 

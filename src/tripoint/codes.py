@@ -53,7 +53,7 @@ from itertools import product
 import numpy as np
 
 from . import linalg
-from .curves import (FUNDAMENTAL_POINTS, CurveSpec, _eval_forms,
+from .curves import (FUNDAMENTAL_POINTS, CurveSpec, _eval_form,
                      monomials_of_degree)
 from .fields import Field
 # dim_L_oracle is unused here; benchmarks/tracing.py patches it on this module
@@ -210,7 +210,7 @@ def build_CL(curve: CurveSpec, points: list, G: ThreePointDivisor):
                              "have a pole there (G has positive P3 part)")
     m = len(points)
     coords = field.array(points).reshape(m, 3).T
-    off = np.nonzero(next(_eval_forms(field, [curve.F_terms], *coords)))[0]
+    off = np.nonzero(_eval_form(field, curve.F_terms, *coords))[0]
     if off.size:
         raise CodesError(f"{points[int(off[0])]!r} is not on the curve")
     # the denominator M may be non-standard, so it is one more row

@@ -21,7 +21,7 @@ Rational points come from one table-driven sweep, `rational_points_raw`,
 over the disjoint charts (0:0:1), (0:1:z) and (1:y:z): every point of a
 chart already has its leading 1, and the charts and their rows are walked
 in lexicographic order, so the points come out normalised and sorted.  Its
-form is evaluated by `_eval_forms`, which `codes.build_CL` also uses at the
+form is evaluated by `_eval_form`, which `codes.build_CL` also uses at the
 evaluation points.  `eval_terms` is the scalar evaluator: `validate_curve`
 and the tests read it, and it is the only one that runs on fields above
 `fields.TABLE_LIMIT`.
@@ -218,14 +218,14 @@ def eval_terms(field: Field, terms: dict, coords: tuple) -> int:
 # vectorized evaluation and the zero sweep
 # ---------------------------------------------------------------------------
 
-def _eval_forms(field: Field, forms, X, Y, Z):
-    """Yield the value of each form at broadcastable code arrays X, Y, Z.
+def _eval_form(field: Field, terms: dict, X, Y, Z) -> np.ndarray:
+    """The value of the form terms, a dict (e1, e2, e3) -> code, at
+    broadcastable code arrays X, Y, Z.
 
-    A form is a dict (e1, e2, e3) -> code.  v^0 is 1, also at v = 0.
-    Coordinate powers are computed once and shared by all the forms.
+    v^0 is 1, also at v = 0.  Each coordinate power is computed once and
+    shared by the terms.
     """
     coords = [field.array(v) for v in (X, Y, Z)]
-    shape = np.broadcast_shapes(*(v.shape for v in coords))
     pows = [[field.array(1), v] for v in coords]
 
     def power(axis, e):
@@ -234,16 +234,15 @@ def _eval_forms(field: Field, forms, X, Y, Z):
             tab.append(field.vmul(tab[-1], coords[axis]))
         return tab[e]
 
-    for terms in forms:
-        acc = field.zeros(shape)
-        for e, c in terms.items():
-            # smallest factors first: the product grows to full size last
-            term = field.array(c)
-            for f in sorted((power(axis, k) for axis, k in enumerate(e) if k),
-                            key=np.size):
-                term = field.vmul(term, f)
-            acc = field.vadd(acc, term)
-        yield acc
+    acc = field.zeros(np.broadcast_shapes(*(v.shape for v in coords)))
+    for e, c in terms.items():
+        # smallest factors first: the product grows to full size last
+        term = field.array(c)
+        for f in sorted((power(axis, k) for axis, k in enumerate(e) if k),
+                        key=np.size):
+            term = field.vmul(term, f)
+        acc = field.vadd(acc, term)
+    return acc
 
 
 def rational_points_raw(field: Field, F_terms: dict) -> list:
@@ -262,7 +261,7 @@ def rational_points_raw(field: Field, F_terms: dict) -> list:
     found = [field.zeros((0, 3))]
 
     def sweep(X, Y, Z):
-        mask = next(_eval_forms(field, [F_terms], X, Y, Z)) == 0
+        mask = _eval_form(field, F_terms, X, Y, Z) == 0
         if mask.any():
             found.append(np.stack([np.broadcast_to(v, mask.shape)[mask]
                                    for v in (X, Y, Z)], axis=1))

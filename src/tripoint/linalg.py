@@ -1,29 +1,32 @@
 """Dense exact linear algebra over GF(q) on matrices of integer codes.
 
-All routines take the Field first and a 2-D numpy array of codes; rref
-and matmul also take a stack of matrices, and rref_transform takes only
-a stack.  Row reduction is table-driven: each pivot step updates one
-block of rows with the fused a - c*b update of the field's tables
-(submul), its factors from Field.vmul and vinv, so cost is dominated by
-numpy gathers rather than Python loops.  rref reduces above and below
-each pivot, from the pivot column onwards; rank only eliminates below it.
+All routines take the Field first and a 2-D numpy array of codes; matmul
+also takes a stack of matrices, and rref_transform takes only a stack.
+Row reduction is table-driven: each pivot step updates one block of rows
+with the fused a - c*b update of the field's tables (submul), its factors
+from Field.vmul and vinv, so cost is dominated by numpy gathers rather
+than Python loops.  There are two eliminations:
 
-rref reduces a stack in lockstep with one pivot loop: at each column,
-every matrix that has a nonzero at or below its own rank takes its first
-such row as pivot, and the whole stack block from that column on gets one
-submul.  The reduced form is unique, so each matrix of a stack reduces
-exactly as it would alone; a 2-D matrix is a stack of one.
+rank is forward-only: each pivot clears the rows below it, from its
+column onwards, and nothing is normalised or back-reduced.  The oracle's
+dimension queries run it.
 
-rref_transform gives the transform E with E @ A = rref(A) for each matrix
-of a stack, without reducing [A | I] next to it: a Gauss-Jordan exchange
-overwrites each pivot column with a column of the inverse, and E is read
-from the pivot columns at the end.  The weight search of codes uses it.
+rref_transform is the one Gauss-Jordan loop.  For each matrix of a stack
+it gives the transform E with E @ A = rref(A), without reducing [A | I]
+next to it: an exchange overwrites each pivot column with a column of
+the inverse, and E is read from the pivot columns at the end.  The weight
+search of codes runs it on stacks of panels.
 
-matmul multiplies a matrix, or a stack of them, by one matrix.  It does
-not gather from the q x q tables: a product over GF(p^k) is bilinear over
-GF(p) in the base-p digits of its factors, so it runs as a float64 BLAS
-product of digit matrices.  The digit sums are reduced mod p in float64,
-exactly, and packed into codes by one more product.
+rref is E @ A for one matrix, a stack of one through rref_transform; the
+reduced form is unique, so it is the same R and pivots any Gauss-Jordan
+gives.  nullspace and reduced_nullspace read their bases from it.
+
+matmul is the digit BLAS product of a matrix, or a stack of them, by one
+matrix.  It does not gather from the q x q tables: a product over
+GF(p^k) is bilinear over GF(p) in the base-p digits of its factors, so
+it runs as a float64 BLAS product of digit matrices.  The digit sums are
+reduced mod p in float64, exactly, and packed into codes by one more
+product.
 """
 
 from __future__ import annotations
@@ -36,56 +39,14 @@ from .fields import CODE_DTYPE, Field
 
 
 def rref(field: Field, mat: np.ndarray):
-    """Reduced row echelon form of a matrix, or of every matrix in a stack.
-
-    A 2-D matrix gives (R, pivots), where pivots lists the pivot column of
-    each nonzero row of R in order; rank == len(pivots).  A (B, m, n) stack
-    gives (R, P): the stack of reduced forms and a (B, n) boolean mask of
-    each matrix's pivot columns.  A 2-D matrix is reduced as a stack of one.
-    """
-    A = field.array(mat).copy()
-    if A.ndim not in (2, 3):
-        raise ValueError("expected a 2-D matrix or a 3-D stack of them")
-    single = A.ndim == 2
-    if single:
-        A = A[None]
-    T = field.tables()
-    B, m, n = A.shape
-    P = np.zeros((B, n), dtype=bool)
-    rank = np.zeros(B, dtype=np.intp)
-    rows = np.arange(m)
-    for col in range(n if A.size else 0):
-        # each matrix's first nonzero row at or below its own rank;
-        # columns before col are zero there and stay untouched
-        cand = A[:, :, col] != 0
-        cand &= rows >= rank[:, None]
-        has = cand.any(axis=1)
-        if has.all():
-            sel = slice(None)            # every matrix pivots: plain slices
-        else:
-            sel = np.flatnonzero(has)
-            if sel.size == 0:
-                continue
-        r, piv = rank[sel], cand.argmax(axis=1)[sel]
-        blk = A[sel, :, col:]
-        k = np.arange(r.size)
-        top, low = blk[k, r], blk[k, piv]
-        blk[k, piv] = top
-        low = field.vmul(field.vinv(low[:, :1]), low)
-        blk[k, r] = low
-        # every other row, as one block: a zero factor leaves a row as is
-        factors = blk[:, :, 0].copy()
-        factors[k, r] = 0
-        if factors.any():
-            blk = T.submul(blk, factors[:, :, None], low[:, None, :])
-        A[sel, :, col:] = blk
-        P[sel, col] = True
-        rank[sel] += 1
-        if rank.min() == m:
-            break
-    if single:
-        return A[0], np.flatnonzero(P[0]).tolist()
-    return A, P
+    """Reduced row echelon form (R, pivots) of a 2-D matrix, where pivots
+    lists the pivot column of each nonzero row of R in order; rank ==
+    len(pivots).  R is E @ A for the transform E of rref_transform."""
+    A = field.array(mat)
+    if A.ndim != 2:
+        raise ValueError("expected a 2-D matrix")
+    E, P = rref_transform(field, A[None])
+    return matmul(field, E[0], A), np.flatnonzero(P[0]).tolist()
 
 
 def rref_transform(field: Field, stack: np.ndarray):
@@ -127,7 +88,6 @@ def rref_transform(field: Field, stack: np.ndarray):
         row = field.vmul(inv[:, None], blk[k, piv])
         row[:, col] = inv
         factors = blk[:, :, col].copy()
-        factors[k, piv] = 0
         # row l becomes row l - factors[l] * row: column col gets
         # -factors[l] / a, the transform's new column
         blk[:, :, col] = 0

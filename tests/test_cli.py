@@ -783,14 +783,14 @@ def test_count_flags(capsys, tmp_path, command, flag, dest):
         code, out, err = run(capsys, command, flag, value)
         assert code == 1 and out == ""
         assert err == (f"usage error: argument {flag}: expected a "
-                       f"non-negative integer such as 10000000 or 1e7, "
-                       f"got {value!r}\n")
+                       f"non-negative integer, written out (12) or in "
+                       f"exponent form (1e3), got {value!r}\n")
         path.write_text(f'{{"{dest}": {value}}}')
         code, out, err = run(capsys, command, "--config", str(path))
         assert code == 1 and out == ""
         assert err == (f"usage error: config file {path}: {dest}: expected "
-                       f"a non-negative integer such as 10000000 or 1e7, "
-                       f"got {text!r}\n")
+                       f"a non-negative integer, written out (12) or in "
+                       f"exponent form (1e3), got {text!r}\n")
 
 
 def test_dump_matches_json_indent(capsys, tmp_path, monkeypatch):

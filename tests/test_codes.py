@@ -708,7 +708,7 @@ def test_low_weight_search_dependent_rows(record):
 
 def test_low_weight_search_across_chunks(record, monkeypatch):
     rep = _record_code(record)
-    # three trials per stacked rref: 20 trials end in a short chunk
+    # three trials per panel stack: 20 trials end in a short chunk
     monkeypatch.setattr(codes, "_CHUNK_CELLS", 3 * rep.parity_check.size)
     for seed in (0, 7, 113):
         _same_search(low_weight_search(record.field, rep.parity_check,

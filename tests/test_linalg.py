@@ -96,8 +96,7 @@ def test_zero_and_empty():
 def scalar_rref(field, M):
     """Gauss-Jordan with scalar Field arithmetic, one entry at a time."""
     A = [[int(v) for v in row] for row in np.asarray(M)]
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
+    rows, cols = np.shape(M)
     pivots, r = [], 0
     for col in range(cols):
         piv = next((i for i in range(r, rows) if A[i][col]), None)
@@ -132,7 +131,7 @@ def scalar_nullspace(field, M):
 
 def _test_matrices(field, rng):
     """Tall, wide, 1 x n and n x 1; random, rank-deficient, and with
-    pivots equal to 1 and not equal to 1."""
+    pivots equal to 1 and not equal to 1; then zero and empty matrices."""
     q = field.q
     out = []
     for rows, cols in ((9, 4), (4, 9), (6, 6), (1, 7), (7, 1), (1, 1)):
@@ -158,6 +157,8 @@ def _test_matrices(field, rng):
         S[:, k:] = M[:, k:]
         out.append(S)
     out.append(field.zeros((3, 5)))
+    # no rows, no columns, neither
+    out += [field.zeros((0, 5)), field.zeros((4, 0)), field.zeros((0, 0))]
     return out
 
 
@@ -171,6 +172,7 @@ def test_elimination_matches_scalar_reference(p, k):
         R, piv = linalg.rref(f, M)
         assert R.dtype == R0.dtype
         assert np.array_equal(R, R0) and piv == piv0, M
+        assert type(piv) is list and all(type(c) is int for c in piv)
         assert linalg.rank(f, M) == len(piv0)
         assert linalg.rank(f, M.T) == len(piv0)
         N = linalg.nullspace(f, M)
@@ -221,6 +223,8 @@ def test_eliminate_matches_scalar_residuals(p, k):
 
 @pytest.mark.parametrize("p, k", [(2, 1), (7, 1), (2, 4), (3, 3), (7, 2)])
 def test_stacked_rref_matches_each_matrix(p, k):
+    # rref_transform on a stack: each member's E @ A and pivot mask are
+    # the scalar reduction of that member alone
     f = make_field(p, k)
     rng = np.random.default_rng(5 * p + k)
     for B, rows, cols in ((6, 4, 9), (5, 9, 4), (4, 6, 6), (3, 1, 7),
@@ -233,27 +237,23 @@ def test_stacked_rref_matches_each_matrix(p, k):
             stack[2][1] = stack[2][0]             # rank-deficient rows
             stack[2][-1] = 0
             stack[3][:, :cols // 2] = 0           # pivots late
-        R, P = linalg.rref(f, stack)
-        assert R.shape == stack.shape and R.dtype == stack.dtype
+        E, P = linalg.rref_transform(f, stack)
+        assert E.shape == (B, rows, rows) and E.dtype == stack.dtype
         assert P.shape == (B, cols) and P.dtype == bool
         if mixed:
             # some columns pivot in some matrices only: the partial branch
             assert (P.any(axis=0) & ~P.all(axis=0)).any()
         for b in range(B):
             R0, piv0 = scalar_rref(f, stack[b])
-            R0 = R0.reshape(rows, cols)           # also with 0 rows
-            R1, piv1 = linalg.rref(f, stack[b])
-            assert type(piv1) is list
-            assert all(type(c) is int for c in piv1)
-            assert piv1 == piv0 == np.flatnonzero(P[b]).tolist()
-            assert np.array_equal(R1, R0) and np.array_equal(R[b], R0)
+            assert np.flatnonzero(P[b]).tolist() == piv0
+            assert np.array_equal(fmatmul(f, E[b], stack[b]), R0)
 
 
 @pytest.mark.parametrize("p, k", [(2, 1), (7, 1), (2, 4), (7, 2)])
 def test_rref_transform_matches_augmented_rref(p, k):
-    # the in-place exchange against the rref of [A | I_r]: the same pivot
-    # mask always, and the same transform wherever A has rank r; below
-    # rank r it is still an invertible E with E @ A = rref(A)
+    # the in-place exchange against the scalar rref of [A | I_r]: the same
+    # pivot mask always, and the same transform wherever A has rank r;
+    # below rank r it is still an invertible E with E @ A = rref(A)
     f = make_field(p, k)
     rng = np.random.default_rng(13 * p + k)
     full_rank = []
@@ -269,24 +269,25 @@ def test_rref_transform_matches_augmented_rref(p, k):
                     A[:, :, j] = f.vmul(f.array(c), A[:, :, 0])
             E, P = linalg.rref_transform(f, A)
             assert E.shape == (B, r, r) and E.dtype == A.dtype
-            eye = np.broadcast_to(np.eye(r, dtype=A.dtype), (B, r, r))
-            R, P0 = linalg.rref(f, np.concatenate([A, eye], axis=2))
-            assert np.array_equal(P, P0[:, :w])
-            full = P.sum(axis=1) == r
-            assert np.array_equal(E[full], R[full][:, :, w:])
-            RA, PA = linalg.rref(f, A)
-            assert np.array_equal(P, PA)
+            eye = np.eye(r, dtype=A.dtype)
             for b in range(B):
+                R, piv = scalar_rref(f, np.concatenate([A[b], eye], axis=1))
+                assert np.flatnonzero(P[b]).tolist() == [
+                    c for c in piv if c < w]
+                full = bool(P[b].sum() == r)
+                if full:
+                    assert np.array_equal(E[b], R[:, w:])
                 assert linalg.rank(f, E[b]) == r
-                assert np.array_equal(fmatmul(f, E[b], A[b]), RA[b])
-            full_rank += full.tolist()
+                # the left block of rref([A | I_r]) is rref(A)
+                assert np.array_equal(fmatmul(f, E[b], A[b]), R[:, :w])
+                full_rank.append(full)
     # both branches of the comparison ran
     assert True in full_rank and False in full_rank
 
 
 def test_rref_rejects_other_ranks():
     f = make_field(3)
-    for shape in ((4,), (2, 2, 2, 2)):
+    for shape in ((4,), (2, 3, 4), (2, 2, 2, 2)):
         with pytest.raises(ValueError):
             linalg.rref(f, f.zeros(shape))
 
