@@ -5,12 +5,11 @@ Goppa floor deg(G) - (2g-2) = 3 to 6.  Exhaustive 5-column independence
 certifies d >= 6, and a weight-6 codeword shows d = 6 exactly.
 """
 
-from tripoint import (build_COmega, builtin_curves, evaluation_points,
-                      low_weight_search, predict_pair_params,
-                      verify_distance_floor)
+from tripoint import (build_COmega, builtin_curves, design, evaluation_points,
+                      low_weight_search, verify_distance_floor)
 
 c16 = builtin_curves()["q16-n4"]
-spec = predict_pair_params(4, 2, 1)
+spec = design(4, (2, 1))
 print(f"design (i, j) = (2, 1): G = {spec.G.coeffs()}, boxes {spec.boxes}")
 print(f"  Goppa floor {spec.goppa_distance}, "
       f"pure-gap floor {spec.designed_distance}")

@@ -9,14 +9,14 @@ many points are found in the first place.
 """
 
 from tripoint import (build_COmega, builtin_curves, curve_search,
-                      evaluation_points, make_field, predict_pair_params)
+                      design, evaluation_points, make_field)
 
 record = builtin_curves()["q49-n5-record"]
 pts = record.rational_points()
 print(f"record curve: {record!r}")
 print(f"  {len(pts)} rational points over GF(49), genus {record.genus}")
 
-spec = predict_pair_params(5, 3, 1)
+spec = design(5, (3, 1))
 print(f"\ndesign (3, 1): G = {spec.G.coeffs()}, "
       f"floors Goppa {spec.goppa_distance} / pure-gap "
       f"{spec.designed_distance}")

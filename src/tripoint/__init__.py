@@ -18,14 +18,13 @@ from .claims import FAMILIES, Claim, dimension_claims
 from .weierstrass import (PureGapRecord, gap_index, gaps_closed_form,
                           gaps_oracle, kim_image, kim_map, pure_gap_box,
                           pure_gap_count_pair, pure_gap_count_triple,
-                          pure_gap_dimension, pure_gap_oracle, pure_gaps_pair,
-                          pure_gaps_pair_via_homma_kim, pure_gaps_triple,
+                          pure_gap_dimension, pure_gap_oracle, pure_gap_params,
+                          pure_gaps, pure_gaps_pair_via_homma_kim,
                           semigroup_generators)
 from .codes import (BudgetError, CodeReport, CodesError, CodeSpec, build_CL,
-                    build_COmega, carvalho_torres_bound, curve_search,
+                    build_COmega, carvalho_torres_bound, curve_search, design,
                     evaluation_points, goppa_bound, hermitian_maximal_count,
-                    hurwitz_count, low_weight_search, predict_pair_params,
-                    predict_triple_params, verify_distance_floor)
+                    hurwitz_count, low_weight_search, verify_distance_floor)
 from .catalog import RECORD_LENGTHS, RECORD_ROW, REFERENCE_ROWS, builtin_curves
 from .verification import validate_curve
 
@@ -43,13 +42,13 @@ __all__ = [
     "PureGapRecord", "gap_index",
     "gaps_closed_form", "gaps_oracle", "kim_image", "kim_map",
     "pure_gap_box", "pure_gap_count_pair", "pure_gap_count_triple",
-    "pure_gap_dimension", "pure_gap_oracle", "pure_gaps_pair",
-    "pure_gaps_pair_via_homma_kim", "pure_gaps_triple", "semigroup_generators",
+    "pure_gap_dimension", "pure_gap_oracle", "pure_gap_params", "pure_gaps",
+    "pure_gaps_pair_via_homma_kim", "semigroup_generators",
     "BudgetError", "CodeReport", "CodesError", "CodeSpec", "build_CL",
-    "build_COmega", "carvalho_torres_bound", "curve_search",
+    "build_COmega", "carvalho_torres_bound", "curve_search", "design",
     "evaluation_points", "goppa_bound",
     "hermitian_maximal_count", "hurwitz_count", "low_weight_search",
-    "predict_pair_params", "predict_triple_params", "verify_distance_floor",
+    "verify_distance_floor",
     "RECORD_LENGTHS", "RECORD_ROW", "REFERENCE_ROWS", "builtin_curves",
     "__version__",
 ]

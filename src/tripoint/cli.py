@@ -26,9 +26,8 @@ from .catalog import (RECORD_LENGTHS, RECORD_ROW, REFERENCE_ROWS,
                       builtin_curves)
 from .claims import FAMILIES, dimension_claims
 from .codes import (BudgetError, CodesError, build_COmega, curve_search,
-                    evaluation_points, hermitian_maximal_count, hurwitz_count,
-                    low_weight_search, predict_pair_params,
-                    predict_triple_params, verify_distance_floor)
+                    design, evaluation_points, hermitian_maximal_count,
+                    hurwitz_count, low_weight_search, verify_distance_floor)
 from .curves import (FUNDAMENTAL_POINTS, CurveError, CurveSpec,
                      rational_points_raw)
 from .fields import FieldError, _factorise, make_field
@@ -38,9 +37,8 @@ from .verification import VERIFY_CURVES, default_verify_report
 # pure_gap_oracle is unused here; benchmarks/tracing.py patches it on this module
 from .weierstrass import (CYCLIC_PAIRS, gap_index, gaps_closed_form,
                           gaps_oracle, kim_image, kim_map, pure_gap_oracle,
-                          pure_gap_problems, pure_gaps_pair,
-                          pure_gaps_pair_via_homma_kim, pure_gaps_triple,
-                          semigroup_generators)
+                          pure_gap_problems, pure_gaps,
+                          pure_gaps_pair_via_homma_kim, semigroup_generators)
 
 SCHEMA_VERSION = 1
 
@@ -357,7 +355,7 @@ def cmd_gaps(cfg: dict):
 def cmd_pure_gaps(cfg: dict):
     n = _need_n(cfg)
     points = cfg["points"]
-    records = pure_gaps_pair(n) if points == 2 else pure_gaps_triple(n)
+    records = pure_gaps(n, points)
     rows = []
     for rec in records:
         row = {}
@@ -409,23 +407,20 @@ def cmd_dims(cfg: dict):
 def cmd_code(cfg: dict):
     curve = _load_curve(cfg)
     n = curve.n
-    design = cfg["design"]
+    params = cfg["design"]
     divisor = cfg["divisor"]
-    if (design is None) == (divisor is None):
+    if (params is None) == (divisor is None):
         raise UsageError("pass exactly one of --design or --divisor")
     spec = None
-    if design is not None:
-        vals = _parse_ints(design, "--design", (2, 3))
-        if len(vals) == 2:
-            i, j = vals
-            if not (i >= 1 and j >= 1 and n + 2 <= 2 * (i + j)
-                    and i + j <= n - 1):
-                raise UsageError(
-                    f"design (i, j) = {vals} invalid for n = {n}: need "
-                    f"(n+2)/2 <= i+j <= n-1 with i, j >= 1")
-            spec = predict_pair_params(n, i, j)
-        else:
-            spec = predict_triple_params(n, *vals)
+    if params is not None:
+        params = _parse_ints(params, "--design", (2, 3))
+        spec = design(n, params)
+        # a pair below its length-free hypothesis is refused; a triple is
+        # built and its hypotheses reported
+        if len(params) == 2 and not spec.hypotheses_met:
+            raise UsageError(
+                f"design (i, j) = {params} invalid for n = {n}: need "
+                f"(n+2)/2 <= i+j <= n-1 with i, j >= 1")
         G = spec.G
     else:
         G = ThreePointDivisor(*_parse_ints(divisor, "--divisor", (3,)))
@@ -437,6 +432,8 @@ def cmd_code(cfg: dict):
         if want > len(pts):
             raise UsageError(f"only {len(pts)} usable points, wanted {want}")
         pts = pts[:want]
+    if spec is not None:
+        spec = design(n, params, m=len(pts))
     w = cfg["certify"]
     if w is not None and not 1 <= w <= len(pts):
         raise UsageError(f"--certify must be in 1..{len(pts)}, the code "
@@ -472,8 +469,8 @@ def cmd_code(cfg: dict):
     }
     payload = {"report": report.to_json(), "certification": certification,
                "design": (None if spec is None else
-                          {k: getattr(spec, k)
-                           for k in ("i", "j", "k", "hypotheses_met")}),
+                          {**dict(zip("ijk", (*spec.params, None))),
+                           "hypotheses_met": spec.hypotheses_met}),
                "rows": [summary]}
     return payload, EXIT_OK
 
@@ -555,7 +552,7 @@ def _reproduce_code(row, budget: int, curve=None, length=None) -> dict:
     `length` evaluation points when given (a record-ladder row), compare
     with the expected parameters and certify the floor within the budget."""
     curve = row.curve() if curve is None else curve
-    spec = predict_pair_params(row.n, *row.design)
+    spec = design(row.n, row.design)
     D = evaluation_points(curve, spec.G, length=length)
     report = build_COmega(curve, D, spec.G, boxes=spec.boxes)
     name, want_length, want_dimension = (row.name, row.expected_length,

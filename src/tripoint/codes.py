@@ -9,9 +9,9 @@ interest is its dual C_Omega(D, G).  Designed minimum distance:
 
 where G is framed by a box of pure gap tuples: G = sum (alpha_s + beta_s - 1) P_s
 with every integer tuple in prod [alpha_s, beta_s] a pure gap.  The designed
-G divisors for this family read their boxes from
-tripoint.weierstrass.pure_gap_box, through predict_pair_params /
-predict_triple_params.
+G divisors for this family come from one function, design(n, params, m):
+it reads the box of a pair or a triple from tripoint.weierstrass.pure_gap_box
+and reports the theorems' hypotheses, which for a length m include m.
 
 verify_distance_floor turns a floor into a certificate: it proves that
 every w-subset of parity-check columns is independent, hence d >= w + 1,
@@ -64,7 +64,7 @@ from .weierstrass import pure_gap_box
 
 __all__ = [
     "CodesError", "BudgetError", "CodeSpec", "CodeReport",
-    "build_CL", "build_COmega", "predict_pair_params", "predict_triple_params",
+    "build_CL", "build_COmega", "design",
     "carvalho_torres_bound", "goppa_bound", "verify_distance_floor",
     "low_weight_search", "curve_search", "hurwitz_count",
     "hermitian_maximal_count", "evaluation_points",
@@ -99,12 +99,10 @@ def carvalho_torres_bound(deg_G: int, genus: int, boxes) -> int:
 
 @dataclass(frozen=True)
 class CodeSpec:
-    """A design: G framed by the pure-gap box of a pair (i, j), on P1 and
-    P2 with k None, or of a triple (i, j, k), on all fundamental points."""
+    """A design: G framed by the pure-gap box of params, a pair (i, j) on
+    P1 and P2 or a triple (i, j, k) on all fundamental points."""
     n: int
-    i: int
-    j: int
-    k: int | None
+    params: tuple
     G: ThreePointDivisor
     boxes: tuple            # ((alpha_s, beta_s), ...) per point
     designed_distance: int  # pure-gap floor
@@ -112,50 +110,36 @@ class CodeSpec:
     hypotheses_met: bool
 
 
-def _design(n: int, params: tuple, hypotheses) -> CodeSpec:
-    """G = sum (alpha_s + beta_s - 1) P_s over pure_gap_box(n, params), its
-    two floors, and hypotheses(G)."""
-    boxes = pure_gap_box(n, params)
+def design(n: int, params: tuple, m: int | None = None) -> CodeSpec:
+    """G = sum (alpha_s + beta_s - 1) P_s over the box [alpha_s, beta_s] of
+    pure_gap_box(n, params), its two floors and the theorems' hypotheses.
+
+    The hypotheses are reported, not enforced.  A pair needs
+    2(i + j) >= n + 2, and length m >= 2n^2 - 4n - 2 when m is given.  A
+    triple needs (2n - 1)d > (n - 2)^2, d = i + j + k, which makes the
+    floor exceed the Goppa floor by the full 3(n - d - 2), and length
+    m > deg G when m is given.  Params outside pure_gap_params(n, .) or
+    with an empty box raise CodesError.
+    """
+    params = tuple(params)
+    try:
+        boxes = pure_gap_box(n, params)
+    except ValueError as exc:
+        raise CodesError(str(exc)) from None
+    d = sum(params)
+    if any(hi < lo for lo, hi in boxes):
+        raise CodesError(f"empty pure-gap box for n = {n}: want a sum "
+                         f"<= {d - 1}, got {params}")
     G = ThreePointDivisor(*(lo + hi - 1 for lo, hi in boxes))
     genus = n * (n - 1) // 2
-    i, j, k = (*params, None)[:3]
+    if len(params) == 2:
+        met = 2 * d >= n + 2 and (m is None or m >= 2 * n * n - 4 * n - 2)
+    else:
+        met = (2 * n - 1) * d > (n - 2) ** 2 and (m is None or m > G.degree)
     return CodeSpec(
-        n=n, i=i, j=j, k=k, G=G, boxes=boxes,
+        n=n, params=params, G=G, boxes=boxes,
         designed_distance=carvalho_torres_bound(G.degree, genus, boxes),
-        goppa_distance=goppa_bound(G.degree, genus),
-        hypotheses_met=hypotheses(G))
-
-
-def predict_pair_params(n: int, i: int, j: int, m: int | None = None) -> CodeSpec:
-    """Corner box (alpha, beta) pairs and the induced G, bounds.
-
-        alpha = ((i-1)n + 1, (j-1)n + i)    beta = (in - i - j, jn - j)
-
-    Every integer pair in the box is a pure gap, G = (alpha+beta-1) paired
-    with (P1, P2).  The positivity hypotheses (2(i+j) >= n + 2, and length
-    m >= 2n^2 - 4n - 2 when m is given) are reported, not enforced.
-    """
-    if i < 1 or j < 1 or i + j > n - 1:
-        raise CodesError(f"need i, j >= 1 with i + j <= n - 1, got {(i, j)}")
-    return _design(n, (i, j), lambda G: 2 * (i + j) >= n + 2
-                   and (m is None or m >= 2 * n * n - 4 * n - 2))
-
-
-def predict_triple_params(n: int, i: int, j: int, k: int,
-                          m: int | None = None) -> CodeSpec:
-    """Corner boxes for the three-point design.
-
-        n_s = (kn + j + 1, in + k + 1, jn + i + 1),  p_s = n_s + (n - d - 3)
-
-    with d = i + j + k <= n - 3; G = sum (n_s + p_s - 1) P_s.  The
-    hypothesis d > (n-2)^2 / (2n-1) makes the floor exceed the Goppa floor
-    by the full 3(n - d - 2).
-    """
-    d = i + j + k
-    if min(i, j, k) < 0 or d > n - 3:
-        raise CodesError(f"need i, j, k >= 0 with i+j+k <= n - 3, got {(i, j, k)}")
-    return _design(n, (i, j, k), lambda G: (2 * n - 1) * d > (n - 2) ** 2
-                   and (m is None or m > G.degree))
+        goppa_distance=goppa_bound(G.degree, genus), hypotheses_met=met)
 
 
 # ---------------------------------------------------------------------------

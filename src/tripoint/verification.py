@@ -23,9 +23,9 @@ from .riemann_roch import (ThreePointDivisor, canonical_divisor, dim_L_oracle,
 from .series import POINT_IDS, SeriesError, monomial_orders, solve_chart
 from .weierstrass import (gaps_closed_form, gaps_oracle, kim_image, kim_map,
                           pure_gap_count_pair, pure_gap_count_triple,
-                          pure_gap_oracle, pure_gap_problems, pure_gaps_pair,
-                          pure_gaps_pair_via_homma_kim, pure_gaps_triple,
-                          semigroup_generators, CYCLIC_PAIRS)
+                          pure_gap_oracle, pure_gap_problems, pure_gaps,
+                          pure_gaps_pair_via_homma_kim, semigroup_generators,
+                          CYCLIC_PAIRS)
 
 
 def validate_curve(spec: CurveSpec) -> list:
@@ -195,16 +195,16 @@ def pure_gap_suite(curve: CurveSpec) -> list:
     n = curve.n
     g = curve.genus
     out = []
-    pairs = pure_gaps_pair(n)
-    tuples = sorted(r.tuple_ for r in pairs)
+    pairs = pure_gaps(n, 2)
+    tuples = [r.tuple_ for r in pairs]
     out.append(CheckResult(
         f"pair count (n={n})", len(set(tuples)) == len(tuples) == pure_gap_count_pair(n),
         f"{len(tuples)} records"))
     out.append(CheckResult(
         f"pair inversion description (n={n})",
         tuples == pure_gaps_pair_via_homma_kim(n)))
-    trips = pure_gaps_triple(n)
-    tt = sorted(r.tuple_ for r in trips)
+    trips = pure_gaps(n, 3)
+    tt = [r.tuple_ for r in trips]
     out.append(CheckResult(
         f"triple count (n={n})", len(set(tt)) == len(tt) == pure_gap_count_triple(n),
         f"{len(tt)} records"))

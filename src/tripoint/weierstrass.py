@@ -1,7 +1,7 @@
 """Gap sequences, Kim maps and pure gaps at the three fundamental points.
 
 Everything in here comes in two flavors: closed-form combinatorics in the
-parameter n alone (gaps_closed_form, kim_map, pure_gaps_pair, ...) and
+parameter n alone (gaps_closed_form, kim_map, pure_gaps, ...) and
 field-level oracles that recompute the same objects from Riemann-Roch
 dimensions of an actual curve (gaps_oracle, pair_membership_oracle,
 gap_pairs_oracle, pure_gap_oracle).  A gap sequence is the increasing
@@ -11,11 +11,14 @@ test, ell(D) = ell(D - step), and pure_gap_problems is the one per-record
 check of a pure gap against the oracle.  The test suite pins the two
 flavors against each other.
 
-The boxes of pure gaps are stated once, in pure_gap_box, and ell on each
-box once, in pure_gap_dimension: ell is constant from the corner below the
-box (lo - 1) up to its top corner (hi).  pure_gaps_pair and pure_gaps_triple
-enumerate the boxes, the designs of tripoint.codes read them, and the M_d,
-N_d and S_d + e claims of tripoint.claims are their corners.
+The theorems' parameter ranges are stated once, in _BOX_RANGES (a pair
+(i, j) at two points, a triple (i, j, k) at P1, P2, P3), and
+pure_gap_params walks them.  The boxes of pure gaps are stated once, in
+pure_gap_box, and ell on each box once, in pure_gap_dimension: ell is
+constant from the corner below the box (lo - 1) up to its top corner
+(hi).  pure_gaps lists the tuples of the boxes, tripoint.codes.design
+frames its G by one box, and the M_d, N_d and S_d + e claims of
+tripoint.claims are their corners.
 
 Gap bookkeeping at a point P:  m is a gap iff ell(mP) = ell((m-1)P).  For
 this family the gap set at each fundamental point is
@@ -42,8 +45,8 @@ __all__ = [
     "PureGapRecord",
     "gaps_closed_form", "semigroup_generators", "gaps_oracle",
     "kim_map", "kim_image", "gap_index",
-    "pure_gaps_pair", "pure_gaps_pair_via_homma_kim", "gap_pair_count",
-    "pure_gaps_triple", "pure_gap_box", "pure_gap_dimension",
+    "pure_gaps", "pure_gaps_pair_via_homma_kim", "gap_pair_count",
+    "pure_gap_params", "pure_gap_box", "pure_gap_dimension",
     "pure_gap_count_pair", "pure_gap_count_triple",
     "pair_membership_oracle", "gap_pairs_oracle", "pure_gap_oracle",
     "pure_gap_problems", "CYCLIC_PAIRS",
@@ -166,17 +169,33 @@ class PureGapRecord:
     predicted_dimension: int = dc_field(compare=False, default=0)
 
 
+# (low, top) of the theorems' parameters at 2 or 3 points: every entry is
+# >= low and the entries sum to <= top
+_BOX_RANGES = {2: lambda n: (1, n - 1), 3: lambda n: (0, n - 2)}
+
+
+def _box_range(n: int, points: int) -> tuple:
+    if points not in _BOX_RANGES:
+        raise ValueError(f"want 2 or 3 points, got {points}")
+    return _BOX_RANGES[points](n)
+
+
 def _box_kind(n: int, params: tuple) -> int:
-    """2 for a pair, 3 for a triple; ValueError outside the theorems' range:
-    a pair needs i, j >= 1 with i + j <= n - 1, a triple i, j, k >= 0 with
-    i + j + k <= n - 2."""
-    if len(params) not in (2, 3):
-        raise ValueError(f"want (i, j) or (i, j, k), got {params}")
-    low, top = (1, n - 1) if len(params) == 2 else (0, n - 2)
+    """2 for a pair, 3 for a triple; ValueError outside _BOX_RANGES."""
+    low, top = _box_range(n, len(params))
     if min(params) < low or sum(params) > top:
         raise ValueError(f"want entries >= {low} with sum <= {top} for "
                          f"n = {n}, got {params}")
     return len(params)
+
+
+def pure_gap_params(n: int, points: int) -> tuple:
+    """Every parameter tuple pure_gap_box(n, .) accepts at 2 or 3 points,
+    in lexicographic order.  The triples with d = n - 2 are included;
+    their boxes are empty."""
+    low, top = _box_range(n, points)
+    return tuple(p for p in product(range(low, top + 1), repeat=points)
+                 if sum(p) <= top)
 
 
 def pure_gap_box(n: int, params: tuple) -> tuple:
@@ -208,39 +227,26 @@ def pure_gap_dimension(n: int, params: tuple) -> int:
     return dim_Sd(n, *params)
 
 
-def _box_records(n: int, params: dict) -> list:
-    """One record per tuple of the box of params = {i, j[, k]}, with the
-    offsets from the low corner as r, s[, t]."""
-    values = tuple(params.values())
-    box = pure_gap_box(n, values)
-    dimension = pure_gap_dimension(n, values)
-    d = sum(values)
-    offsets = product(*(range(hi - lo + 1) for lo, hi in box))
-    return [PureGapRecord(tuple_=tuple(lo + o for (lo, _), o in zip(box, off)),
-                          params={**params, "d": d,
-                                  **dict(zip("rst", off))},
-                          predicted_dimension=dimension)
-            for off in offsets]
+def pure_gaps(n: int, points: int) -> list:
+    """All pure gap pairs (points = 2) or triples (points = 3), sorted by
+    tuple: one record per tuple of each box pure_gap_box(n, params), params
+    in pure_gap_params(n, points), with the offsets from the low corner as
+    r, s[, t] and ell on the box, pure_gap_dimension(n, params).
 
-
-def pure_gaps_pair(n: int) -> list:
-    """All pure gap pairs at any two distinct fundamental points.
-
-    The same integer set works for each cyclic ordered pair (P1,P2),
-    (P2,P3), (P3,P1); a reversed pair sees the transposed set.  It is the
-    union of the boxes pure_gap_box(n, (i, j)) over i, j >= 1 with
-    d = i + j <= n - 1:
-
-        a = (i-1)n + r + 1      0 <= r <= n - 1 - d
-        b = (j-1)n + i + s      0 <= s <= n - d
-
-    Both ell(a P + b Q) and ell((a-1) P + (b-1) Q) equal
-    (d-1)(d-2)/2 + i.
+    The pair set is the same at each cyclic ordered pair (P1,P2), (P2,P3),
+    (P3,P1); a reversed pair sees the transposed set.  The triples sit at
+    (P1, P2, P3), and no coordinate of one is divisible by n - 1.
     """
     out = []
-    for i in range(1, n):
-        for j in range(1, n - i):
-            out += _box_records(n, {"i": i, "j": j})
+    for params in pure_gap_params(n, points):
+        box = pure_gap_box(n, params)
+        dimension = pure_gap_dimension(n, params)
+        named = {**dict(zip("ijk", params)), "d": sum(params)}
+        for off in product(*(range(hi - lo + 1) for lo, hi in box)):
+            out.append(PureGapRecord(
+                tuple_=tuple(lo + o for (lo, _), o in zip(box, off)),
+                params={**named, **dict(zip("rst", off))},
+                predicted_dimension=dimension))
     out.sort(key=lambda rec: rec.tuple_)
     return out
 
@@ -274,26 +280,6 @@ def pure_gaps_pair_via_homma_kim(n: int) -> list:
             if sigma[i] > sigma[j]:
                 pairs.append((gaps[i - 1], gaps[sigma[j] - 1]))
     return sorted(pairs)
-
-
-def pure_gaps_triple(n: int) -> list:
-    """All pure gap triples at (P1, P2, P3).
-
-    The union of the boxes pure_gap_box(n, (i, j, k)) over i, j, k >= 0
-    with d = i + j + k <= n - 3, with offsets r, s, t in [0, n-3-d]:
-
-        (kn + j + r + 1, in + k + s + 1, jn + i + t + 1)
-
-    with both relevant dimensions equal to (d+1)(d+2)/2.  No coordinate of
-    a pure gap triple is divisible by n - 1.
-    """
-    out = []
-    for i in range(0, max(n - 2, 0)):
-        for j in range(0, n - 2 - i):
-            for k in range(0, n - 2 - i - j):
-                out += _box_records(n, {"i": i, "j": j, "k": k})
-    out.sort(key=lambda rec: rec.tuple_)
-    return out
 
 
 def pure_gap_count_triple(n: int) -> int:

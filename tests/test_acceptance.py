@@ -10,17 +10,15 @@ import numpy as np
 from tripoint.catalog import RECORD_LENGTHS
 from tripoint.codes import (build_COmega, carvalho_torres_bound,
                             evaluation_points, hermitian_maximal_count,
-                            hurwitz_count, predict_pair_params,
-                            verify_distance_floor)
+                            design, hurwitz_count, verify_distance_floor)
 from tripoint.curves import rational_points_raw
 from tripoint.fields import make_field
 from tripoint.claims import dimension_claims
 from tripoint.riemann_roch import (ThreePointDivisor, canonical_divisor,
                                    dim_L_oracle)
 from tripoint.weierstrass import (CYCLIC_PAIRS, gaps_closed_form, gaps_oracle,
-                                  kim_image, pure_gap_oracle, pure_gaps_pair,
-                                  pure_gaps_pair_via_homma_kim,
-                                  pure_gaps_triple)
+                                  kim_image, pure_gap_oracle, pure_gaps,
+                                  pure_gaps_pair_via_homma_kim)
 
 POINTS = ("P1", "P2", "P3")
 
@@ -52,7 +50,7 @@ def test_02_pure_gap_pairs(klein, c16):
     problems = []
     for curve, count in ((klein, 2), (c16, 10)):
         n, g = curve.n, curve.genus
-        tuples = [r.tuple_ for r in pure_gaps_pair(n)]
+        tuples = [r.tuple_ for r in pure_gaps(n, 2)]
         if len(tuples) != count or count != (g - 1) * g // 3:
             problems.append(f"count n={n}")
         if pure_gaps_pair_via_homma_kim(n) != tuples:
@@ -72,11 +70,11 @@ def test_03_pure_gap_triples(klein, c16):
     problems = []
     for n, count in ((3, 1), (4, 11), (5, 57)):
         g = n * (n - 1) // 2
-        if len(pure_gaps_triple(n)) != count or \
+        if len(pure_gaps(n, 3)) != count or \
                 count != (g - 1) * g * (2 * g - 1) // 30:
             problems.append(f"count n={n}")
     for curve in (klein, c16):
-        for rec in pure_gaps_triple(curve.n):
+        for rec in pure_gaps(curve.n, 3):
             d = rec.params["d"]
             want = (d + 1) * (d + 2) // 2
             if not pure_gap_oracle(curve, rec.tuple_):
@@ -117,7 +115,7 @@ def test_06_q16_code_row(c16):
     problems = []
     if len(c16.rational_points()) != 39:
         problems.append("point count")
-    spec = predict_pair_params(4, 2, 1)
+    spec = design(4, (2, 1))
     pts = evaluation_points(c16, spec.G)
     report = build_COmega(c16, pts, spec.G, boxes=spec.boxes)
     if (report.length, report.dimension) != (37, 29):
@@ -135,7 +133,7 @@ def test_07_q27_code_row(c27):
     problems = []
     if len(c27.rational_points()) != 59:
         problems.append("point count")
-    spec = predict_pair_params(4, 2, 1)
+    spec = design(4, (2, 1))
     pts = evaluation_points(c27, spec.G)
     report = build_COmega(c27, pts, spec.G, boxes=spec.boxes)
     if (report.length, report.dimension) != (57, 49):
@@ -150,7 +148,7 @@ def test_08_record_ladder(record):
     problems = []
     if len(record.rational_points()) != 115:
         problems.append("point count")
-    spec = predict_pair_params(5, 3, 1)
+    spec = design(5, (3, 1))
     if spec.designed_distance != 12:
         problems.append("floor")
     want_pairs = [(m, m - 18) for m in RECORD_LENGTHS]   # ell(G) = 18
@@ -187,7 +185,7 @@ def test_10_structural_properties(klein, c16):
                for a in gaps):
             problems.append(f"kim cube n={n}")
     for n in range(3, 11):
-        for rec in pure_gaps_triple(n):
+        for rec in pure_gaps(n, 3):
             if any(v % (n - 1) == 0 for v in rec.tuple_):
                 problems.append(f"divisible coordinate {rec.tuple_}")
     for curve in (klein, c16):

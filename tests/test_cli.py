@@ -394,6 +394,36 @@ def test_code_design_gate(capsys):
     assert "(n+2)/2 <= i+j <= n-1" in err
 
 
+def test_code_hypotheses_at_built_length(capsys):
+    # the design block reads the hypotheses at the length built: a pair
+    # wants m >= 2n^2 - 4n - 2 (14 at n = 4), a triple m > deg G (27 for
+    # (1, 1, 0) at n = 5); the full length meets both (the triple's G has
+    # a pole at P3, so its full length leaves P3 out)
+    for argv, length, met in (
+            (("--curve", "q16-n4", "--design", "2,1", "--length", "10"),
+             10, False),
+            (("--curve", "q16-n4", "--design", "2,1"), 37, True),
+            (("--curve", "q49-n5-record", "--design", "1,1,0",
+              "--length", "20"), 20, False),
+            (("--curve", "q49-n5-record", "--design", "1,1,0"), 112, True)):
+        code, doc, _ = run_json(capsys, "code", *argv)
+        assert code == 0, argv
+        assert doc["report"]["length"] == length, argv
+        assert doc["design"]["hypotheses_met"] is met, argv
+
+
+def test_code_refused_triple_names_range(capsys):
+    # out of range, or d = n - 2 with an empty box: exit 1, and the
+    # message names the params and the range
+    for design, text in (("1,1,1", "want entries >= 0 with sum <= 2"),
+                         ("1,1,0", "want a sum <= 1")):
+        code, out, err = run(capsys, "code", "--curve", "q16-n4",
+                             "--design", design)
+        assert (code, out) == (1, ""), design
+        assert f"({design.replace(',', ', ')})" in err and text in err
+        assert "empty box [" not in err
+
+
 def test_code_exclude_p3(capsys):
     code, doc, _ = run_json(capsys, "code", "--curve", "q16-n4",
                             "--design", "2,1", "--exclude-p3")

@@ -13,13 +13,12 @@ from tripoint.codes import (BudgetError, CodesError, build_CL, build_COmega,
                             carvalho_torres_bound, curve_search,
                             evaluation_points, goppa_bound,
                             hermitian_maximal_count, hurwitz_count,
-                            low_weight_search, predict_pair_params,
-                            predict_triple_params, verify_distance_floor)
+                            low_weight_search, verify_distance_floor)
 from tripoint.curves import FUNDAMENTAL_POINTS, CurveSpec, eval_terms
 from tripoint.fields import make_field
 from tripoint.riemann_roch import (ThreePointDivisor, basis_L_oracle,
                                    dim_L_oracle, order_of_form)
-from tripoint.weierstrass import pure_gaps_pair, pure_gaps_triple
+from tripoint.weierstrass import pure_gaps
 
 
 def _fmm(field, A, B):
@@ -43,33 +42,33 @@ def test_bound_formulas():
 
 
 def test_predict_pair_values():
-    spec = predict_pair_params(4, 2, 1)
+    spec = codes.design(4, (2, 1))
     assert spec.G.coeffs() == (9, 4, 0)
     assert spec.boxes == ((5, 5), (2, 3))
     assert spec.designed_distance == 6
     assert spec.goppa_distance == 3
     assert spec.hypotheses_met        # 2(i+j) = 6 >= n+2 = 6
-    assert not predict_pair_params(4, 2, 1, m=10).hypotheses_met
-    assert predict_pair_params(4, 2, 1, m=37).hypotheses_met
+    assert not codes.design(4, (2, 1), m=10).hypotheses_met
+    assert codes.design(4, (2, 1), m=37).hypotheses_met
 
-    rec = predict_pair_params(5, 3, 1)
+    rec = codes.design(5, (3, 1))
     assert rec.G.coeffs() == (21, 6, 0)
     assert rec.boxes == ((11, 11), (3, 4))
     assert rec.designed_distance == 12
     assert rec.goppa_distance == 9
 
     with pytest.raises(CodesError):
-        predict_pair_params(4, 2, 2)   # i + j > n - 1
+        codes.design(4, (2, 2))   # i + j > n - 1
     with pytest.raises(CodesError):
-        predict_pair_params(4, 0, 1)
+        codes.design(4, (0, 1))
 
 
 def test_predict_pair_box_is_pure(c16, record):
     for n in (4, 5):
-        pure = {r.tuple_ for r in pure_gaps_pair(n)}
+        pure = {r.tuple_ for r in pure_gaps(n, 2)}
         for i in range(1, n - 1):
             for j in range(1, n - i):
-                spec = predict_pair_params(n, i, j)
+                spec = codes.design(n, (i, j))
                 (a1, b1), (a2, b2) = spec.boxes
                 for t in itertools.product(range(a1, b1 + 1),
                                            range(a2, b2 + 1)):
@@ -77,25 +76,40 @@ def test_predict_pair_box_is_pure(c16, record):
 
 
 def test_predict_triple_values():
-    spec = predict_triple_params(5, 1, 0, 0)
+    spec = codes.design(5, (1, 0, 0))
     assert spec.boxes == ((1, 2), (6, 7), (2, 3))
     assert spec.G.coeffs() == (2, 12, 4)
     g = 10
     assert spec.goppa_distance == 18 - (2 * g - 2)
     assert spec.designed_distance == spec.goppa_distance + 6
     assert not spec.hypotheses_met    # 9d = 9 <= (n-2)^2 = 9
-    assert predict_triple_params(5, 1, 1, 0).hypotheses_met
+    assert codes.design(5, (1, 1, 0)).hypotheses_met
     with pytest.raises(CodesError):
-        predict_triple_params(5, 1, 1, 1)   # d > n - 3
+        codes.design(5, (1, 1, 1))   # d > n - 3
+
+
+def test_design_length_hypotheses():
+    # a pair wants m >= 2n^2 - 4n - 2, a triple m > deg G; the length-free
+    # hypotheses hold for both designs
+    assert not codes.design(4, (2, 1), m=13).hypotheses_met
+    assert codes.design(4, (2, 1), m=14).hypotheses_met
+    spec = codes.design(5, (1, 1, 0))
+    assert spec.hypotheses_met and spec.G.degree == 27
+    assert not codes.design(5, (1, 1, 0), m=27).hypotheses_met
+    assert codes.design(5, (1, 1, 0), m=28).hypotheses_met
+    # an empty box (d = n - 2) and a wrong length are refused too
+    for params in ((1, 1, 0), (0, 0, 2), (1,), (1, 1, 0, 0)):
+        with pytest.raises(CodesError):
+            codes.design(4, params)
 
 
 def test_predict_triple_box_is_pure():
     for n in (4, 5, 6):
-        pure = {r.tuple_ for r in pure_gaps_triple(n)}
+        pure = {r.tuple_ for r in pure_gaps(n, 3)}
         for i in range(0, n - 2):
             for j in range(0, n - 2 - i):
                 for k in range(0, n - 2 - i - j):
-                    spec = predict_triple_params(n, i, j, k)
+                    spec = codes.design(n, (i, j, k))
                     ranges = [range(lo, hi + 1) for lo, hi in spec.boxes]
                     for t in itertools.product(*ranges):
                         assert t in pure
@@ -147,8 +161,8 @@ def test_build_CL_values_match_scalar_evaluation(klein, c16, c27):
     for curve in (klein, c16, c27):
         f = curve.field
         p3 = FUNDAMENTAL_POINTS[2]
-        cases = [predict_pair_params(4, 2, 1).G,    # the design (2, 1)
-                 predict_pair_params(4, 1, 2).G,    # (1, 2): M = X^2 Z^2
+        cases = [codes.design(4, (2, 1)).G,    # the design (2, 1)
+                 codes.design(4, (1, 2)).G,    # (1, 2): M = X^2 Z^2
                  ThreePointDivisor(12, 5, -3),       # G.c < 0: P3 is used
                  ThreePointDivisor(4, 3, -1),        # on q8-n3, M = Z^3
                  ThreePointDivisor(4, 3, 5)]         # M is not a power of Z
@@ -193,7 +207,7 @@ def test_parity_check_pinned_where_cover_has_x_or_y(c16):
     curves = {"q16-n4": c16, "q8-n5": CurveSpec(make_field(2, 3), 5)}
     for (name, design), (shape, digest) in _PINNED_PARITY.items():
         curve = curves[name]
-        spec = predict_pair_params(curve.n, *design)
+        spec = codes.design(curve.n, design)
         H = build_COmega(curve, evaluation_points(curve, spec.G),
                          spec.G).parity_check
         got = hashlib.sha256(json.dumps(H.tolist()).encode()).hexdigest()
@@ -204,8 +218,8 @@ def _box_designs(n):
     pairs = [(i, j) for i in range(1, n) for j in range(1, n - i)]
     triples = [(i, j, k) for i in range(n - 2) for j in range(n - 2 - i)
                for k in range(n - 2 - i - j)]
-    return ([predict_pair_params(n, *d) for d in pairs]
-            + [predict_triple_params(n, *d) for d in triples])
+    return ([codes.design(n, d) for d in pairs]
+            + [codes.design(n, d) for d in triples])
 
 
 @pytest.mark.parametrize("name, n", [("q8-n3", 3), ("q16-n4", 4),
@@ -231,7 +245,7 @@ def test_n8_designs_build(design, cover, tmp_path, capsys):
     # a pure power of Z would cover these G with forms of degree 67-82,
     # beyond DEGREE_CAP; the smallest cover has degree 10 or 12
     curve = CurveSpec(make_field(2, 3), 8)
-    spec = predict_pair_params(8, *design)
+    spec = codes.design(8, design)
     space = basis_L_oracle(curve, spec.G)
     assert space.dimension == dim_L_oracle(curve, spec.G)
     assert space.denominator == cover
@@ -248,7 +262,7 @@ def test_n8_designs_build(design, cover, tmp_path, capsys):
 
 
 def test_q16_code_report(c16):
-    spec = predict_pair_params(4, 2, 1)
+    spec = codes.design(4, (2, 1))
     pts = evaluation_points(c16, spec.G)
     rep = build_COmega(c16, pts, spec.G, boxes=spec.boxes)
     assert (rep.length, rep.dimension) == (37, 29)
@@ -264,7 +278,7 @@ def test_q16_code_report(c16):
 
 
 def test_q16_distance_certification(c16):
-    spec = predict_pair_params(4, 2, 1)
+    spec = codes.design(4, (2, 1))
     pts = evaluation_points(c16, spec.G)
     rep = build_COmega(c16, pts, spec.G, boxes=spec.boxes)
     ok, witness, checked = verify_distance_floor(c16.field, rep.parity_check, 5)
@@ -471,7 +485,7 @@ def test_verify_distance_floor_pivot_rows(p, k, monkeypatch):
 def test_certification_keys_see_only_live_rows(c16, monkeypatch):
     # q16-n4 at w = 5: H has 8 rows, and the three prefix columns of every
     # last-level test have dropped three pivot rows, so each key call sees 5
-    spec = predict_pair_params(4, 2, 1)
+    spec = codes.design(4, (2, 1))
     rep = build_COmega(c16, evaluation_points(c16, spec.G), spec.G)
     assert rep.parity_check.shape == (8, 37)
     rows, keys = [], codes._column_keys
@@ -525,7 +539,7 @@ def test_certification_memory_stays_bounded(c27):
     # q27-n4 at w = 5 (4,187,106 subsets): the stacked calls are bounded
     # in cells, so numpy's buffers, which tracemalloc sees, stay small
     import tracemalloc
-    spec = predict_pair_params(4, 2, 1)
+    spec = codes.design(4, (2, 1))
     rep = build_COmega(c27, evaluation_points(c27, spec.G), spec.G,
                        boxes=spec.boxes)
     c27.field.tables()
@@ -543,7 +557,7 @@ def test_certification_memory_stays_bounded(c27):
 
 def test_record_code_floor_four(record):
     # 18 x 113 over GF(49): 49^18 > 2^63, so each column takes two key words
-    spec = predict_pair_params(5, 3, 1)
+    spec = codes.design(5, (3, 1))
     pts = evaluation_points(record, spec.G, length=113)
     rep = build_COmega(record, pts, spec.G, boxes=spec.boxes)
     assert (rep.length, rep.dimension, rep.pure_gap_bound) == (113, 95, 12)
@@ -603,7 +617,7 @@ def test_counting_formulas():
 def _record_code(record, length=113):
     """C_Omega of the design (3, 1) on the record curve, truncated to
     length points: the [113, 95] code and the rest of the ladder."""
-    spec = predict_pair_params(5, 3, 1)
+    spec = codes.design(5, (3, 1))
     pts = evaluation_points(record, spec.G, length=length)
     return build_COmega(record, pts, spec.G, boxes=spec.boxes)
 

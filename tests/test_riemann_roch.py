@@ -18,8 +18,7 @@ from tripoint.riemann_roch import (DEGREE_CAP, POINT_IDS, OracleError,
                                    _class_of, _covering_exponents,
                                    _expansions, _representative)
 from tripoint.series import monomial_orders
-from tripoint.weierstrass import (pure_gap_box, pure_gap_dimension,
-                                  pure_gaps_pair, pure_gaps_triple)
+from tripoint.weierstrass import pure_gap_box, pure_gap_dimension, pure_gaps
 
 P1, P2, P3 = (ThreePointDivisor(1, 0, 0), ThreePointDivisor(0, 1, 0),
               ThreePointDivisor(0, 0, 1))
@@ -121,10 +120,10 @@ def test_box_corner_claims_match_reference_formulas():
         got = [(c.family, c.label, c.divisor.coeffs(), c.dimension, c.params)
                for c in dimension_claims(n, ("MdNd", "Sd+e"))]
         assert got == want
-        for rec in pure_gaps_pair(n):
+        for rec in pure_gaps(n, 2):
             d, i = rec.params["d"], rec.params["i"]
             assert rec.predicted_dimension == (d - 1) * (d - 2) // 2 + i
-        for rec in pure_gaps_triple(n):
+        for rec in pure_gaps(n, 3):
             d = rec.params["d"]
             assert rec.predicted_dimension == (d + 1) * (d + 2) // 2
 

@@ -1,12 +1,15 @@
+import itertools
+
 import pytest
 
 from tripoint.weierstrass import (gap_index, gap_pair_count, gap_pairs_oracle,
                                   gaps_closed_form, gaps_oracle, kim_image,
                                   kim_map, pair_membership_oracle,
                                   pure_gap_count_pair, pure_gap_count_triple,
-                                  pure_gap_oracle, pure_gaps_pair,
+                                  pure_gap_box, pure_gap_oracle,
+                                  pure_gap_params, pure_gaps,
                                   pure_gaps_pair_via_homma_kim,
-                                  pure_gaps_triple, semigroup_generators)
+                                  semigroup_generators)
 
 POINTS = ("P1", "P2", "P3")
 CYCLIC = (("P1", "P2"), ("P2", "P3"), ("P3", "P1"))
@@ -92,36 +95,54 @@ def test_kim_map_witness_tables():
 
 
 def test_pure_gap_pair_counts():
-    assert [r.tuple_ for r in pure_gaps_pair(3)] == [(1, 1), (1, 2)]
-    assert len(pure_gaps_pair(4)) == 10
+    assert [r.tuple_ for r in pure_gaps(3, 2)] == [(1, 1), (1, 2)]
+    assert len(pure_gaps(4, 2)) == 10
     for n in range(3, 11):
-        assert len(pure_gaps_pair(n)) == pure_gap_count_pair(n)
+        assert len(pure_gaps(n, 2)) == pure_gap_count_pair(n)
         # distinct tuples: the parametrization never collides
-        assert len({r.tuple_ for r in pure_gaps_pair(n)}) == \
+        assert len({r.tuple_ for r in pure_gaps(n, 2)}) == \
             pure_gap_count_pair(n)
 
 
 def test_pair_set_matches_inversion_description():
     for n in range(3, 11):
         via_kim = pure_gaps_pair_via_homma_kim(n)
-        assert via_kim == [r.tuple_ for r in pure_gaps_pair(n)]
+        assert via_kim == [r.tuple_ for r in pure_gaps(n, 2)]
 
 
 def test_pure_gap_triple_counts():
-    assert [r.tuple_ for r in pure_gaps_triple(3)] == [(1, 1, 1)]
-    assert len(pure_gaps_triple(4)) == 11
-    assert len(pure_gaps_triple(5)) == 57
+    assert [r.tuple_ for r in pure_gaps(3, 3)] == [(1, 1, 1)]
+    assert len(pure_gaps(4, 3)) == 11
+    assert len(pure_gaps(5, 3)) == 57
     for n in range(3, 11):
-        recs = pure_gaps_triple(n)
+        recs = pure_gaps(n, 3)
         assert len(recs) == pure_gap_count_triple(n)
         for r in recs:
             assert all(c % (n - 1) != 0 for c in r.tuple_)
 
 
+def test_pure_gap_params_walk_the_box_domain():
+    # the walk is every tuple of the cube [-1, n]^points that pure_gap_box
+    # accepts, in lexicographic order
+    for n in range(3, 9):
+        for points in (2, 3):
+            accepted = []
+            for params in itertools.product(range(-1, n + 1), repeat=points):
+                try:
+                    pure_gap_box(n, params)
+                except ValueError:
+                    continue
+                accepted.append(params)
+            assert list(pure_gap_params(n, points)) == accepted, (n, points)
+    for points in (1, 4):
+        with pytest.raises(ValueError):
+            pure_gap_params(5, points)
+
+
 def test_pure_pair_oracle_cyclic_pairs(klein):
     # the same integer pairs are pure at each cyclic ordered pair; a
     # reversed pair gets the transposed set
-    records = pure_gaps_pair(3)
+    records = pure_gaps(3, 2)
     for pair in CYCLIC:
         for rec in records:
             assert pure_gap_oracle(klein, rec.tuple_, pair)
@@ -142,7 +163,7 @@ def test_pure_pair_oracle_cyclic_pairs(klein):
 def test_pure_pair_dimensions(klein, c16):
     from tripoint.riemann_roch import ThreePointDivisor, dim_L_oracle
     for curve in (klein, c16):
-        for rec in pure_gaps_pair(curve.n):
+        for rec in pure_gaps(curve.n, 2):
             a, b = rec.tuple_
             got = dim_L_oracle(curve, ThreePointDivisor(a, b, 0))
             assert got == rec.predicted_dimension
@@ -153,14 +174,14 @@ def test_pure_pair_dimensions(klein, c16):
 def test_pure_triple_oracle(klein, c16):
     assert pure_gap_oracle(klein, (1, 1, 1))
     assert not pure_gap_oracle(klein, (2, 2, 2))
-    for rec in pure_gaps_triple(4):
+    for rec in pure_gaps(4, 3):
         assert pure_gap_oracle(c16, rec.tuple_)
 
 
 def test_gap_pairs_oracle_counts(klein, c16):
     pairs3 = gap_pairs_oracle(klein)
     assert len(pairs3) == gap_pair_count(3) == 12
-    pure = {r.tuple_ for r in pure_gaps_pair(3)}
+    pure = {r.tuple_ for r in pure_gaps(3, 2)}
     assert pure <= pairs3
     assert (1, 0) in pairs3 and (0, 1) in pairs3   # plain gaps ride along
     assert len(gap_pairs_oracle(c16)) == gap_pair_count(4) == 42
