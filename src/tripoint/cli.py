@@ -120,10 +120,11 @@ def _nullable(action: argparse.Action) -> bool:
 def _resolve(args: argparse.Namespace, argv) -> dict:
     """The run's configuration: explicit flag > config file > the flag's
     default.  With --config the file's values are checked by their flags'
-    actions, and a null is refused where _nullable says so.  Then argv is
-    parsed again by a fresh parser whose subcommand takes them as its
-    defaults (set_defaults rewrites the actions of the shared `common`
-    parent, so the cached parser that read argv is left alone)."""
+    actions, on any subcommand, and a null is refused where _nullable says
+    so.  Then argv is parsed again by a fresh parser whose subcommand takes
+    the values of its own flags as its defaults (set_defaults rewrites the
+    actions it shares with the other subcommands through the parent parsers
+    output, seed, budget and config, so the cached parser is left alone)."""
     if args.config:
         try:
             with open(args.config) as fh:
@@ -246,15 +247,15 @@ def _parse_prime_power(q: int) -> tuple:
 
 def _load_curve(cfg: dict, n: int | None = None) -> CurveSpec:
     """--curve accepts a bundled curve name or a JSON file path; without it
-    a default check curve for the requested n is picked."""
+    the check curve for the requested n is `verify`'s (VERIFY_CURVES), and
+    beyond those n the G = 0 member over GF(8), if it is smooth."""
     name = cfg.get("curve")
     builtins = builtin_curves()
     if name is None:
         if n is None:
             raise UsageError("--curve is required")
-        for candidate in builtins.values():
-            if candidate.n == n:
-                return candidate
+        if n in VERIFY_CURVES:
+            return builtins[VERIFY_CURVES[n]]
         curve = CurveSpec(make_field(2, 3), n)
         if not curve.is_smooth():
             raise UsageError(
@@ -643,21 +644,25 @@ def cmd_verify(cfg: dict):
 # ---------------------------------------------------------------------------
 
 def build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="write the report here instead of stdout")
-    common.add_argument("--format", choices=FORMATS, default="json")
-    common.add_argument("--seed", type=_count, default=0)
-    common.add_argument("--budget", type=_count, default=10_000_000,
+    # parent parsers; a subcommand lists its own in the config echo's order
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", help="write the report here instead of stdout")
+    output.add_argument("--format", choices=FORMATS, default="json")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=_count, default=0)
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget", type=_count, default=10_000_000,
                         help="max column subsets C(m, w) per certification, "
                              "an integer such as 10000000 or 1e7")
-    common.add_argument("--config",
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config",
                         help="JSON config file; flags override its values")
 
     parser = _Parser(prog="tripoint",
                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("gaps", parents=[common],
+    p = sub.add_parser("gaps", parents=[output, config],
                        help="gap sequence, semigroup, and the gap bijections")
     p.add_argument("--n", type=_count)
     p.add_argument("--check", action="store_true",
@@ -665,7 +670,7 @@ def build_parser() -> _Parser:
     p.add_argument("--curve", help="bundled curve name or JSON file")
     p.set_defaults(func=cmd_gaps)
 
-    p = sub.add_parser("pure-gaps", parents=[common],
+    p = sub.add_parser("pure-gaps", parents=[output, config],
                        help="pure gap pairs or triples with parameters")
     p.add_argument("--n", type=_count)
     p.add_argument("--points", type=_count, choices=(2, 3), default=2)
@@ -673,7 +678,7 @@ def build_parser() -> _Parser:
     p.add_argument("--curve")
     p.set_defaults(func=cmd_pure_gaps)
 
-    p = sub.add_parser("dims", parents=[common],
+    p = sub.add_parser("dims", parents=[output, config],
                        help="closed-form dimension tables, optionally "
                             "checked against the oracle")
     p.add_argument("--n", type=_count)
@@ -683,7 +688,7 @@ def build_parser() -> _Parser:
     p.add_argument("--curve")
     p.set_defaults(func=cmd_dims)
 
-    p = sub.add_parser("code", parents=[common],
+    p = sub.add_parser("code", parents=[output, seed, budget, config],
                        help="build a differential code and its bounds")
     p.add_argument("--curve")
     p.add_argument("--design", help="i,j (two-point) or i,j,k (three-point)")
@@ -703,7 +708,7 @@ def build_parser() -> _Parser:
                    help="also write parity/generator matrices as CSV")
     p.set_defaults(func=cmd_code)
 
-    p = sub.add_parser("search", parents=[common],
+    p = sub.add_parser("search", parents=[output, seed, config],
                        help="sweep G-coefficient space for many-point curves")
     p.add_argument("--q", type=_count, help="field order (prime power)")
     p.add_argument("--n", type=_count)
@@ -715,12 +720,12 @@ def build_parser() -> _Parser:
     p.add_argument("--keep-singular", action="store_true")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("reproduce", parents=[common],
+    p = sub.add_parser("reproduce", parents=[output, budget, config],
                        help="rebuild every bundled reference row from scratch")
     p.add_argument("--rows", help="comma list of row names (default: all)")
     p.set_defaults(func=cmd_reproduce)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[output, config],
                        help="run the full formula-vs-oracle check suite")
     p.add_argument("--n-max", type=_count, default=4)
     p.set_defaults(func=cmd_verify)
@@ -753,6 +758,9 @@ def main(argv=None) -> int:
             BudgetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except AssertionError as exc:   # an internal identity failed
+        print(f"invariant failed: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

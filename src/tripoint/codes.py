@@ -263,7 +263,7 @@ def build_COmega(curve: CurveSpec, points: list, G: ThreePointDivisor,
     same reduced form (linalg.reduced_nullspace), whose pivots it shares.
     The dimension m - rank is cross-checked against the
     index-of-specialty identity when deg(G - D) < 0:
-    dim = i(G - D) - i(G) = m - ell(G).
+    dim = i(G - D) - i(G) = m - ell(G), an AssertionError if they differ.
     """
     E, rr = build_CL(curve, points, G)
     field = curve.field
@@ -275,7 +275,7 @@ def build_COmega(curve: CurveSpec, points: list, G: ThreePointDivisor,
     if G.degree < m:
         expect = m - rr.dimension
         if k != expect:
-            raise CodesError(
+            raise AssertionError(
                 f"dimension {k} disagrees with index-of-specialty value {expect}")
     else:
         notes.append("deg G >= length: dimension identity not checkable")

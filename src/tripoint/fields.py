@@ -121,6 +121,18 @@ def default_modulus(p: int, k: int) -> tuple:
     raise FieldError(f"no irreducible polynomial found for p={p}, k={k}")
 
 
+def _modulus(p: int, k: int, modulus) -> tuple:
+    """GF(p^k)'s modulus: the given one reduced mod p, or the default; a p
+    that is not prime or a k that is not a positive int is a FieldError."""
+    if not isinstance(p, int) or not is_prime(p):
+        raise FieldError(f"characteristic must be prime, got {p!r}")
+    if not isinstance(k, int) or k < 1:
+        raise FieldError(f"extension degree must be a positive int, got {k!r}")
+    if modulus is None:
+        return default_modulus(p, k)
+    return tuple(int(c) % p for c in modulus)
+
+
 def _reduction_rows(p: int, k: int, modulus) -> list:
     """x^(k+j) mod modulus for j = 0..k-2, as length-k digit tuples.
 
@@ -264,19 +276,12 @@ class Field:
                  "_tables", "_embed_roots", "_generator", "__weakref__")
 
     def __init__(self, p: int, k: int = 1, modulus=None):
-        if not isinstance(p, int) or not is_prime(p):
-            raise FieldError(f"characteristic must be prime, got {p!r}")
-        if not isinstance(k, int) or k < 1:
-            raise FieldError(f"extension degree must be a positive int, got {k!r}")
-        if modulus is None:
-            modulus = default_modulus(p, k)
-        else:
-            modulus = tuple(int(c) % p for c in modulus)
-            if len(modulus) != k + 1 or modulus[-1] != 1:
-                raise FieldError(
-                    f"modulus must be monic of degree {k}, got {modulus}")
-            if not is_irreducible(modulus, p):
-                raise FieldError(f"modulus {modulus} is reducible over GF({p})")
+        modulus = _modulus(p, k, modulus)
+        if len(modulus) != k + 1 or modulus[-1] != 1:
+            raise FieldError(
+                f"modulus must be monic of degree {k}, got {modulus}")
+        if not is_irreducible(modulus, p):
+            raise FieldError(f"modulus {modulus} is reducible over GF({p})")
         self.p = p
         self.k = k
         self.q = p ** k
@@ -456,15 +461,7 @@ def make_field(p: int, k: int = 1, modulus=None) -> Field:
     With modulus=None the deterministic default modulus is used, so repeated
     calls return the identical Field object and its lookup tables are shared.
     """
-    if not isinstance(p, int) or not is_prime(p):
-        raise FieldError(f"characteristic must be prime, got {p!r}")
-    if not isinstance(k, int) or k < 1:
-        raise FieldError(f"extension degree must be a positive int, got {k!r}")
-    if modulus is None:
-        modulus = default_modulus(p, k)
-    else:
-        modulus = tuple(int(c) % p for c in modulus)
-    return _cached_field(p, k, modulus)
+    return _cached_field(p, k, _modulus(p, k, modulus))
 
 
 def embed(src: Field, code: int, target: Field) -> int:

@@ -1,6 +1,9 @@
 import argparse
+import ast
 import csv
+import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -8,11 +11,14 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
-from tripoint import CurveSpec, cli, make_field, verification
+from tripoint import (CurveSpec, cli, codes, make_field, verification,
+                      weierstrass)
+from tripoint.catalog import builtin_curves
 from tripoint.cli import build_parser, main
 
 
@@ -140,15 +146,24 @@ def test_usage_errors(capsys, tmp_path, monkeypatch):
     path.write_text(json.dumps({"seed": -1}))
     for argv in (("code", "--curve", "q16-n4", "--design", "2,1",
                   "--estimate-trials", "5", "--seed", "-1"),
-                 ("gaps", "--n", "3", "--seed", "-1"),
                  ("search", "--q", "2", "--n", "3", "--sample", "3",
                   "--seed", "-1")):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert "argument --seed: expected a non-negative integer" in err
-    code, out, err = run(capsys, "gaps", "--n", "3", "--config", str(path))
+    code, out, err = run(capsys, "search", "--q", "2", "--n", "3",
+                         "--sample", "3", "--config", str(path))
     assert code == 1 and out == ""
     assert "seed: expected a non-negative integer" in err and "'-1'" in err
+    # --seed and --budget are flags only of the subcommands that read them
+    for flag, commands in (("--seed", ("gaps", "pure-gaps", "dims",
+                                       "reproduce", "verify")),
+                           ("--budget", ("gaps", "pure-gaps", "dims",
+                                         "search", "verify"))):
+        for command in commands:
+            code, out, err = run(capsys, command, flag, "1")
+            assert (code, out) == (1, "")
+            assert err == f"usage error: unrecognized arguments: {flag} 1\n"
     # the removed flags are unknown arguments
     for argv, extra in ((("reproduce", "--rows", "counts"), ("--jobs", "2")),
                         (("verify", "--n-max", "3"), ("--skip-oracle-sweeps",)),
@@ -258,6 +273,12 @@ def test_gaps_check_fallback_curve(capsys, monkeypatch):
     monkeypatch.setattr(CurveSpec, "is_smooth", lambda self: False)
     code, out, err = run(capsys, "gaps", "--n", "6", "--check")
     assert code == 1 and out == "" and "GF(8) is singular" in err
+
+
+def test_check_curve_is_verify_curve():
+    # without --curve, a check at n = 3, 4, 5 runs on verify's curve
+    for n, name in verification.VERIFY_CURVES.items():
+        assert cli._load_curve({"curve": None}, n) == builtin_curves()[name]
 
 
 def test_pure_gaps_payload(capsys):
@@ -553,6 +574,31 @@ def test_verify_invariant_exit(capsys, monkeypatch, corrupted_field):
     assert failing and all(r["section"] == "fields" for r in failing)
 
 
+def test_failed_identity_exits_2(capsys, monkeypatch):
+    # an internal identity that fails is exit 2 and one stderr line, not a
+    # traceback and not a usage error: a wrong Kim witness, and an ell(G)
+    # that is off by one against the code's dimension
+    with monkeypatch.context() as m:
+        m.setattr(weierstrass, "_witness_monomial",
+                  lambda pair, n, a: (0, a))
+        code, out, err = run(capsys, "gaps", "--n", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("invariant failed: witness x^0 y^1 has pole ")
+    assert err.count("\n") == 1
+    build_CL = codes.build_CL
+
+    def off_by_one(*args, **kwargs):
+        E, rr = build_CL(*args, **kwargs)
+        return E, dataclasses.replace(rr, dimension=rr.dimension + 1)
+
+    monkeypatch.setattr(codes, "build_CL", off_by_one)
+    code, out, err = run(capsys, "code", "--curve", "q16-n4",
+                         "--design", "2,1")
+    assert (code, out) == (2, "")
+    assert err == ("invariant failed: dimension 29 disagrees with "
+                   "index-of-specialty value 28\n")
+
+
 def test_verify_clean(capsys):
     code, doc, _ = run_json(capsys, "verify", "--n-max", "3")
     assert code == 0 and doc["passed"] is True
@@ -615,14 +661,19 @@ def test_config_file_precedence(capsys, tmp_path):
     conf.write_text(json.dumps({"bogus_key": 1}))
     code, _, err = run(capsys, "gaps", "--n", "3", "--config", str(conf))
     assert code == 1 and "unknown config keys" in err
-    # config values get the checks of their flags
-    for bad in ({"format": "xml"}, {"budget": -5}, {"budget": 2.5},
-                {"limit": -1}):
+    # config values get the checks of their flags, and a key of another
+    # subcommand's flag (limit, seed under gaps) is checked all the same
+    q16 = ("code", "--curve", "q16-n4", "--design", "2,1")
+    for argv, bad in (
+            (("gaps", "--n", "3"), {"format": "xml"}),
+            (q16, {"budget": -5}), (q16, {"budget": 2.5}),
+            (("gaps", "--n", "3"), {"limit": -1}),
+            (("gaps", "--n", "3"), {"seed": -1})):
         conf.write_text(json.dumps(bad))
-        code, out, err = run(capsys, "gaps", "--n", "3", "--config", str(conf))
+        code, out, err = run(capsys, *argv, "--config", str(conf))
         assert code == 1 and out == "" and "usage error" in err, bad
     conf.write_text(json.dumps({"budget": "1e7"}))
-    code, doc, _ = run_json(capsys, "gaps", "--n", "3", "--config", str(conf))
+    code, doc, _ = run_json(capsys, *q16, "--config", str(conf))
     assert code == 0 and doc["config"]["budget"] == 10_000_000
     # every value passes its flag's type and choices; a store_true flag
     # takes a JSON bool; the message names the key
@@ -634,12 +685,14 @@ def test_config_file_precedence(capsys, tmp_path):
         code, out, err = run(capsys, "pure-gaps", "--n", "4",
                              "--config", str(conf))
         assert code == 1 and out == "" and why in err, bad
+    # a valid key of another subcommand's flag is accepted and not applied
     conf.write_text(json.dumps({"check": False, "points": "3", "seed": 2}))
     code, doc, _ = run_json(capsys, "pure-gaps", "--n", "4",
                             "--config", str(conf))
     assert code == 0 and "oracle_check" not in doc
-    assert {k: doc["config"][k] for k in ("check", "points", "seed")} == {
-        "check": False, "points": 3, "seed": 2}
+    assert {k: doc["config"][k] for k in ("check", "points")} == {
+        "check": False, "points": 3}
+    assert "seed" not in doc["config"]
     # the keys of the removed flags are unknown, not silently accepted, and
     # so is help, the one flag that is not a setting
     for bad in ({"jobs": 2}, {"skip_oracle_sweeps": True},
@@ -659,10 +712,10 @@ _STAMP = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ")
 _PASS = "closed-form = oracle: PASS\n"
 _PINNED = (
     ("gaps --n 4 --check --curve q16-n4",
-     "86fd2e5a894f3b86dd2bb4994e372e54acb1fc95056a60a2ccf7f965c7e9fa3b",
+     "46a64837ee2b9b91aa448ff47bf57a98ed6e5299785f3c7b943c997a8efc56b8",
      _PASS, 0),
     ("pure-gaps --n 4 --points 3 --check",
-     "c8f0d6497a99a023f05432d2d19e0c58f412bab04a9de5285d762333f6a54557",
+     "9a6599e9b2ef1dcbdc28f4953e912f3154d805fe5cb1cb2961bcb0f2d2d07299",
      "", 0),
     ("dims --n 3 --check --format csv",
      "2f097372a6bd63376481a8f7dd1eb1ccdfca5e6ba4093f89df75c33cbcf21bcf",
@@ -680,19 +733,19 @@ _PINNED = (
      "e3392b840bd86a4b99cf37e54baf816553bc8e305af6275287ee1eaa73943b1d",
      "", 0),
     ("verify --n-max 3",
-     "5a4adc060420ad082a6c02e637c2e7a4790e4941ed81a75962e1d6384b051dd4",
+     "9b2c25d55be1f6a8d4bc6ddabfe1b7555f5b0e3aeec62368f8a9012b60053395",
      "", 0),
     ("verify --n-max 3 --format csv",
      "234dd897fcf478f0643aaf3aaec48587f50d5638d4cc4dfa75645e763e9f9d52",
      "", 0),
     ("search --q 2 --n 3",
-     "7937d7a0562e71a4824a1461a9afeea882811cccf1c383d01fcceec256978564",
+     "bcd0af1a090701fb8c4e6e593a0b034a28d09b512ecb83204c6b449b7b24b71f",
      "", 0),
     ("search --q 2 --n 3 --keep-singular",
-     "b648521ac4743d93773db363353a028dc402142678a50a7c0dbd3d69f3c6f643",
+     "31bec6a90786cdcc80c09bdc31ec28e8e099081cf628fadee3e47477b0546e2a",
      "", 0),
     ("gaps --config conf.json",
-     "d58cedbc84c73162bc60cbe51e266da2a43baf0517f8a74b83ef05d5257ecd64",
+     "5f1ed12a44a16c30e608ee5f4e9059cd7f8dc77e56015167e96d4915ee3a6786",
      _PASS, 0),
     ("pure-gaps --n 4 --points 5",
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -785,6 +838,44 @@ def _count_actions():
     return [(name, a.option_strings[0], a.dest)
             for name, parser in sub.items() for a in parser._actions
             if a.type is cli._count]
+
+
+def _cfg_reads(func, seen=()) -> set:
+    """The config keys that func reads: cfg[key], cfg.get(key), the key
+    of _need(cfg, key, flag), and the keys read by each cli function that
+    it hands cfg to (_need_n, _load_curve, ...)."""
+    keys = set()
+    tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Subscript) and getattr(node.value, "id", "")
+                == "cfg" and isinstance(node.slice, ast.Constant)):
+            keys.add(node.slice.value)
+        if not isinstance(node, ast.Call):
+            continue
+        callee = node.func
+        if (isinstance(callee, ast.Attribute) and callee.attr == "get"
+                and getattr(callee.value, "id", "") == "cfg"):
+            keys.add(node.args[0].value)
+        elif isinstance(callee, ast.Name) and any(
+                getattr(arg, "id", "") == "cfg" for arg in node.args):
+            if callee.id == "_need":
+                keys.add(node.args[1].value)
+            elif callee.id not in seen:
+                keys |= _cfg_reads(getattr(cli, callee.id),
+                                   (*seen, callee.id))
+    return keys
+
+
+def test_no_unread_flag():
+    # every setting a subcommand takes is read by that subcommand; the
+    # report settings --out, --format and --config are read by main
+    sub = next(a.choices for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    unread = [(name, a.dest) for name, parser in sub.items()
+              for a in parser._actions
+              if a.dest not in {"help", "out", "format", "config"}
+              and a.dest not in _cfg_reads(parser.get_default("func"))]
+    assert unread == []
 
 
 @pytest.mark.parametrize("command, flag, dest", _count_actions(),

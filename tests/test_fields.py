@@ -35,6 +35,27 @@ def test_explicit_modulus():
         make_field(2, 3, (1, 1, 1, 2))  # not monic after reduction
 
 
+def test_validation_messages_and_cache():
+    # make_field and Field check the same way, with the same messages
+    for args, text in (((4,), "characteristic must be prime, got 4"),
+                       ((2.0, 1), "characteristic must be prime, got 2.0"),
+                       ((2, 0), "extension degree must be a positive int, "
+                                "got 0"),
+                       ((2, 3, (1, 1)), "modulus must be monic of degree 3, "
+                                        "got (1, 1)"),
+                       ((5, 2, (1, 0, 1)), "modulus (1, 0, 1) is reducible "
+                                           "over GF(5)")):
+        for build in (make_field, Field):
+            with pytest.raises(FieldError) as info:
+                build(*args)
+            assert str(info.value) == text, (build, args)
+    # one cached object per (p, k, modulus), the modulus reduced mod p
+    f = make_field(3, 3)
+    assert make_field(3, 3) is f and Field.from_json(f.to_json()) is f
+    assert make_field(3, 3, [c + 3 for c in f.modulus]) is f
+    assert make_field(7, 2, (8, 0, 1)) is make_field(7, 2, (1, 0, 1))
+
+
 def test_irreducibility_small_cases():
     assert is_irreducible((1, 1, 1), 2)        # x^2+x+1
     assert not is_irreducible((1, 0, 1), 2)    # x^2+1 = (x+1)^2
