@@ -25,15 +25,14 @@ from . import __version__
 from .catalog import (RECORD_LENGTHS, RECORD_ROW, REFERENCE_ROWS,
                       builtin_curves)
 from .claims import FAMILIES, dimension_claims
-from .codes import (BudgetError, CodesError, build_COmega, curve_search,
-                    design, evaluation_points, hermitian_maximal_count,
-                    hurwitz_count, low_weight_search, verify_distance_floor)
-from .curves import (FUNDAMENTAL_POINTS, CurveError, CurveSpec,
-                     rational_points_raw)
-from .fields import FieldError, _factorise, make_field
+from .codes import (DEFAULT_BUDGET, BudgetError, CodesError, build_COmega,
+                    curve_search, design, evaluation_points,
+                    hermitian_maximal_count, hurwitz_count, low_weight_search,
+                    verify_distance_floor)
+from .curves import FUNDAMENTAL_POINTS, CurveSpec, rational_points_raw
+from .fields import _factorise, make_field
 from .riemann_roch import OracleError, ThreePointDivisor, dim_L_oracle
-from .series import SeriesError
-from .verification import VERIFY_CURVES, default_verify_report
+from .verification import VERIFY_N_MAX, check_curve, default_verify_report
 # pure_gap_oracle is unused here; benchmarks/tracing.py patches it on this module
 from .weierstrass import (CYCLIC_PAIRS, gap_index, gaps_closed_form,
                           gaps_oracle, kim_image, kim_map, pure_gap_oracle,
@@ -160,11 +159,7 @@ def _resolve(args: argparse.Namespace, argv) -> dict:
 
 
 def _csv_text(rows: list) -> str:
-    names = []
-    for row in rows:
-        for key in row:
-            if key not in names:
-                names.append(key)
+    names = list(dict.fromkeys(key for row in rows for key in row))
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=names, restval="",
                             lineterminator="\n")
@@ -225,15 +220,14 @@ def _emit(cfg: dict, envelope: dict) -> None:
 
 
 def _envelope(cfg: dict, payload: dict) -> dict:
-    out = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "version": __version__,
         "command": cfg["command"],
         "config": {k: v for k, v in cfg.items() if k != "command"},
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        **payload,
     }
-    out.update(payload)
-    return out
 
 
 def _parse_prime_power(q: int) -> tuple:
@@ -247,21 +241,13 @@ def _parse_prime_power(q: int) -> tuple:
 
 def _load_curve(cfg: dict, n: int | None = None) -> CurveSpec:
     """--curve accepts a bundled curve name or a JSON file path; without it
-    the check curve for the requested n is `verify`'s (VERIFY_CURVES), and
-    beyond those n the G = 0 member over GF(8), if it is smooth."""
+    a check at n runs on `verify`'s curve, verification.check_curve(n)."""
     name = cfg.get("curve")
-    builtins = builtin_curves()
     if name is None:
         if n is None:
             raise UsageError("--curve is required")
-        if n in VERIFY_CURVES:
-            return builtins[VERIFY_CURVES[n]]
-        curve = CurveSpec(make_field(2, 3), n)
-        if not curve.is_smooth():
-            raise UsageError(
-                f"no bundled curve with n = {n} and the G = 0 member over "
-                f"GF(8) is singular; pass --curve")
-        return curve
+        return check_curve(n)
+    builtins = builtin_curves()
     if name in builtins:
         curve = builtins[name]
     else:
@@ -446,8 +432,8 @@ def cmd_code(cfg: dict):
     if w is not None:
         certification = _certify(curve.field, report.parity_check, w,
                                  cfg["budget"])
-        if certification["ok"]:
-            report.verified_floor = w + 1
+        if certification["ok"]:     # a zero code has no distance to bound
+            report.verified_floor = w + 1 if report.dimension else None
         elif certification["ok"] is None:
             notes.append("certification skipped: " + certification["skipped"])
         else:
@@ -627,10 +613,8 @@ def cmd_reproduce(cfg: dict):
 
 def cmd_verify(cfg: dict):
     n_max = cfg["n_max"]
-    lo, hi = min(VERIFY_CURVES), max(VERIFY_CURVES)
-    if not lo <= n_max <= hi:
-        raise UsageError(f"--n-max must be in {lo}..{hi}, the n of the "
-                         f"bundled check curves, got {n_max}")
+    if not 3 <= n_max <= VERIFY_N_MAX:
+        raise UsageError(f"--n-max must be in 3..{VERIFY_N_MAX}, got {n_max}")
     report = default_verify_report(n_max)
     for row in report["rows"]:
         if not row["passed"]:
@@ -651,7 +635,7 @@ def build_parser() -> _Parser:
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=_count, default=0)
     budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--budget", type=_count, default=10_000_000,
+    budget.add_argument("--budget", type=_count, default=DEFAULT_BUDGET,
                         help="max column subsets C(m, w) per certification, "
                              "an integer such as 10000000 or 1e7")
     config = argparse.ArgumentParser(add_help=False)
@@ -754,8 +738,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FieldError, CurveError, SeriesError, OracleError, CodesError,
-            BudgetError, ValueError) as exc:
+    except (ValueError, OracleError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AssertionError as exc:   # an internal identity failed

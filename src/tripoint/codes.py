@@ -79,6 +79,10 @@ class BudgetError(RuntimeError):
     """A combinatorial certification would exceed the allowed budget."""
 
 
+# the default budget of a certification: at most this many column subsets
+DEFAULT_BUDGET = 10_000_000
+
+
 def goppa_bound(deg_G: int, genus: int) -> int:
     return deg_G - (2 * genus - 2)
 
@@ -281,12 +285,14 @@ def build_COmega(curve: CurveSpec, points: list, G: ThreePointDivisor,
         notes.append("deg G >= length: dimension identity not checkable")
     gen = linalg.reduced_nullspace(field, R, pivots)
     genus = curve.genus
+    if k == 0:
+        notes.append("zero code: no nonzero word, so no distance bound applies")
     return CodeReport(
         field_json=field.to_json(), curve_json=curve.to_json(),
         G=G.coeffs(), length=m, dimension=k,
-        goppa_bound=goppa_bound(G.degree, genus),
+        goppa_bound=goppa_bound(G.degree, genus) if k else None,
         pure_gap_bound=(carvalho_torres_bound(G.degree, genus, boxes)
-                        if boxes else None),
+                        if boxes and k else None),
         verified_floor=None, floor_witness=None, weight_upper=None,
         parity_check=H, generator=gen, notes=tuple(notes))
 
@@ -299,12 +305,9 @@ def _lex_rank(subset, m: int) -> int:
     """Position of a sorted subset in the lexicographic order of
     itertools.combinations(range(m), len(subset))."""
     w = len(subset)
-    rank, prev = 0, -1
-    for i, c in enumerate(subset):
-        rank += sum(math.comb(m - 1 - v, w - 1 - i)
-                    for v in range(prev + 1, c))
-        prev = c
-    return rank
+    # minus the subsets after it: its first i elements, then w - i above c
+    return math.comb(m, w) - 1 - sum(math.comb(m - 1 - c, w - i)
+                                     for i, c in enumerate(subset))
 
 
 def _eliminate(field: Field, S: np.ndarray, own: np.ndarray):
@@ -479,7 +482,7 @@ def _first_dependent(field: Field, H: np.ndarray, w: int):
 
 
 def verify_distance_floor(field: Field, H: np.ndarray, w: int, *,
-                          budget: int = 10_000_000):
+                          budget: int = DEFAULT_BUDGET):
     """Prove (exactly) that every w columns of H are independent.
 
     Success certifies minimum distance >= w + 1 for the code with parity

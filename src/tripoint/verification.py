@@ -2,10 +2,10 @@
 independent computation.
 
 Each suite returns a list of CheckResult records.  `default_verify_report
-(n_max)` runs every suite on each bundled curve up to n_max, the pure-gap
-oracle sweeps always among them, and returns the payload of the CLI
-`verify` command: one row per check, tagged with its suite's section, and
-a verdict that fails the command (exit code 2) when any check fails.  The
+(n_max)` runs every suite on check_curve(n) for each n up to n_max, the
+pure-gap oracle sweeps always among them, and returns the payload of the
+CLI `verify` command: one row per check, tagged with its suite's section,
+and a verdict that fails the command (exit code 2) when any check fails.  The
 suites are deliberately redundant with the unit tests: they are the
 product surface for a user who wants to re-certify the mathematics on
 their own machine, possibly for larger n.
@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .catalog import builtin_curves
 from .claims import FAMILIES, dimension_claims
-from .curves import FUNDAMENTAL_POINTS, CheckResult, CurveSpec, eval_terms
+from .curves import (FUNDAMENTAL_POINTS, CheckResult, CurveError, CurveSpec,
+                     eval_terms)
 from .fields import TABLE_LIMIT, Field, FieldError, embed, make_field
 from .riemann_roch import (ThreePointDivisor, canonical_divisor, dim_L_oracle,
                            order_of_form)
@@ -159,9 +161,9 @@ def gap_suite(curve: CurveSpec) -> list:
 
 def kim_suite() -> list:
     """Bijectivity, beta^3 = id, and the divisibility characterization,
-    n = 3..8."""
+    n = 3..VERIFY_N_MAX."""
     out = []
-    for n in range(3, 9):
+    for n in range(3, VERIFY_N_MAX + 1):
         gaps = gaps_closed_form(n)
         img = [kim_image(n, a) for a in gaps]
         ok_bij = sorted(img) == list(gaps)
@@ -181,7 +183,7 @@ def kim_suite() -> list:
                                f"{fixed}"))
     for pair in CYCLIC_PAIRS:
         try:
-            kim_map(8, pair)  # witness check is internal
+            kim_map(VERIFY_N_MAX, pair)  # witness check is internal
             out.append(CheckResult(f"kim witnesses {pair}", True))
         except AssertionError as exc:
             out.append(CheckResult(f"kim witnesses {pair}", False, str(exc)))
@@ -321,19 +323,32 @@ def curve_suite(curve: CurveSpec) -> list:
     return out
 
 
-# the bundled curve each `verify` section runs on, by n
+# `verify` reaches n = 3..VERIFY_N_MAX, on the bundled curve VERIFY_CURVES
+# names or else on the G = 0 member over GF(8)
+VERIFY_N_MAX = 8
 VERIFY_CURVES = {3: "q8-n3", 4: "q16-n4", 5: "q49-n5-record"}
+
+
+def check_curve(n: int) -> CurveSpec:
+    """The curve of every check at n, `verify`'s and the CLI `--check`
+    flags'; a singular G = 0 member over GF(8) raises CurveError."""
+    if n in VERIFY_CURVES:
+        return builtin_curves()[VERIFY_CURVES[n]]
+    curve = CurveSpec(make_field(2, 3), n)
+    if not curve.is_smooth():
+        raise CurveError(
+            f"no bundled curve with n = {n} and the G = 0 member over "
+            f"GF(8) is singular; pass --curve")
+    return curve
 
 
 def default_verify_report(n_max: int) -> dict:
     """The standard bundle run by the CLI `verify` command: the field and
     Kim suites, then every curve suite, pure-gap oracle sweeps included, on
-    each bundled curve in VERIFY_CURVES with n <= n_max.
+    check_curve(n) for each n from 3 to n_max.
 
     Returns {"passed", "checks", "rows"}, one row {"section", "name",
     "passed", "detail"} per check in the order the suites ran."""
-    from .catalog import builtin_curves
-    curves = builtin_curves()
     rows = []
 
     def run(section, suite, *args, **kwargs):
@@ -350,10 +365,8 @@ def default_verify_report(n_max: int) -> dict:
                            + field_axiom_suite(make_field(3, 3))
                            + field_axiom_suite(make_field(7, 2))))
     run("kim", kim_suite)
-    for n, name in VERIFY_CURVES.items():
-        if n > n_max:
-            continue
-        curve = curves[name]
+    for n in range(3, n_max + 1):
+        curve = check_curve(n)
         tag = f"n{n}"
         run(f"curve-{tag}", curve_suite, curve)
         run(f"gaps-{tag}", gap_suite, curve)

@@ -45,9 +45,9 @@ def test_usage_errors(capsys, tmp_path, monkeypatch):
     assert code == 1 and "--n" in err
     code, _, err = run(capsys, "nonsense")
     assert code == 1
-    for n_max in ("2", "6", "7"):   # outside the bundled check curves
+    for n_max in ("2", "9"):   # outside verify's range
         code, out, err = run(capsys, "verify", "--n-max", n_max)
-        assert code == 1 and out == "" and "--n-max must be in 3..5" in err
+        assert code == 1 and out == "" and "--n-max must be in 3..8" in err
     # negative sizes are refused, not read as slices from the end, as
     # flags and as config values
     for flag, value in (("--length", "-3"), ("--estimate-trials", "-5")):
@@ -276,9 +276,15 @@ def test_gaps_check_fallback_curve(capsys, monkeypatch):
 
 
 def test_check_curve_is_verify_curve():
-    # without --curve, a check at n = 3, 4, 5 runs on verify's curve
-    for n, name in verification.VERIFY_CURVES.items():
-        assert cli._load_curve({"curve": None}, n) == builtin_curves()[name]
+    # without --curve, a check at n runs on verify's curve: the bundled one
+    # at n = 3, 4, 5 and the G = 0 member over GF(8) beyond
+    for n in range(3, 9):
+        curve = cli._load_curve({"curve": None}, n)
+        assert curve == verification.check_curve(n)
+        if n in verification.VERIFY_CURVES:
+            assert curve == builtin_curves()[verification.VERIFY_CURVES[n]]
+        else:
+            assert curve == CurveSpec(make_field(2, 3), n)
 
 
 def test_pure_gaps_payload(capsys):
@@ -407,6 +413,25 @@ def test_code_pipeline(capsys, tmp_path):
     cell = parity[0].split(",")[0]
     assert all(part.isdigit() for part in cell.split(":"))
     assert len(cell.split(":")) == 4   # GF(16) elements over GF(2)
+
+
+def test_zero_code_states_no_bound(capsys):
+    # a code of dimension 0 has no nonzero word: no distance bound applies,
+    # and a certification that passes sets no floor
+    for argv, certified in ((("--divisor=60,0,0", "--certify", "3"), True),
+                            (("--design", "2,1", "--length", "0"), None)):
+        code, doc, _ = run_json(capsys, "code", "--curve", "q16-n4", *argv)
+        assert code == 0
+        rep = doc["report"]
+        assert rep["dimension"] == 0
+        assert rep["goppa_bound"] is rep["pure_gap_bound"] is None
+        assert rep["verified_floor"] is None
+        assert rep["notes"][-1] == ("zero code: no nonzero word, so no "
+                                    "distance bound applies")
+        assert (doc["certification"] or {}).get("ok") is certified
+    code, out, _ = run(capsys, "code", "--curve", "q16-n4",
+                       "--divisor=60,0,0", "--format", "csv")
+    assert code == 0 and out.splitlines()[1] == "37,0,,,,"
 
 
 def test_code_design_gate(capsys):
@@ -634,11 +659,14 @@ def test_verify_catches_wrong_class(capsys, monkeypatch):
 
 
 def test_verify_record_curve(capsys):
-    code, doc, _ = run_json(capsys, "verify", "--n-max", "5")
+    code, doc, _ = run_json(capsys, "verify", "--n-max", "6")
     assert code == 0 and doc["passed"] is True
     assert all(r["passed"] for r in doc["rows"])
-    assert {"dims-n5", "pure-gaps-n5", "riemann-roch-n5"} <= \
-        {r["section"] for r in doc["rows"]}
+    sections = {r["section"] for r in doc["rows"]}
+    assert {"dims-n5", "pure-gaps-n5", "riemann-roch-n5"} <= sections
+    # beyond the bundled curves, the G = 0 member over GF(8)
+    assert {f"{suite}-n6" for suite in ("curve", "gaps", "dims", "pure-gaps",
+                                        "riemann-roch")} <= sections
 
 
 def test_csv_output(capsys):
