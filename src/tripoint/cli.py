@@ -493,11 +493,9 @@ def cmd_search(cfg: dict):
     n = _need_n(cfg)
     p, k = _parse_prime_power(q)
     field = make_field(p, k)
-    floor = cfg["min_points"]
-    predicate = None if floor is None else (lambda c: c >= floor)
     seed = cfg["seed"]
     try:
-        hits = curve_search(field, n, predicate=predicate,
+        hits = curve_search(field, n, min_points=cfg["min_points"],
                             sample=cfg["sample"], seed=seed)
     except CodesError as exc:
         raise UsageError(f"{exc} with --sample N")

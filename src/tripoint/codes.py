@@ -630,7 +630,7 @@ def low_weight_search(field: Field, H: np.ndarray, trials: int = 200,
     return best_w, best_word
 
 
-def curve_search(field: Field, n: int, *, predicate=None,
+def curve_search(field: Field, n: int, *, min_points: int | None = None,
                  sample: int | None = None, seed: int = 0):
     """Iterate members of the family over `field`, counting points.
 
@@ -638,8 +638,8 @@ def curve_search(field: Field, n: int, *, predicate=None,
     `CurveSpec.is_smooth`.  When the G-coefficient space q^(#monomials) is
     at most 4096 the sweep is exhaustive (and deterministic); otherwise
     `sample` random coefficient draws are made with the given seed, and
-    without `sample` the call itself raises.  predicate filters on the
-    point count.
+    without `sample` the call itself raises.  Only members with at least
+    `min_points` rational points are yielded, every member without it.
     """
     monos = monomials_of_degree(n - 2)
     space = field.q ** len(monos)
@@ -660,7 +660,7 @@ def curve_search(field: Field, n: int, *, predicate=None,
             curve = CurveSpec(field, n,
                               {e: c for e, c in zip(monos, digits) if c})
             pts = curve.rational_points()
-            if predicate is None or predicate(len(pts)):
+            if min_points is None or len(pts) >= min_points:
                 yield {"curve": curve, "points": pts,
                        "smooth": curve.is_smooth()}
     return members()

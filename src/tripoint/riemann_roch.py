@@ -13,8 +13,8 @@ dimension formula, by exact linear algebra over the base field:
     per (d, class), computed on `_representative`: D minus the rounded
     div x, div y coordinates of D - (d/3)(P1 + P2 + P3), whose cover
     degree stays within 2 of ceil(d/(n+1)) for n = 3..8 and
-    0 <= d <= 2g - 2.  `memo=False` (and `n_extra`) skips the reduction
-    and runs steps 1-3 on D itself: the unreduced reference.
+    0 <= d <= 2g - 2.  An integer `n_extra` skips the reduction and runs
+    steps 1-3 on D itself: the unreduced reference.
 
 1.  Cover D by a monomial.  M = X^alpha Y^beta Z^gamma has zero divisor
     series.monomial_orders(n, (alpha, beta, gamma)), read off the lines
@@ -266,18 +266,20 @@ def _ell(curve: CurveSpec, D: ThreePointDivisor, n_extra: int) -> int:
     return len(monos) - linalg.rank(curve.field, A)
 
 
-def dim_L_oracle(curve: CurveSpec, D: ThreePointDivisor, *, n_extra: int = 0,
-                 memo: bool = True) -> int:
+def dim_L_oracle(curve: CurveSpec, D: ThreePointDivisor, *,
+                 n_extra: int | None = None) -> int:
     """ell(D) by exact linear algebra.  See the module docstring.
 
-    The memo answers one (degree, class) from one representative (step 0).
-    memo=False or n_extra > 0 builds the conditions of D itself; n_extra
-    multiplies the covering monomial by Z^n_extra, and the answer must not
-    change.
+    n_extra None reads the memo (step 0).  An integer k >= 0 builds the
+    conditions of D itself over the covering monomial times Z^k: the
+    unreduced reference, whose answer must not depend on k.  A negative k
+    would not cover D and is a ValueError.
     """
+    if n_extra is not None and n_extra < 0:
+        raise ValueError(f"n_extra must be >= 0, got {n_extra}")
     if D.degree < 0:
         return 0
-    if not memo or n_extra:
+    if n_extra is not None:
         return _ell(curve, D, n_extra)
     table = curve._cache.setdefault("ell", {})
     key = (D.degree, _class_of(curve.n, D))

@@ -3,13 +3,13 @@
 Everything in here comes in two flavors: closed-form combinatorics in the
 parameter n alone (gaps_closed_form, kim_map, pure_gaps, ...) and
 field-level oracles that recompute the same objects from Riemann-Roch
-dimensions of an actual curve (gaps_oracle, pair_membership_oracle,
-gap_pairs_oracle, pure_gap_oracle).  A gap sequence is the increasing
-tuple of its gaps, and a Kim map the tuple of its (gap, image, witness)
-entries.  Every oracle is read off one flatness
-test, ell(D) = ell(D - step), and pure_gap_problems is the one per-record
-check of a pure gap against the oracle.  The test suite pins the two
-flavors against each other.
+dimensions of an actual curve (gaps_oracle, pure_gap_oracle).  A gap
+sequence is the increasing tuple of its gaps, and a Kim map the tuple of
+its (gap, image, witness) entries.  pure_gap_oracle is the one flatness
+test, ell(sum a_i P_i) = ell(sum (a_i - 1) P_i) at one, two or three
+points; a gap is a pure gap at one point, so gaps_oracle reads it too, and
+pure_gap_problems is the one per-record check of a pure gap against the
+oracle.  The test suite pins the two flavors against each other.
 
 The theorems' parameter ranges are stated once, in _BOX_RANGES (a pair
 (i, j) at two points, a triple (i, j, k) at P1, P2, P3), and
@@ -45,11 +45,10 @@ __all__ = [
     "PureGapRecord",
     "gaps_closed_form", "semigroup_generators", "gaps_oracle",
     "kim_map", "kim_image", "gap_index",
-    "pure_gaps", "pure_gaps_pair_via_homma_kim", "gap_pair_count",
+    "pure_gaps", "pure_gaps_pair_via_homma_kim",
     "pure_gap_params", "pure_gap_box", "pure_gap_dimension",
     "pure_gap_count_pair", "pure_gap_count_triple",
-    "pair_membership_oracle", "gap_pairs_oracle", "pure_gap_oracle",
-    "pure_gap_problems", "CYCLIC_PAIRS",
+    "pure_gap_oracle", "pure_gap_problems", "CYCLIC_PAIRS",
 ]
 
 CYCLIC_PAIRS = (("P1", "P2"), ("P2", "P3"), ("P3", "P1"))
@@ -67,12 +66,6 @@ def _divisor(points, coeffs: tuple) -> ThreePointDivisor:
     for point, c in zip(points, coeffs):
         v[POINT_IDS.index(point)] = c
     return ThreePointDivisor(*v)
-
-
-def _flat(curve: CurveSpec, D: ThreePointDivisor,
-          step: ThreePointDivisor) -> bool:
-    """ell(D) == ell(D - step): the one test every oracle here reads."""
-    return dim_L_oracle(curve, D) == dim_L_oracle(curve, D - step)
 
 
 def gaps_closed_form(n: int) -> tuple:
@@ -99,11 +92,11 @@ def semigroup_generators(n: int) -> tuple:
 
 
 def gaps_oracle(curve: CurveSpec, point: str) -> tuple:
-    """The gap sequence at a point recomputed from oracle dimensions
-    ell(m*P), m <= 2g-1, as the increasing tuple of its gaps."""
-    step = _divisor((point,), (1,))
+    """The gap sequence at a point recomputed by the oracle, as the
+    increasing tuple of its gaps: the m <= 2g-1 that are pure gaps at the
+    one point, ell(m*P) = ell((m-1)*P)."""
     return tuple(m for m in range(1, 2 * curve.genus)
-                 if _flat(curve, step.scaled(m), step))
+                 if pure_gap_oracle(curve, (m,), (point,)))
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +249,6 @@ def pure_gap_count_pair(n: int) -> int:
     return (g - 1) * g // 3
 
 
-def gap_pair_count(n: int) -> int:
-    """Cardinality of the full gap-pair set G(P, Q) (pure or not)."""
-    g = n * (n - 1) // 2
-    return g * (g + 1)
-
-
 def pure_gaps_pair_via_homma_kim(n: int) -> list:
     """Pure gap pairs from the inversion description of the Kim map.
 
@@ -291,49 +278,31 @@ def pure_gap_count_triple(n: int) -> int:
 # oracles
 # ---------------------------------------------------------------------------
 
-def pair_membership_oracle(curve: CurveSpec, pair: tuple, a: int, b: int) -> bool:
-    """Is (a, b) in the two-point Weierstrass semigroup H(P, Q)?
-
-    (a, b) is a member iff some function has pole divisor exactly
-    a*P + b*Q, which happens iff ell drops when either coordinate drops.
-    """
-    D = _divisor(pair, (a, b))
-    return not any(_flat(curve, D, _divisor((p,), (1,))) for p in pair)
-
-
-def pure_gap_oracle(curve: CurveSpec, tuple_: tuple, pair: tuple | None = None) -> bool:
-    """Is the pair/triple pure, i.e. does ell stay flat one step down in
+def pure_gap_oracle(curve: CurveSpec, tuple_: tuple,
+                    points: tuple | None = None) -> bool:
+    """Is the tuple a pure gap, i.e. does ell stay flat one step down in
     every coordinate simultaneously?
 
-    ell(sum a_i P_i) == ell(sum (a_i - 1) P_i) characterizes pure gaps.  A
-    pair sits at `pair` (default (P1, P2)); a triple at (P1, P2, P3).
+    ell(sum a_i P_i) == ell(sum (a_i - 1) P_i) characterizes pure gaps
+    (Carvalho-Torres); at one point it is the gap test.  The tuple has one,
+    two or three entries at `points`, by default the first that many of
+    (P1, P2, P3); any other length or a bad point name is a ValueError.
     """
-    if len(tuple_) not in (2, 3):
-        raise ValueError("tuple must have length 2 or 3")
-    return _flat(curve, _divisor(pair, tuple_),
-                 _divisor(pair, (1,) * len(tuple_)))
+    if len(tuple_) not in (1, 2, 3):
+        raise ValueError("tuple must have length 1, 2 or 3")
+    D = _divisor(points, tuple_)
+    step = _divisor(points, (1,) * len(tuple_))
+    return dim_L_oracle(curve, D) == dim_L_oracle(curve, D - step)
 
 
 def pure_gap_problems(curve: CurveSpec, rec: PureGapRecord,
-                      pair: tuple | None = None) -> list:
+                      points: tuple | None = None) -> list:
     """What the oracle finds wrong with one pure-gap record, [] if nothing:
-    the tuple must be pure (at `pair`, as in pure_gap_oracle) and ell of
+    the tuple must be pure at `points` (as in pure_gap_oracle) and ell of
     its divisor must be the predicted dimension."""
     bad = []
-    if not pure_gap_oracle(curve, rec.tuple_, pair):
+    if not pure_gap_oracle(curve, rec.tuple_, points):
         bad.append(f"oracle rejects {rec.tuple_}")
-    if dim_L_oracle(curve, _divisor(pair, rec.tuple_)) != rec.predicted_dimension:
+    if dim_L_oracle(curve, _divisor(points, rec.tuple_)) != rec.predicted_dimension:
         bad.append(f"dimension mismatch at {rec.tuple_}")
     return bad
-
-
-def gap_pairs_oracle(curve: CurveSpec, pair: tuple = ("P1", "P2")) -> set:
-    """The full gap-pair set G(P, Q) inside the box [0, 2g-1]^2.
-
-    Pairs with a coordinate >= 2g are always members (both one-step
-    dimension drops are forced by Riemann-Roch once degrees leave the
-    special range), so the box is exhaustive.
-    """
-    box = range(0, 2 * curve.genus)
-    return {(a, b) for a in box for b in box
-            if not pair_membership_oracle(curve, pair, a, b)}

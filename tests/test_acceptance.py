@@ -60,7 +60,7 @@ def test_02_pure_gap_pairs(klein, c16):
         for pair, want in sweeps:
             swept = [(a, b)
                      for a in range(1, 2 * g) for b in range(1, 2 * g)
-                     if pure_gap_oracle(curve, (a, b), pair=pair)]
+                     if pure_gap_oracle(curve, (a, b), points=pair)]
             if swept != want:
                 problems.append(f"oracle sweep n={n} {pair}: {swept}")
     _verdict(2, "pure gap pairs, three-way set equality", problems)
@@ -194,8 +194,8 @@ def test_10_structural_properties(klein, c16):
         for _ in range(50):
             a, b, c = (int(v) for v in rng.integers(-2 * g, 2 * g + 1, 3))
             D = ThreePointDivisor(a, b, c)
-            base = dim_L_oracle(curve, D, memo=False)
-            if any(dim_L_oracle(curve, D, n_extra=x, memo=False) != base
+            base = dim_L_oracle(curve, D, n_extra=0)
+            if any(dim_L_oracle(curve, D, n_extra=x) != base
                    for x in (1, 2)):
                 problems.append(f"N-stability n={curve.n} D={D.coeffs()}")
     _verdict(10, "Kim structure, triple divisibility, N-stability", problems)

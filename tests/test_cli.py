@@ -669,6 +669,24 @@ def test_verify_record_curve(capsys):
                                         "riemann-roch")} <= sections
 
 
+
+def test_verify_singular_check_curve(capsys, monkeypatch):
+    # a check curve that cannot be had fails its own curve-nN row, skips
+    # that n's other suites, and leaves the rest of the report standing
+    original = CurveSpec.is_smooth
+    monkeypatch.setattr(
+        CurveSpec, "is_smooth",
+        lambda self: (self.field.q, self.n) != (8, 6) and original(self))
+    code, doc, _ = run_json(capsys, "verify", "--n-max", "6")
+    assert code == 2 and doc["passed"] is False
+    failing = [r for r in doc["rows"] if not r["passed"]]
+    assert len(failing) == 1 and failing[0]["section"] == "curve-n6"
+    assert "CurveError" in failing[0]["detail"]
+    assert not [r for r in doc["rows"]
+                if r["section"].endswith("-n6") and r is not failing[0]]
+    assert all(r["passed"] for r in doc["rows"]
+               if not r["section"].endswith("-n6"))
+
 def test_csv_output(capsys):
     code, out, _ = run(capsys, "gaps", "--n", "3", "--format", "csv")
     assert code == 0

@@ -582,7 +582,7 @@ def test_curve_search_exhaustive():
     assert [g for g, r in by_g.items() if not r["smooth"]] == [
         ((0, 0, 1), (0, 1, 0), (1, 0, 0))]
     counts = {len(r["points"]) for r in results}
-    filtered = list(curve_search(f2, 3, predicate=lambda c: c == max(counts)))
+    filtered = list(curve_search(f2, 3, min_points=max(counts)))
     assert all(len(r["points"]) == max(counts) for r in filtered)
     # 32^6 members need sample=; the call itself refuses, before any member
     with pytest.raises(CodesError):

@@ -219,10 +219,21 @@ def test_memoization(klein):
     assert dim_L_oracle(klein, moved) == val
     assert len(klein._cache["ell"]) == entries
     key2 = ThreePointDivisor(1, 1, 1)
-    dim_L_oracle(klein, key2, memo=False)
-    # memo=False computes without touching the cache entry for that divisor
+    dim_L_oracle(klein, key2, n_extra=0)
+    # an integer n_extra computes without touching the cache entry for that
+    # divisor
     dim_L_oracle(klein, key2, n_extra=1)
     assert dim_L_oracle(klein, key2) == dim_L_oracle(klein, key2, n_extra=2)
+
+
+def test_negative_n_extra_is_refused(klein):
+    # Z^k with k < 0 leaves a monomial that no longer covers D: an error,
+    # never a wrong ell (ell(0) = 1 and ell(4*P1) = 2 on the Klein quartic)
+    for D in (ThreePointDivisor(0, 0, 0), ThreePointDivisor(4, 0, 0)):
+        for k in (-1, -2):
+            with pytest.raises(ValueError):
+                dim_L_oracle(klein, D, n_extra=k)
+        assert dim_L_oracle(klein, D, n_extra=0) == dim_L_oracle(klein, D)
 
 
 def _member(n, d, cls):
@@ -241,7 +252,7 @@ def test_reduced_memo_matches_unreduced(klein, c16, record):
             for cls in range(n * n - n + 1):
                 D = _member(n, d, cls)
                 assert dim_L_oracle(curve, D) == \
-                    dim_L_oracle(curve, D, memo=False), (curve, D)
+                    dim_L_oracle(curve, D, n_extra=0), (curve, D)
 
 
 def test_representative_is_a_class_function():
@@ -274,7 +285,7 @@ def test_reduction_reaches_past_degree_cap(c16):
         assert dim_L_oracle(c16, D) - dim_L_oracle(c16, W - D) == \
             D.degree + 1 - g
         with pytest.raises(OracleError):
-            dim_L_oracle(c16, D, memo=False)
+            dim_L_oracle(c16, D, n_extra=0)
 
 
 def _divisor_constraint_ok(curve, space):
@@ -349,7 +360,7 @@ def test_standard_monomials_match_all_forms_count(klein, c16, c27, record):
             if D.degree < 0:
                 continue
             for n_extra in (0, 1, 2):
-                assert dim_L_oracle(curve, D, n_extra=n_extra, memo=False) \
+                assert dim_L_oracle(curve, D, n_extra=n_extra) \
                     == _all_forms_count(curve, D, n_extra), (curve, D, n_extra)
 
 

@@ -1,8 +1,9 @@
 """Source hygiene of the package, read with `ast`: every module and demo
 script uses the names it imports, every module-level private function or
 class is referenced somewhere in the package, and every name a module
-exports in `__all__` exists, no module but `fields` reads a lookup
-table, and no module indents JSON through json.dumps."""
+exports in `__all__` exists and is read outside the tests, no module but
+`fields` reads a lookup table, and no module indents JSON through
+json.dumps."""
 
 import ast
 import importlib
@@ -23,6 +24,7 @@ def _parse(paths) -> dict:
 _TREES = _parse((_ROOT / "src" / "tripoint").glob("*.py"))
 # the demo scripts, keyed by stem (01_field_arithmetic, ...)
 _DEMO_TREES = _parse((_ROOT / "demos").glob("*.py"))
+_BENCH_TREES = _parse((_ROOT / "benchmarks").glob("*.py"))
 
 
 def _references(node) -> list:
@@ -84,6 +86,24 @@ def test_exported_names_resolve():
                     for name in getattr(module, "__all__", ())
                     if not hasattr(module, name)]
     assert not missing, f"exported but undefined: {missing}"
+
+
+def test_no_test_only_exports():
+    # a name a module exports is re-exported by the package, or read by
+    # another module, a demo or the benchmark; else only tests call it
+    reexported = set(importlib.import_module("tripoint").__all__)
+    outside = {name for tree in (*_DEMO_TREES.values(), *_BENCH_TREES.values())
+               for name in _references(tree)}
+    unread = []
+    for stem in _TREES:
+        if stem == "__init__":
+            continue
+        others = outside | {name for other, tree in _TREES.items()
+                            if other != stem for name in _references(tree)}
+        module = importlib.import_module(f"tripoint.{stem}")
+        unread += [f"{stem}.{name}" for name in getattr(module, "__all__", ())
+                   if name not in reexported and name not in others]
+    assert not unread, f"exported but read only by tests: {unread}"
 
 
 def test_tables_read_only_in_fields():

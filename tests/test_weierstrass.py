@@ -2,13 +2,11 @@ import itertools
 
 import pytest
 
-from tripoint.weierstrass import (gap_index, gap_pair_count, gap_pairs_oracle,
-                                  gaps_closed_form, gaps_oracle, kim_image,
-                                  kim_map, pair_membership_oracle,
-                                  pure_gap_count_pair, pure_gap_count_triple,
-                                  pure_gap_box, pure_gap_oracle,
-                                  pure_gap_params, pure_gaps,
-                                  pure_gaps_pair_via_homma_kim,
+from tripoint.weierstrass import (gap_index, gaps_closed_form, gaps_oracle,
+                                  kim_image, kim_map, pure_gap_count_pair,
+                                  pure_gap_count_triple, pure_gap_box,
+                                  pure_gap_oracle, pure_gap_params,
+                                  pure_gaps, pure_gaps_pair_via_homma_kim,
                                   semigroup_generators)
 
 POINTS = ("P1", "P2", "P3")
@@ -150,11 +148,14 @@ def test_pure_pair_oracle_cyclic_pairs(klein):
     assert pure_gap_oracle(klein, (2, 1), ("P1", "P3"))
     assert not pure_gap_oracle(klein, (2, 2), ("P1", "P2"))
     assert not pure_gap_oracle(klein, (4, 4), ("P1", "P2"))
+    # one entry is the gap test at one point: 1 is a gap for n = 3, 3 not
+    assert pure_gap_oracle(klein, (1,))
+    assert not pure_gap_oracle(klein, (3,))
     # a repeated, unknown or missing point name, or a pair given with a
     # triple, is an error, never an answer about some other divisor
     for tuple_, pair in (((1, 2), ("P1", "P1")), ((1, 2), ("P1", "P4")),
                          ((1, 2), ("P1",)), ((1, 2), ("P1", "P2", "P3")),
-                         ((1, 1, 1), ("P1", "P2")), ((1,), None),
+                         ((1, 1, 1), ("P1", "P2")), ((), None),
                          ((1, 1, 1, 1), None)):
         with pytest.raises(ValueError):
             pure_gap_oracle(klein, tuple_, pair)
@@ -178,20 +179,15 @@ def test_pure_triple_oracle(klein, c16):
         assert pure_gap_oracle(c16, rec.tuple_)
 
 
-def test_gap_pairs_oracle_counts(klein, c16):
-    pairs3 = gap_pairs_oracle(klein)
-    assert len(pairs3) == gap_pair_count(3) == 12
-    pure = {r.tuple_ for r in pure_gaps(3, 2)}
-    assert pure <= pairs3
-    assert (1, 0) in pairs3 and (0, 1) in pairs3   # plain gaps ride along
-    assert len(gap_pairs_oracle(c16)) == gap_pair_count(4) == 42
-
-
-def test_membership_oracle(klein):
-    # 3 = first nongap at P1; (3, 0) realized by a single-pole function
-    assert pair_membership_oracle(klein, ("P1", "P2"), 3, 0)
-    assert pair_membership_oracle(klein, ("P1", "P2"), 0, 0)
-    assert not pair_membership_oracle(klein, ("P1", "P2"), 1, 1)
-    for pair in (("P2", "P2"), ("P1",), ("P1", "P4"), ("P1", "P2", "P3")):
-        with pytest.raises(ValueError):
-            pair_membership_oracle(klein, pair, 1, 1)
+def test_one_point_pure_gap_is_flatness(klein, c16, record):
+    # at one point the pure-gap test is ell(mP) = ell((m-1)P), for every m
+    # from -1 to 2g + 1, negative degrees and nongaps included
+    from tripoint.riemann_roch import ThreePointDivisor, dim_L_oracle
+    for curve in (klein, c16, record):
+        for k, point in enumerate(POINTS):
+            def ell(m):
+                return dim_L_oracle(curve, ThreePointDivisor(
+                    *(m if i == k else 0 for i in range(3))))
+            for m in range(-1, 2 * curve.genus + 2):
+                assert pure_gap_oracle(curve, (m,), (point,)) == \
+                    (ell(m) == ell(m - 1)), (curve, point, m)
